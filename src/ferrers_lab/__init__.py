@@ -10,6 +10,7 @@ from .budget import BudgetExceeded
 from .exactla import (
     BigRational,
     GInverse,
+    InternalCheckError,
     RatMatrix,
     bordered_ginverse,
     det,

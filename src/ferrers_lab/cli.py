@@ -7,7 +7,8 @@ so identical inputs produce byte-identical reports, including under
 --jobs > 1.  "-" means standard input/output for graph files.
 
 Exit codes: 0 success with no counterexamples, 1 a verified counterexample
-or failed bound, 2 usage or input error, 3 budget exceeded.
+or failed bound, 2 usage or input error, 3 budget exceeded, 4 an internal
+cross-check failed (a defect in the program, not a counterexample).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .conjectures import (
     grone_merris_check,
     venkataramana_check,
 )
-from .exactla import format_rational
+from .exactla import InternalCheckError, format_rational
 from .graphs import (
     BipartiteGraph,
     GraphFormatError,
@@ -408,6 +409,9 @@ def run(config: RunConfig) -> int:
     except BudgetExceeded as exc:
         print("ferrers-lab: budget exceeded: %s" % exc, file=sys.stderr)
         return 3
+    except InternalCheckError as exc:
+        print("ferrers-lab: internal check failed: %s" % exc, file=sys.stderr)
+        return 4
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print("ferrers-lab: %s" % exc, file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 Resistance between two vertices is computed two independent ways on every
 call: from the Moore-Penrose inverse of the Laplacian (diagonal-plus-cross
 term formula) and as a ratio of Laplacian minors.  The two must agree
-exactly or the call fails loudly.
+exactly or the call raises ``InternalCheckError``.
 
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
@@ -24,9 +24,18 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactla import GInverse, RatMatrix, bordered_ginverse, det_int, moore_penrose_laplacian
+from .exactla import (
+    GInverse,
+    InternalCheckError,
+    RatMatrix,
+    bordered_ginverse,
+    det_int,
+    moore_penrose_laplacian,
+    tree_count,
+)
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
+from .trees import tau
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,6 @@ class _GraphCtx:
     def __init__(self, graph: Graph):
         self.graph = graph
         self.lap_int = laplacian(graph)
-        self.lap = RatMatrix(self.lap_int)
         self._mp = None
         self._bordered = {}
         self._tau = None
@@ -71,19 +79,17 @@ class _GraphCtx:
     @property
     def mp(self) -> GInverse:
         if self._mp is None:
-            self._mp = moore_penrose_laplacian(self.lap)
+            self._mp = moore_penrose_laplacian(self.lap_int)
         return self._mp
 
     def bordered(self, pivot: int) -> GInverse:
         if pivot not in self._bordered:
-            self._bordered[pivot] = bordered_ginverse(self.lap, pivot)
+            self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot)
         return self._bordered[pivot]
 
     def tau(self) -> int:
         if self._tau is None:
-            self._tau = det_int(
-                [row[1:] for row in self.lap_int[1:]]
-            )
+            self._tau = tree_count(self.lap_int)
         return self._tau
 
     def minor_det(self, drop) -> int:
@@ -97,12 +103,13 @@ class _GraphCtx:
         )
 
     def resistance(self, i: int, j: int) -> Fraction:
-        plus = self.mp.matrix
+        mp = self.mp
+        plus = mp.numerators
         a, b = i - 1, j - 1
-        via_mp = plus[a, a] + plus[b, b] - 2 * plus[a, b]
+        via_mp = Fraction(plus[a][a] + plus[b][b] - 2 * plus[a][b], mp.denominator)
         via_det = Fraction(self.minor_det([i, j]), self.minor_det([i]))
         if via_mp != via_det:
-            raise AssertionError(
+            raise InternalCheckError(
                 "resistance routes disagree: %s vs %s" % (via_mp, via_det)
             )
         return via_mp
@@ -165,8 +172,11 @@ class EquivalenceReport:
 
 
 def _coord_pair(ginv: GInverse, vec: IncidenceVector, a: int, b: int):
-    applied = ginv.matrix.matvec(vec.as_list())
-    return applied[a - 1], applied[b - 1]
+    """Coordinates ``a`` and ``b`` of G x for the incidence vector x."""
+    num, d = ginv.numerators, ginv.denominator
+    i, j = vec.i - 1, vec.j - 1
+    return (Fraction(num[a - 1][i] - num[a - 1][j], d),
+            Fraction(num[b - 1][i] - num[b - 1][j], d))
 
 
 def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=None) -> EquivalenceReport:
@@ -213,7 +223,7 @@ def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=Non
 
     conditions["i"] = ctx.resistance(i, j) == ctx_f.resistance(i, j)
     conditions["ii"] = ctx.resistance(k, l) == ctx_e.resistance(k, l)
-    conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * _tau_without(G, e, f)
+    conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * tau(g_e.delete_edge(f))
 
     def ginv_condition(name, ginvs_ctx, vec, a, b):
         entries = []
@@ -244,11 +254,6 @@ def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=Non
     )
 
 
-def _tau_without(G: Graph, e, f) -> int:
-    lap = laplacian(G.delete_edge(e).delete_edge(f))
-    return det_int([row[1:] for row in lap[1:]])
-
-
 def edge_deletion_monotonicity(G: Graph, f, i: int, j: int) -> bool:
     """Check that deleting a non-cut edge cannot lower resistance.
 
@@ -266,7 +271,7 @@ def edge_deletion_monotonicity(G: Graph, f, i: int, j: int) -> bool:
     before = resistance(G, i, j)
     after = resistance(g_f, i, j)
     if after < before:
-        raise AssertionError(
+        raise InternalCheckError(
             "resistance decreased from %s to %s after deleting %r" % (before, after, f)
         )
     return after > before
@@ -347,14 +352,8 @@ def ferrers_tree_identity(lmbda: Partition) -> bool:
     f = (p, m + n)
     if e not in G.edges or f not in G.edges:
         raise ValueError("expected edges %r and %r are absent" % (e, f))
-
-    def _tau(graph):
-        lap = laplacian(graph)
-        return det_int([row[1:] for row in lap[1:]])
-
-    return _tau(G.delete_edge(e)) * _tau(G.delete_edge(f)) == _tau(G) * _tau(
-        G.delete_edge(e).delete_edge(f)
-    )
+    g_e = G.delete_edge(e)
+    return tau(g_e) * tau(G.delete_edge(f)) == tau(G) * tau(g_e.delete_edge(f))
 
 
 # ---------------------------------------------------------------------------

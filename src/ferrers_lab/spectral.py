@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exactla import InternalCheckError
 from .graphs import BipartiteGraph, laplacian, normalized_laplacian
 
 #: default absolute tolerance for floating comparisons in reports
@@ -177,7 +178,7 @@ def sqrt_edge_bound_check(G: BipartiteGraph) -> BoundCheck:
     rhs = math.sqrt(G.edge_count())
     tol = 1e-8
     if lhs > rhs + tol:
-        raise AssertionError(
+        raise InternalCheckError(
             "spectral radius %.12g exceeds sqrt(e) %.12g" % (lhs, rhs)
         )
     return BoundCheck(

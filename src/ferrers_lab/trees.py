@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded, budget_cap
-from .exactla import det_int
+from .exactla import InternalCheckError, tree_count
 from .graphs import BipartiteGraph, ferrers_invariant, laplacian
 from .partitions import Partition, conjugate
 
@@ -133,9 +133,7 @@ def tau(G) -> int:
         G = G.to_graph()
     if G.vcount < 1:
         raise ValueError("graph needs at least one vertex")
-    lap = laplacian(G)
-    minor = [row[1:] for row in lap[1:]]
-    return det_int(minor)
+    return tree_count(laplacian(G))
 
 
 class _DisjointSet:
@@ -212,7 +210,7 @@ def enumerate_spanning_trees(G, budget: int | None = None) -> list:
     walk(0, _DisjointSet(n), 0)
     trees.sort()
     if len(trees) != count:
-        raise AssertionError("enumeration found %d trees, cofactor says %d"
+        raise InternalCheckError("enumeration found %d trees, cofactor says %d"
                              % (len(trees), count))
     return trees
 

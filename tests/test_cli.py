@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -5,9 +6,12 @@ import sys
 
 import pytest
 
-from ferrers_lab import cli, parse_graph_file
+from ferrers_lab import cli, exactla, parse_graph_file, spectral, trees
 
 from conftest import example_staircase
+
+# the package exports a function under the module's name
+resistance_module = importlib.import_module("ferrers_lab.resistance")
 
 
 def run_cli(args, capsys):
@@ -229,6 +233,35 @@ def test_exit_code_general_graph_where_bipartite_needed(tmp_path, capsys):
     code, _, err = run_cli(["trees", "--graph", str(path)], capsys)
     assert code == 2
     assert "bipartite" in err
+
+
+def _double_two_vertex_minors(orig):
+    return lambda self, drop: orig(self, drop) * (2 if len(drop) == 2 else 1)
+
+
+def _corrupt_adjugate(orig):
+    def broken(rows):
+        d, adj = orig(rows)
+        adj[0][0] += 1
+        return d, adj
+    return broken
+
+
+@pytest.mark.parametrize("argv, target, name, breaker", [
+    (["resistance", "--pair", "4,7"], resistance_module._GraphCtx, "minor_det",
+     _double_two_vertex_minors),
+    (["resistance", "--pair", "4,7"], exactla, "det_adj_int", _corrupt_adjugate),
+    (["trees", "--enumerate"], trees, "tau", lambda orig: lambda g: orig(g) + 1),
+    (["spectral"], spectral, "spectral_radius", lambda orig: lambda g: orig(g) + 1),
+], ids=["resistance-routes", "kernel-certificate", "tree-enumeration", "sqrt-edge-bound"])
+def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
+                                  argv, target, name, breaker):
+    # a failed cross-check is a defect, reported apart from exit 1 (counterexample)
+    monkeypatch.setattr(target, name, breaker(getattr(target, name)))
+    code, _, err = run_cli([argv[0], "--graph", staircase_file] + argv[1:], capsys)
+    assert code == 4
+    assert err.startswith("ferrers-lab: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_budget_env_override(staircase_file, capsys, monkeypatch):

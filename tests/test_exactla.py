@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ferrers_lab import (
     Graph,
+    InternalCheckError,
     RatMatrix,
     bordered_ginverse,
     det,
     det_int,
+    exactla,
     laplacian,
     moore_penrose_laplacian,
     resistance,
@@ -151,3 +154,104 @@ def test_bordered_rejects_disconnected():
     two_edges = Graph(4, [(1, 2), (3, 4)])
     with pytest.raises(ValueError):
         bordered_ginverse(RatMatrix(laplacian(two_edges)), 1)
+
+
+@st.composite
+def connected_laplacians(draw, max_n=22):
+    """Integer Laplacian of a random connected graph on 2..max_n vertices:
+    a random labelled spanning tree plus random extra edges."""
+    n = draw(st.integers(2, max_n))
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = [(label[v], label[draw(st.integers(0, v - 1))]) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    edges += [(a, b) for a, b in extra if a != b]
+    return laplacian(Graph(n, edges))
+
+
+def _unit(n, c):
+    return [int(r == c) for r in range(n)]
+
+
+def _columns_to_rows(cols):
+    return [list(row) for row in zip(*cols)]
+
+
+def moore_penrose_oracle(lap):
+    """L^+ = (L + J/n)^{-1} - J/n, inverted column by column with ``solve``."""
+    n = len(lap)
+    shifted = RatMatrix([[x + Fraction(1, n) for x in row] for row in lap])
+    cols = [solve(shifted, _unit(n, c)) for c in range(n)]
+    return RatMatrix([[x - Fraction(1, n) for x in row] for row in _columns_to_rows(cols)])
+
+
+def bordered_oracle(lap, i):
+    """L_i^{-1} embedded with a zero row and column i, column by column with ``solve``."""
+    n = len(lap)
+    k = i - 1
+    sub = RatMatrix(lap).delete([k], [k])
+    rows = _columns_to_rows([solve(sub, _unit(n - 1, c)) for c in range(n - 1)])
+    rows = [row[:k] + [0] + row[k:] for row in rows]
+    rows.insert(k, [0] * n)
+    return RatMatrix(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(connected_laplacians())
+def test_moore_penrose_matches_solve_oracle(lap):
+    assert moore_penrose_laplacian(lap).matrix == moore_penrose_oracle(lap)
+    assert moore_penrose_laplacian(RatMatrix(lap)).matrix == moore_penrose_oracle(lap)
+
+
+@settings(max_examples=8, deadline=None)
+@given(connected_laplacians())
+def test_bordered_matches_solve_oracle_every_pivot(lap):
+    for i in range(1, len(lap) + 1):
+        assert bordered_ginverse(lap, i).matrix == bordered_oracle(lap, i)
+
+
+def test_det_adj_int_identity():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        d = det_int(rows)
+        if d == 0:
+            with pytest.raises(ValueError):
+                exactla.det_adj_int(rows)
+            continue
+        got, adj = exactla.det_adj_int(rows)
+        assert got == d
+        assert RatMatrix(rows) @ RatMatrix(adj) == RatMatrix.identity(n).scale(d)
+
+
+@pytest.mark.parametrize("build", [moore_penrose_laplacian,
+                                   lambda lap: bordered_ginverse(lap, 3)])
+@pytest.mark.parametrize("corrupt", ["adjugate", "determinant"])
+def test_corrupted_kernel_fails_certificate(monkeypatch, build, corrupt):
+    kernel = exactla.det_adj_int
+
+    def broken(rows):
+        d, adj = kernel(rows)
+        if corrupt == "determinant":
+            return d + 1, adj
+        adj[1][2] += 1
+        return d, adj
+
+    build(EXAMPLE_LAPLACIAN)
+    monkeypatch.setattr(exactla, "det_adj_int", broken)
+    with pytest.raises(InternalCheckError):
+        build(EXAMPLE_LAPLACIAN)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, -1, 0], [0, 1, -1], [-1, 0, 1]],                 # zero row sums, asymmetric
+    [[2, -1], [-1, 1]],                                   # symmetric, nonzero row sum
+    [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 2)]],
+    [[1, -1, 0], [-1, 1]],                                # ragged
+    [],
+], ids=["asymmetric", "row-sum", "non-integer", "ragged", "empty"])
+def test_ginverses_reject_non_laplacians(rows):
+    with pytest.raises(ValueError):
+        moore_penrose_laplacian(rows)
+    with pytest.raises(ValueError):
+        bordered_ginverse(rows, 1)

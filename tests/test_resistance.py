@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from ferrers_lab import (
     Graph,
     IncidenceVector,
+    InternalCheckError,
     Partition,
     RatMatrix,
     bordered_ginverse,
@@ -160,6 +162,14 @@ def test_edge_deletion_monotonicity_rejects_cut_edge():
     path = Graph(3, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         edge_deletion_monotonicity(path, (1, 2), 1, 3)
+
+
+def test_edge_deletion_monotonicity_failure_is_internal(monkeypatch):
+    module = importlib.import_module("ferrers_lab.resistance")
+    values = iter([Fraction(2), Fraction(1)])
+    monkeypatch.setattr(module, "resistance", lambda G, i, j: next(values))
+    with pytest.raises(InternalCheckError, match="decreased"):
+        edge_deletion_monotonicity(C4, (1, 2), 1, 2)
 
 
 def test_edge_deletion_equality_case():
