@@ -200,13 +200,13 @@ def _cmd_spectral(config):
         "residual": report.residual,
     }
     checks = {}
-    bound = sqrt_edge_bound_check(graph)
+    bound = sqrt_edge_bound_check(graph, lhs=report.lambda_max)
     checks["sqrt_edge_bound"] = {
         "lhs": bound.lhs, "rhs": bound.rhs,
         "holds": bound.holds, "tight": bound.tight, "tol": bound.tol,
     }
     try:
-        prod = normalized_product_check(graph)
+        prod = normalized_product_check(graph, mu=report.normalized_spectrum)
         checks["normalized_product"] = {
             "lhs": prod.lhs, "rhs": prod.rhs,
             "holds": prod.holds, "tight": prod.tight, "tol": prod.tol,
@@ -407,7 +407,10 @@ def run(config: RunConfig) -> int:
     try:
         return _COMMANDS[config.command](config)
     except BudgetExceeded as exc:
-        print("ferrers-lab: budget exceeded: %s" % exc, file=sys.stderr)
+        message = "ferrers-lab: budget exceeded: %s" % exc
+        if exc.progress is not None:
+            message += " (progress: %s)" % json.dumps(exc.progress, sort_keys=True)
+        print(message, file=sys.stderr)
         return 3
     except InternalCheckError as exc:
         print("ferrers-lab: internal check failed: %s" % exc, file=sys.stderr)

@@ -7,11 +7,19 @@ code is found by a pruned branch-and-bound that picks rows greedily while
 refining an ordered partition of the columns, so only permutations
 consistent with the refinement are ever touched.
 
-Classes are generated row by row: partial matrices are deduped by the
-canonical code of the partial, extended by every possible next row, and
-filtered at full height.  Searches shard their per-graph checks over a
-process pool when asked; results merge in enumeration order so reports
-are byte-identical regardless of worker count.
+Classes are generated row by row, once per column count: each level is
+deduped by the canonical code of the partial matrix, and a level's
+classes are the next level's parents.  A parent is extended only by
+nonzero rows that are least in their orbit under permutations of its
+twin columns (identical columns), tried in increasing order, so the
+first candidate seen for each class, its representative, is the same as
+if every row had been tried.  A candidate whose rows repeat those of an
+earlier candidate of its level, in another order, is skipped.  At the
+last level the class filters (connectivity, edge count, no empty column)
+run on the bit rows before the code is computed, so rejected candidates
+are never canonized.  Searches shard their per-graph checks over a process pool when asked;
+results merge in enumeration order so reports are byte-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -93,16 +101,20 @@ def _serialize(m, n, values) -> bytes:
     return bytes(out)
 
 
-def canonical_code(G: BipartiteGraph) -> bytes:
+def canonical_code(G: BipartiteGraph, parts_fixed: bytes | None = None) -> bytes:
     """Isomorphism-invariant byte code; equal codes mean isomorphic graphs.
 
     Parts are held fixed; when the two parts have the same size the code
     also minimizes over swapping them.  Limited to 12 rows/columns.
+    ``parts_fixed`` is G's code with parts held fixed when the caller has
+    it already (class enumeration does); only the part swap is then added.
     """
     if G.m > MAX_CODE_SIDE or G.n > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
-    code = _serialize(G.m, G.n, _code_rows(G.rows, G.n))
+    code = parts_fixed
+    if code is None:
+        code = _serialize(G.m, G.n, _code_rows(G.rows, G.n))
     if G.m == G.n:
         t = G.transpose()
         code = min(code, _serialize(t.m, t.n, _code_rows(t.rows, t.n)))
@@ -168,63 +180,153 @@ class ClassSpec:
 
 
 class _Counter:
-    __slots__ = ("candidates", "guard")
+    """Candidates examined, bounded by the guard; knows where growth is."""
+
+    __slots__ = ("candidates", "guard", "columns", "rows_done", "classes")
 
     def __init__(self, guard):
         self.candidates = 0
         self.guard = guard
+        self.columns = self.rows_done = self.classes = 0
 
-    def bump(self, progress):
+    def bump(self):
         self.candidates += 1
         if self.candidates > self.guard:
             raise BudgetExceeded(
                 "class enumeration examined more than %d candidates" % self.guard,
-                progress=progress,
+                progress={"columns": self.columns, "rows_done": self.rows_done,
+                          "classes": self.classes,
+                          "candidates": self.candidates},
             )
 
 
-def _classes_mn(m, n, counter, keep_partial=None, row_candidates=None):
-    """All m x n biadjacency classes (parts fixed), grown row by row.
+def _twin_masks(rows, n):
+    """Nonzero next rows, each least in its orbit under twin-column swaps.
+
+    Twin columns are identical in every row of ``rows``; a mask's ones
+    fill the lowest bits of each twin group, so only how many twins get a
+    one varies.  Ascending order.
+    """
+    groups = [(1 << n) - 1]
+    for r in rows:
+        groups = [part for g in groups for part in (g & r, g & ~r) if part]
+    masks = [0]
+    for g in groups:
+        fills = [0]
+        while g:
+            low = g & -g
+            fills.append(fills[-1] | low)
+            g ^= low
+        masks = [a | b for a in masks for b in fills]
+    masks.sort()
+    return masks[1:]
+
+
+def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
+          accept=None):
+    """Yield (m, classes) for m = 1..depth: the m x n biadjacency classes
+    without zero rows (parts fixed), as {parts-fixed code: first-seen rows}.
 
     ``keep_partial(rows)`` may reject a partial matrix (monotone filters
     only, e.g. edge budgets); rejected partials are never extended.
-    ``row_candidates(rows)`` narrows the masks tried for the next row.
+    ``degrees_left(rows)`` narrows the next row to those degrees, tried by
+    degree, then by value.  ``accept(rows)`` is a class-invariant filter
+    run before canonization at the last level only.  ``counter`` counts
+    every candidate examined and records where growth is.
     """
-    level = {(): ()}
-    for depth in range(m):
-        nxt = {}
+    if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
+        raise ValueError("canonical codes support at most %d rows/columns"
+                         % MAX_CODE_SIDE)
+    counter.columns = n
+    level = {b"": ()}
+    for m in range(1, depth + 1):
+        last = m == depth
+        counter.rows_done, counter.classes = m - 1, len(level)
+        nxt, seen = {}, set()
         for rows in level.values():
-            masks = row_candidates(rows) if row_candidates else range(1 << n)
+            masks = _twin_masks(rows, n)
+            if degrees_left is not None:
+                allowed = degrees_left(rows)
+                masks = sorted((x for x in masks if x.bit_count() in allowed),
+                               key=int.bit_count)
             for mask in masks:
-                counter.bump(progress={"rows_done": depth, "classes": len(level)})
+                counter.bump()
                 cand = rows + (mask,)
                 if keep_partial is not None and not keep_partial(cand):
                     continue
-                code = _serialize(depth + 1, n, _code_rows(cand, n))
+                if last and accept is not None and not accept(cand):
+                    continue
+                # the same rows as an earlier candidate, in another order
+                rowset = 0
+                for r in sorted(cand):
+                    rowset = rowset << n | r
+                if rowset in seen:
+                    continue
+                seen.add(rowset)
+                code = _serialize(m, n, _code_rows(cand, n))
                 if code not in nxt:
                     nxt[code] = cand
         level = nxt
-    return list(level.values())
+        yield m, level
+
+
+def _classes_mn(m, n, counter, **filters):
+    """The m x n classes of ``_grow``: {parts-fixed code: rows}."""
+    level = {}
+    for _, level in _grow(n, m, counter, **filters):
+        pass
+    return level
+
+
+def _covers(rows, full):
+    """True iff no column of the bit rows is empty."""
+    cover = 0
+    for r in rows:
+        cover |= r
+    return cover == full
+
+
+def _rows_connected(rows, full):
+    """Connectivity of the bipartite graph on nonempty bit rows."""
+    reach, pending = rows[0], rows[1:]
+    while pending:
+        rest = []
+        for r in pending:
+            if r & reach:
+                reach |= r
+            else:
+                rest.append(r)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return reach == full
 
 
 def _dedupe_final(found):
     """Dedupe full-height graphs by canonical code (with part swap).
 
+    ``found`` holds (parts-fixed code, graph) pairs in enumeration order;
+    only equal-size parts need the part swap added.
     Keeps the first-seen graph as the class representative: rebuilding
     from the code could swap equal-size parts and lose a class constraint
     such as "row degrees equal D".  Enumeration order is deterministic, so
     representatives are too.
     """
     by_code = {}
-    for g in found:
-        code = canonical_code(g)
-        if code not in by_code:
-            by_code[code] = g
+    for code, g in found:
+        if g.m == g.n:
+            code = canonical_code(g, code)
+        by_code.setdefault(code, g)
     return [by_code[c] for c in sorted(by_code)]
 
 
 def enumerate_class(spec: ClassSpec, guard: int | None = None) -> list:
-    """One representative per isomorphism class, sorted by canonical code."""
+    """One representative per isomorphism class, sorted by canonical code.
+
+    Every class kind excludes isolated vertices.
+    """
+    if not spec.no_isolated:
+        raise ValueError("only classes without isolated vertices are enumerated")
     counter = _Counter(budget_cap(CANDIDATE_GUARD, guard))
     if spec.kind == "kpqe":
         return _enumerate_kpqe(spec, counter)
@@ -237,23 +339,21 @@ def enumerate_class(spec: ClassSpec, guard: int | None = None) -> list:
 
 def _enumerate_kpqe(spec, counter):
     p, q, e = spec.p, spec.q, spec.e
+    full = (1 << q) - 1
 
     def keep(rows):
         used = sum(r.bit_count() for r in rows)
         left = (p - len(rows)) * q
         return used <= e <= used + left
 
-    out = []
-    for rows in _classes_mn(p, q, counter, keep_partial=keep):
-        g = BipartiteGraph(p, q, rows)
-        if g.edge_count() != e:
-            continue
-        if spec.no_isolated and (0 in rows or any(d == 0 for d in g.degrees_v())):
-            continue
-        if spec.exclude_complete and g.edge_count() == p * q:
-            continue
-        out.append(g)
-    return _dedupe_final(out)
+    def accept(rows):
+        return (sum(r.bit_count() for r in rows) == e and _covers(rows, full)
+                and not (spec.exclude_complete and e == p * q))
+
+    level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
+    return _dedupe_final(
+        (code, BipartiteGraph(p, q, rows)) for code, rows in level.items()
+    )
 
 
 def _enumerate_degree_class(spec, counter):
@@ -261,40 +361,36 @@ def _enumerate_degree_class(spec, counter):
     if not degs or degs[-1] < 1:
         raise ValueError("degree sequence must be positive")
     m, total = len(degs), sum(degs)
-    target = sorted(degs)
+
+    def degrees_left(rows):
+        remaining = list(degs)
+        for r in rows:
+            remaining.remove(r.bit_count())
+        return set(remaining)
+
     out = []
     for ny in range(degs[0], total + 1):
-        by_popcount = {}
-        for mask in range(1 << ny):
-            by_popcount.setdefault(mask.bit_count(), []).append(mask)
-
-        def candidates(rows):
-            remaining = list(target)
-            for r in rows:
-                remaining.remove(r.bit_count())
-            masks = []
-            for d in sorted(set(remaining)):
-                masks.extend(by_popcount.get(d, ()))
-            return masks
-
-        for rows in _classes_mn(m, ny, counter, row_candidates=candidates):
-            g = BipartiteGraph(m, ny, rows)
-            if sorted(g.degrees_u()) != target:
-                continue
-            if any(d == 0 for d in g.degrees_v()):
-                continue
-            out.append(g)
+        full = (1 << ny) - 1
+        level = _classes_mn(m, ny, counter, degrees_left=degrees_left,
+                            accept=lambda rows: _covers(rows, full))
+        out.extend((code, BipartiteGraph(m, ny, rows))
+                   for code, rows in level.items())
     return _dedupe_final(out)
 
 
 def _enumerate_connected(spec, counter):
     out = []
-    for m in range(1, spec.max_vertices // 2 + 1):
-        for n in range(m, spec.max_vertices - m + 1):
-            for rows in _classes_mn(m, n, counter):
+    for n in range(1, spec.max_vertices):
+        full = (1 << n) - 1
+        depth = min(n, spec.max_vertices - n)
+        for m, level in _grow(n, depth, counter,
+                              accept=lambda rows: _rows_connected(rows, full)):
+            for code, rows in level.items():
                 g = BipartiteGraph(m, n, rows)
-                if g.is_connected():
-                    out.append(g)
+                # shallower levels are all canonized as parents anyway; their
+                # graph-level test is what the traced benchmark counts
+                if m == depth or g.is_connected():
+                    out.append((code, g))
     return _dedupe_final(out)
 
 
@@ -366,12 +462,13 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
             counterexamples.append(canonical_code(g))
             counterexample_graphs.append(g)
         elif t == inv:
-            extremal.append(canonical_code(g))
+            code = canonical_code(g)
+            extremal.append(code)
             extremal_graphs.append(g)
             if eq_ferrers:
                 equality_ferrers += 1
             else:
-                equality_other.append(canonical_code(g).hex())
+                equality_other.append(code.hex())
     return SearchReport(
         spec=spec,
         examined=len(graphs),
@@ -485,6 +582,11 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
         raise BudgetExceeded(
             "degree class m*d1=%d exceeds the budget of %d"
             % (len(degrees) * degrees[0], cap)
+        )
+    if sum(degrees) > MAX_CODE_SIDE:
+        raise BudgetExceeded(
+            "degree class columns range up to sum(D)=%d, over the %d-column "
+            "cap of canonical codes" % (sum(degrees), MAX_CODE_SIDE)
         )
     start = time.monotonic()
     graphs = enumerate_class(spec)

@@ -168,13 +168,15 @@ class BoundCheck:
     notes: dict = field(default_factory=dict)
 
 
-def sqrt_edge_bound_check(G: BipartiteGraph) -> BoundCheck:
+def sqrt_edge_bound_check(G: BipartiteGraph, lhs: float | None = None) -> BoundCheck:
     """Adjacency spectral radius against sqrt(edge count).
 
     The bound always holds; it is tight exactly on complete bipartite
-    graphs (possibly with isolated vertices).
+    graphs (possibly with isolated vertices).  ``lhs`` is the spectral
+    radius when the caller has already computed it.
     """
-    lhs = spectral_radius(G)
+    if lhs is None:
+        lhs = spectral_radius(G)
     rhs = math.sqrt(G.edge_count())
     tol = 1e-8
     if lhs > rhs + tol:
@@ -191,7 +193,7 @@ def sqrt_edge_bound_check(G: BipartiteGraph) -> BoundCheck:
     )
 
 
-def normalized_product_check(G: BipartiteGraph) -> BoundCheck:
+def normalized_product_check(G: BipartiteGraph, mu: list | None = None) -> BoundCheck:
     """Product of the vcount-2 middle normalized eigenvalues against density.
 
     For connected bipartite graphs the spectrum runs from the top value 2
@@ -199,12 +201,16 @@ def normalized_product_check(G: BipartiteGraph) -> BoundCheck:
     Through tau = (prod(deg)/sum(deg)) * prod(nonzero mu) this comparison
     is the tree-count-vs-degree-product bound in spectral form, with
     equality on staircase graphs.  The density e/(m*n) is exact and is
-    rounded to float only for the comparison (nearest double).
+    rounded to float only for the comparison (nearest double).  ``mu`` is
+    the normalized spectrum when the caller has already computed it.
     """
     total = G.m + G.n
     if total < 3:
         raise ValueError("need at least 3 vertices")
-    mu = normalized_spectrum(G)
+    if mu is None:
+        mu = normalized_spectrum(G)
+    elif not G.is_connected():
+        raise ValueError("normalized spectrum requires a connected graph")
     product = 1.0
     for x in mu[1: total - 1]:
         product *= x

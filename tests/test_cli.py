@@ -1,12 +1,14 @@
+import dataclasses
 import importlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ferrers_lab import cli, exactla, parse_graph_file, spectral, trees
+from ferrers_lab import cli, exactla, parse_graph_file, search, spectral, trees
 
 from conftest import example_staircase
 
@@ -93,6 +95,30 @@ def test_spectral_command(staircase_file, capsys):
     assert doc["checks"]["sqrt_edge_bound"]["holds"] is True
     assert doc["checks"]["normalized_product"]["holds"] is True
     assert doc["checks"]["dense_cut_vertex"]["holds"] is False
+
+
+def test_spectral_command_computes_each_spectrum_once(staircase_file, capsys,
+                                                     monkeypatch):
+    # Gram, Laplacian and normalized Laplacian: one Jacobi run each
+    calls = []
+    orig = spectral.jacobi_eigh
+    monkeypatch.setattr(spectral, "jacobi_eigh",
+                        lambda a: calls.append(len(a)) or orig(a))
+    code, _, _ = run_cli(["spectral", "--graph", staircase_file], capsys)
+    assert code == 0
+    assert sorted(calls) == [4, 7, 7]
+
+
+def test_spectral_command_disconnected_skips_normalized_product(tmp_path, capsys):
+    path = tmp_path / "matching.graph"
+    path.write_text("bipartite 2 2\ne 1 1\ne 2 2\n")
+    code, out, _ = run_cli(["spectral", "--graph", str(path)], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks["normalized_product"] == {
+        "skipped": "normalized spectrum requires a connected graph"
+    }
+    assert checks["sqrt_edge_bound"]["tight"] is False
 
 
 def test_resistance_command(staircase_file, capsys):
@@ -227,6 +253,29 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("degrees", ["4,4,4,4", "4,4,4,4,4"])
+def test_degree_class_over_code_cap_is_budget_exit(degrees, capsys):
+    # m*d1 is within the budget, but the columns range up to sum(D) > 12
+    start = time.monotonic()
+    code, out, err = run_cli(["degree-class", "--D", degrees], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("ferrers-lab: budget exceeded: ")
+    assert "12-column cap" in err and err.count("\n") == 1
+
+
+def test_exit_code_budget_reports_enumeration_progress(capsys, monkeypatch):
+    monkeypatch.setattr(search, "CANDIDATE_GUARD", 500)
+    code, _, err = run_cli(["verify-ferrers-bound", "--max-vertices", "8"], capsys)
+    assert code == 3 and err.count("\n") == 1
+    head, _, tail = err.partition(" (progress: ")
+    assert "more than 500 candidates" in head
+    assert tail.endswith(")\n")
+    progress = json.loads(tail[:-2])
+    assert list(progress) == ["candidates", "classes", "columns", "rows_done"]
+    assert progress["candidates"] == 501
+
+
 def test_exit_code_general_graph_where_bipartite_needed(tmp_path, capsys):
     path = tmp_path / "g.graph"
     path.write_text("general 3\n1 2\n2 3\n")
@@ -247,12 +296,17 @@ def _corrupt_adjugate(orig):
     return broken
 
 
+def _inflate_lambda_max(orig):
+    # the sqrt-edge check reads lambda_max from the spectrum report
+    return lambda g: dataclasses.replace(orig(g), lambda_max=orig(g).lambda_max + 1)
+
+
 @pytest.mark.parametrize("argv, target, name, breaker", [
     (["resistance", "--pair", "4,7"], resistance_module._GraphCtx, "minor_det",
      _double_two_vertex_minors),
     (["resistance", "--pair", "4,7"], exactla, "det_adj_int", _corrupt_adjugate),
     (["trees", "--enumerate"], trees, "tau", lambda orig: lambda g: orig(g) + 1),
-    (["spectral"], spectral, "spectral_radius", lambda orig: lambda g: orig(g) + 1),
+    (["spectral"], cli, "spectrum_report", _inflate_lambda_max),
 ], ids=["resistance-routes", "kernel-certificate", "tree-enumeration", "sqrt-edge-bound"])
 def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
                                   argv, target, name, breaker):

@@ -17,7 +17,13 @@ from ferrers_lab import (
     tau,
     verify_ferrers_bound,
 )
-from ferrers_lab.search import ClassSpec
+from ferrers_lab.search import (
+    ClassSpec,
+    _classes_mn,
+    _code_rows,
+    _Counter,
+    _rows_connected,
+)
 
 from conftest import (
     bipartite_cycle,
@@ -197,6 +203,138 @@ def naive_connected_bipartite_count(max_vertices):
             seen.add(key)
         total += len(seen)
     return total
+
+
+def _reference_level(m, n, keep=None, popcounts=None):
+    """Unpruned growth: every mask (zero included) under every parent,
+    deduped by the parts-fixed code of the partial (cross-validated
+    against brute force above); {code: first-seen rows}."""
+    level = {(): ()}
+    for depth in range(m):
+        nxt = {}
+        for rows in level.values():
+            masks = range(1 << n)
+            if popcounts is not None:
+                allowed = popcounts(rows)
+                masks = sorted((x for x in masks if x.bit_count() in allowed),
+                               key=int.bit_count)
+            for mask in masks:
+                cand = rows + (mask,)
+                if keep is not None and not keep(cand):
+                    continue
+                nxt.setdefault(_code_rows(cand, n), cand)
+        level = nxt
+    return level
+
+
+def _reference_dedupe(graphs):
+    by_code = {}
+    for g in graphs:
+        by_code.setdefault(canonical_code(g), g)
+    return [by_code[c] for c in sorted(by_code)]
+
+
+def _reference_enumerate(spec):
+    """Grow with every mask, filter at full height, dedupe after."""
+    out = []
+    if spec.kind == "kpqe":
+        p, q, e = spec.p, spec.q, spec.e
+
+        def keep(rows):
+            used = sum(r.bit_count() for r in rows)
+            return used <= e <= used + (p - len(rows)) * q
+
+        for rows in _reference_level(p, q, keep=keep).values():
+            g = BipartiteGraph(p, q, rows)
+            if g.edge_count() == e and 0 not in g.degrees_u() + g.degrees_v():
+                out.append(g)
+    elif spec.kind == "degree_class":
+        degs = sorted(spec.degrees)
+
+        def popcounts(rows):
+            left = list(degs)
+            for r in rows:
+                left.remove(r.bit_count())
+            return set(left)
+
+        for ny in range(degs[-1], sum(degs) + 1):
+            for rows in _reference_level(len(degs), ny, popcounts=popcounts).values():
+                g = BipartiteGraph(len(degs), ny, rows)
+                if 0 not in g.degrees_v():
+                    out.append(g)
+    else:
+        top = spec.max_vertices
+        for m in range(1, top // 2 + 1):
+            for n in range(m, top - m + 1):
+                for rows in _reference_level(m, n).values():
+                    g = BipartiteGraph(m, n, rows)
+                    if g.is_connected():
+                        out.append(g)
+    return _reference_dedupe(out)
+
+
+def _spec_id(spec):
+    if spec.kind == "kpqe":
+        return "kpqe-%d-%d-%d" % (spec.p, spec.q, spec.e)
+    if spec.kind == "degree_class":
+        return "degrees-" + ".".join(map(str, spec.degrees))
+    return "connected-%d" % spec.max_vertices
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec.kpqe(2, 2, 3), ClassSpec.kpqe(2, 4, 5), ClassSpec.kpqe(3, 3, 5),
+    ClassSpec.kpqe(3, 4, 7), ClassSpec.kpqe(3, 4, 10), ClassSpec.kpqe(4, 4, 9),
+    ClassSpec.kpqe(4, 5, 10),
+    ClassSpec.degree_class(Partition((2, 1))),
+    ClassSpec.degree_class(Partition((2, 2, 2))),
+    ClassSpec.degree_class(Partition((3, 2, 1))),
+    ClassSpec.degree_class(Partition((3, 3, 3))),
+    ClassSpec.degree_class(Partition((3, 3, 2, 1))),
+    ClassSpec.degree_class(Partition((2, 2, 2, 2))),
+    ClassSpec.all_connected_bipartite(2), ClassSpec.all_connected_bipartite(5),
+    ClassSpec.all_connected_bipartite(9),
+], ids=_spec_id)
+def test_enumeration_matches_reference_growth(spec):
+    # same representatives, row for row, in the same order
+    ours = [(g.m, g.n, g.rows) for g in enumerate_class(spec)]
+    ref = [(g.m, g.n, g.rows) for g in _reference_enumerate(spec)]
+    assert ours == ref
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])
+def test_classes_mn_level_order_matches_reference(m, n):
+    # the pruned growth keeps every zero-free class of the full growth, with
+    # the same first-seen representative, in the same order
+    ref = [rows for rows in _reference_level(m, n).values() if 0 not in rows]
+    assert list(_classes_mn(m, n, _Counter(10 ** 6)).values()) == ref
+
+
+def test_rows_connected_matches_graph_connectivity():
+    for m, n in ((1, 3), (2, 3), (3, 3), (3, 4), (4, 3)):
+        full = (1 << n) - 1
+        for rows in itertools.product(range(1, 1 << n), repeat=m):
+            g = BipartiteGraph(m, n, rows)
+            assert _rows_connected(rows, full) == g.is_connected(), (m, n, rows)
+
+
+def test_connected_bipartite_counts_match_oeis_a005142():
+    # connected bipartite graphs on 2..10 vertices, OEIS A005142
+    per_order = {}
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(10)):
+        per_order[g.m + g.n] = per_order.get(g.m + g.n, 0) + 1
+    assert [per_order[v] for v in range(2, 11)] == \
+        [1, 1, 3, 5, 17, 44, 182, 730, 4032]
+
+
+def test_enumeration_guard_reports_progress():
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_class(ClassSpec.all_connected_bipartite(8), guard=500)
+    progress = info.value.progress
+    assert sorted(progress) == ["candidates", "classes", "columns", "rows_done"]
+    assert progress["candidates"] == 501
+    assert 1 <= progress["columns"] <= 7
+    assert 0 <= progress["rows_done"] < progress["columns"]
+    assert progress["classes"] >= 1
 
 
 def test_enumeration_matches_naive_oracle():
