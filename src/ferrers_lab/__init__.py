@@ -8,7 +8,6 @@ searches over bipartite isomorphism classes.
 
 from .budget import BudgetExceeded
 from .exactla import (
-    BigRational,
     GInverse,
     InternalCheckError,
     RatMatrix,
@@ -22,7 +21,6 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    GraphStats,
     bridge_join,
     ferrers_from_partition,
     ferrers_invariant,
@@ -72,7 +70,6 @@ from .search import (
     ClassSpec,
     SearchReport,
     canonical_code,
-    canonical_form,
     degree_class_max,
     enumerate_class,
     graph_from_code,

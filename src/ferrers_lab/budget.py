@@ -2,9 +2,10 @@
 
 Each guarded operation has a default cap; the FERRERS_LAB_BUDGET
 environment variable, when set, replaces the default at every site that
-does not receive an explicit override.  A separate hard candidate guard
-bounds how many raw candidates any class enumeration may examine, to keep
-runaway requests from exhausting memory.
+does not receive an explicit override.  A separate hard candidate guard,
+``CANDIDATE_GUARD``, bounds how many raw candidates any class enumeration
+may examine, to keep runaway requests from exhausting memory; the
+variable never touches the guard.
 """
 
 from __future__ import annotations

@@ -144,16 +144,28 @@ def _parse_pair(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def _emit_graphs(report, directory):
-    os.makedirs(directory, exist_ok=True)
-    for label, graphs in (
-        ("extremal", report.extremal_graphs),
-        ("counterexample", report.counterexample_graphs),
-    ):
-        for idx, g in enumerate(graphs):
-            path = os.path.join(directory, "%s_%03d.graph" % (label, idx))
-            with open(path, "w") as fh:
-                fh.write(format_graph(g))
+def _finish_search(config, report):
+    """Emit the graphs when asked and write the report; exit 1 on a
+    counterexample."""
+    directory = config.options["emit_graphs"]
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+        for label, graphs in (
+            ("extremal", report.extremal_graphs),
+            ("counterexample", report.counterexample_graphs),
+        ):
+            for idx, g in enumerate(graphs):
+                path = os.path.join(directory, "%s_%03d.graph" % (label, idx))
+                with open(path, "w") as fh:
+                    fh.write(format_graph(g))
+    doc = {"schema_version": SCHEMA_VERSION, **report.as_dict()}
+    _write(_render(doc, config.fmt), config.out)
+    return 0 if not report.counterexamples else 1
+
+
+def _bound_doc(check):
+    return {"lhs": check.lhs, "rhs": check.rhs, "holds": check.holds,
+            "tight": check.tight, "tol": check.tol}
 
 
 def _cmd_gen(config):
@@ -200,17 +212,11 @@ def _cmd_spectral(config):
         "residual": report.residual,
     }
     checks = {}
-    bound = sqrt_edge_bound_check(graph, lhs=report.lambda_max)
-    checks["sqrt_edge_bound"] = {
-        "lhs": bound.lhs, "rhs": bound.rhs,
-        "holds": bound.holds, "tight": bound.tight, "tol": bound.tol,
-    }
+    checks["sqrt_edge_bound"] = _bound_doc(
+        sqrt_edge_bound_check(graph, lhs=report.lambda_max))
     try:
-        prod = normalized_product_check(graph, mu=report.normalized_spectrum)
-        checks["normalized_product"] = {
-            "lhs": prod.lhs, "rhs": prod.rhs,
-            "holds": prod.holds, "tight": prod.tight, "tol": prod.tol,
-        }
+        checks["normalized_product"] = _bound_doc(
+            normalized_product_check(graph, mu=report.normalized_spectrum))
     except ValueError as exc:
         checks["normalized_product"] = {"skipped": str(exc)}
     checks["dense_cut_vertex"] = {"holds": dense_cut_vertex_hypothesis(graph)}
@@ -271,38 +277,23 @@ def _cmd_check(config):
     return 0 if all(r.holds is not False for r in reports) else 1
 
 
-def _search_doc(report):
-    return {"schema_version": SCHEMA_VERSION, **report.as_dict()}
-
-
 def _cmd_verify_ferrers_bound(config):
-    report = verify_ferrers_bound(
+    return _finish_search(config, verify_ferrers_bound(
         config.options["max_vertices"], jobs=config.jobs, budget=config.budget
-    )
-    if config.options["emit_graphs"]:
-        _emit_graphs(report, config.options["emit_graphs"])
-    _write(_render(_search_doc(report), config.fmt), config.out)
-    return 0 if not report.counterexamples else 1
+    ))
 
 
 def _cmd_spectral_search(config):
-    report = spectral_search(
+    return _finish_search(config, spectral_search(
         config.options["p"], config.options["q"], config.options["e"],
         jobs=config.jobs, budget=config.budget,
-    )
-    if config.options["emit_graphs"]:
-        _emit_graphs(report, config.options["emit_graphs"])
-    _write(_render(_search_doc(report), config.fmt), config.out)
-    return 0 if not report.counterexamples else 1
+    ))
 
 
 def _cmd_degree_class(config):
     degrees = Partition.from_string(config.options["degrees"])
-    report = degree_class_max(degrees, jobs=config.jobs, budget=config.budget)
-    if config.options["emit_graphs"]:
-        _emit_graphs(report, config.options["emit_graphs"])
-    _write(_render(_search_doc(report), config.fmt), config.out)
-    return 0 if not report.counterexamples else 1
+    return _finish_search(config, degree_class_max(
+        degrees, jobs=config.jobs, budget=config.budget))
 
 
 _COMMANDS = {

@@ -9,13 +9,14 @@ and the tolerance is recorded in the report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import BipartiteGraph
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
 from .spectral import TOL, laplacian_spectrum
-from .trees import tau
+from .trees import tau, tree_report
 
 
 @dataclass(frozen=True)
@@ -72,14 +73,11 @@ def bozkurt_check(G: BipartiteGraph) -> BoundReport:
     if G.m + G.n < 2:
         raise ValueError("need at least 2 vertices")
     t = tau(G)
-    prod = 1
-    for d in G.degrees():
-        prod *= d
     e = G.edge_count()
     if e == 0:
         rhs = Fraction(0)
     else:
-        rhs = Fraction(prod, e)
+        rhs = Fraction(math.prod(G.degrees()), e)
     return BoundReport(
         name="bozkurt",
         lhs=Fraction(t),
@@ -223,11 +221,8 @@ def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
     produce a spurious counterexample.  Disconnected graphs hold
     trivially (tree count zero).
     """
-    t = tau(G)
-    prod = 1
-    for d in G.degrees():
-        prod *= d
-    rhs = Fraction(prod, G.m * G.n)
+    report = tree_report(G)
+    t, rhs = report.tau, report.ferrers_invariant
     return BoundReport(
         name="eq3",
         lhs=Fraction(t),

@@ -25,9 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-#: exact rational scalar used throughout the package
-BigRational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -65,10 +62,6 @@ class RatMatrix:
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([[_ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
     def ones(cls, nrows: int, ncols: int) -> "RatMatrix":
         return cls([[_ONE] * ncols for _ in range(nrows)])
 
@@ -84,16 +77,6 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
 
     def __sub__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -121,9 +104,6 @@ class RatMatrix:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(list(zip(*self.rows)) if self.rows else [])
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(

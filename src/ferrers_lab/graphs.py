@@ -10,7 +10,6 @@ Laplacian shows the biadjacency block structure directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
@@ -95,7 +94,7 @@ class BipartiteGraph:
         return Graph(self.m + self.n, edges)
 
     def is_connected(self) -> bool:
-        return self.to_graph().is_connected()
+        return _rows_connected(self.rows, (1 << self.n) - 1)
 
     def delete_u(self, i: int) -> "BipartiteGraph":
         """Remove row vertex u_i (requires m >= 2)."""
@@ -108,14 +107,6 @@ class BipartiteGraph:
         low = (1 << (j - 1)) - 1
         rows = [(r & low) | ((r >> j) << (j - 1)) for r in self.rows]
         return BipartiteGraph(self.m, self.n - 1, rows)
-
-    def stats(self) -> "GraphStats":
-        return GraphStats(
-            degrees=self.degrees(),
-            e=self.edge_count(),
-            rho=Fraction(self.edge_count(), self.m * self.n),
-            connected=self.is_connected(),
-        )
 
     def __eq__(self, other):
         return (
@@ -230,25 +221,6 @@ class Graph:
         after = len(self.delete_vertex(v).components())
         return after > before
 
-    def two_coloring(self):
-        """A proper 2-coloring as a dict vertex -> 0/1, or None if odd cycle."""
-        adj = self.adjacency()
-        color = {}
-        for start in range(1, self.vcount + 1):
-            if start in color:
-                continue
-            color[start] = 0
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in color:
-                        color[w] = color[v] ^ 1
-                        stack.append(w)
-                    elif color[w] == color[v]:
-                        return None
-        return color
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -263,12 +235,21 @@ class Graph:
         return "Graph(vcount=%d, edges=%d)" % (self.vcount, len(self.edges))
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    degrees: list
-    e: int
-    rho: Fraction
-    connected: bool
+def _rows_connected(rows, full):
+    """Connectivity of the bipartite graph with bit rows ``rows`` over the
+    columns in ``full``: False when a row is zero or a column uncovered."""
+    reach, pending = rows[0], rows[1:]
+    while pending:
+        rest = []
+        for r in pending:
+            if r & reach:
+                reach |= r
+            else:
+                rest.append(r)
+        if len(rest) == len(pending):
+            return False
+        pending = rest
+    return reach == full
 
 
 def ferrers_from_partition(lmbda: Partition, ncols: int) -> BipartiteGraph:
@@ -276,7 +257,7 @@ def ferrers_from_partition(lmbda: Partition, ncols: int) -> BipartiteGraph:
 
     Requires lambda_1 <= ncols.  With lambda_1 < ncols the rightmost
     columns are isolated vertices; the graph is built anyway and reported
-    disconnected by ``stats``.
+    disconnected by ``is_connected``.
     """
     if not len(lmbda):
         raise ValueError("partition must be nonempty")
@@ -359,10 +340,7 @@ def normalized_laplacian(G) -> list:
 
 def ferrers_invariant(G: BipartiteGraph) -> Fraction:
     """Product of all vertex degrees divided by |U|*|V|, as an exact rational."""
-    prod = 1
-    for d in G.degrees():
-        prod *= d
-    return Fraction(prod, G.m * G.n)
+    return Fraction(math.prod(G.degrees()), G.m * G.n)
 
 
 def pendant_add(G: BipartiteGraph, v: int) -> BipartiteGraph:
@@ -400,6 +378,13 @@ def bridge_join(G: BipartiteGraph, G2: BipartiteGraph, x: int, x2: int) -> Bipar
     return BipartiteGraph(G.m + G2.n, G.n + G2.m, new_rows)
 
 
+#: header word -> (header line, what its numbers are, edge line, constructor)
+_FILE_KINDS = {
+    "bipartite": ("bipartite m n", "part sizes", "e i j", BipartiteGraph.from_edges),
+    "general": ("general n", "vertex count", "i j", Graph),
+}
+
+
 def parse_graph_file(text: str):
     """Parse the one-graph text format.
 
@@ -415,52 +400,31 @@ def parse_graph_file(text: str):
             break
     if header is None:
         raise GraphFormatError("line 1: empty graph file")
-    rest = lines[ln:]
-    if header[0] == "bipartite":
-        if len(header) != 3:
-            raise GraphFormatError("line %d: expected 'bipartite m n'" % ln)
+    if header[0] not in _FILE_KINDS:
+        raise GraphFormatError("line %d: unknown header %r" % (ln, header[0]))
+    form, sizes_name, edge_form, build = _FILE_KINDS[header[0]]
+    if len(header) != len(form.split()):
+        raise GraphFormatError("line %d: expected '%s'" % (ln, form))
+    try:
+        sizes = [int(tok) for tok in header[1:]]
+    except ValueError:
+        raise GraphFormatError("line %d: bad %s" % (ln, sizes_name)) from None
+    prefix = edge_form.split()[:-2]
+    edges = []
+    for off, line in enumerate(lines[ln:], start=ln + 1):
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != len(prefix) + 2 or toks[:-2] != prefix:
+            raise GraphFormatError("line %d: expected '%s'" % (off, edge_form))
         try:
-            m, n = int(header[1]), int(header[2])
+            edges.append((int(toks[-2]), int(toks[-1])))
         except ValueError:
-            raise GraphFormatError("line %d: bad part sizes" % ln) from None
-        edges = []
-        for off, line in enumerate(rest, start=ln + 1):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 3 or toks[0] != "e":
-                raise GraphFormatError("line %d: expected 'e i j'" % off)
-            try:
-                edges.append((int(toks[1]), int(toks[2])))
-            except ValueError:
-                raise GraphFormatError("line %d: bad edge indices" % off) from None
-        try:
-            return BipartiteGraph.from_edges(m, n, edges)
-        except ValueError as exc:
-            raise GraphFormatError("graph body: %s" % exc) from None
-    if header[0] == "general":
-        if len(header) != 2:
-            raise GraphFormatError("line %d: expected 'general n'" % ln)
-        try:
-            n = int(header[1])
-        except ValueError:
-            raise GraphFormatError("line %d: bad vertex count" % ln) from None
-        edges = []
-        for off, line in enumerate(rest, start=ln + 1):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != 2:
-                raise GraphFormatError("line %d: expected 'i j'" % off)
-            try:
-                edges.append((int(toks[0]), int(toks[1])))
-            except ValueError:
-                raise GraphFormatError("line %d: bad edge indices" % off) from None
-        try:
-            return Graph(n, edges)
-        except ValueError as exc:
-            raise GraphFormatError("graph body: %s" % exc) from None
-    raise GraphFormatError("line %d: unknown header %r" % (ln, header[0]))
+            raise GraphFormatError("line %d: bad edge indices" % off) from None
+    try:
+        return build(*sizes, edges)
+    except ValueError as exc:
+        raise GraphFormatError("graph body: %s" % exc) from None
 
 
 def format_graph(G) -> str:

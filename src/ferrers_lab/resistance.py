@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .exactla import (
@@ -71,10 +72,21 @@ class _GraphCtx:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.lap_int = laplacian(graph)
         self._mp = None
         self._bordered = {}
         self._tau = None
+        self._without = {}
+
+    def without(self, edge) -> "_GraphCtx":
+        """The context of the graph with ``edge`` deleted, built once."""
+        if edge not in self._without:
+            self._without[edge] = _GraphCtx(self.graph.delete_edge(edge))
+        return self._without[edge]
+
+    @cached_property
+    def lap_int(self) -> list:
+        # lazy: a deletion built only for its connectivity needs none
+        return laplacian(self.graph)
 
     @property
     def mp(self) -> GInverse:
@@ -179,7 +191,7 @@ def _coord_pair(ginv: GInverse, vec: IncidenceVector, a: int, b: int):
             Fraction(num[b - 1][i] - num[b - 1][j], d))
 
 
-def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=None) -> EquivalenceReport:
+def edge_deletion_equivalence(G: Graph, e, f) -> EquivalenceReport:
     """Evaluate the eleven equivalent edge-deletion statements exactly.
 
     ``e`` and ``f`` must be vertex-disjoint edges of a graph on at least 4
@@ -189,8 +201,7 @@ def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=Non
     """
     if isinstance(G, BipartiteGraph):
         G = G.to_graph()
-    n = G.vcount
-    if n < 4:
+    if G.vcount < 4:
         raise ValueError("graph must have at least 4 vertices")
     e = tuple(sorted(e))
     f = tuple(sorted(f))
@@ -200,18 +211,21 @@ def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=Non
         raise ValueError("f=%r is not an edge" % (f,))
     if set(e) & set(f):
         raise ValueError("e and f must not share a vertex")
-    g_e = G.delete_edge(e)
-    g_f = G.delete_edge(f)
-    if not g_e.is_connected():
+    ctx = _GraphCtx(G)
+    if not ctx.without(e).graph.is_connected():
         raise ValueError("deleting e disconnects the graph")
-    if not g_f.is_connected():
+    if not ctx.without(f).graph.is_connected():
         raise ValueError("deleting f disconnects the graph")
+    return _equivalence(ctx, e, f)
 
+
+def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
+    """The eleven statements for an admissible pair of sorted edges."""
+    n = ctx.graph.vcount
     i, j = e
     k, l = f
-    ctx = _ctx or _GraphCtx(G)
-    ctx_e = _ctx_e or _GraphCtx(g_e)
-    ctx_f = _ctx_f or _GraphCtx(g_f)
+    ctx_e = ctx.without(e)
+    ctx_f = ctx.without(f)
     x_e = IncidenceVector.for_edge(n, e)
     x_f = IncidenceVector.for_edge(n, f)
 
@@ -223,7 +237,7 @@ def edge_deletion_equivalence(G: Graph, e, f, _ctx=None, _ctx_e=None, _ctx_f=Non
 
     conditions["i"] = ctx.resistance(i, j) == ctx_f.resistance(i, j)
     conditions["ii"] = ctx.resistance(k, l) == ctx_e.resistance(k, l)
-    conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * tau(g_e.delete_edge(f))
+    conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * ctx_e.without(f).tau()
 
     def ginv_condition(name, ginvs_ctx, vec, a, b):
         entries = []
@@ -447,8 +461,12 @@ def connected_graphs(n: int) -> list:
 
 def admissible_edge_pairs(G: Graph) -> list:
     """Vertex-disjoint edge pairs whose single deletions stay connected."""
-    edges = G.sorted_edges()
-    good = [e for e in edges if G.delete_edge(e).is_connected()]
+    return _admissible_pairs(_GraphCtx(G))
+
+
+def _admissible_pairs(ctx: _GraphCtx) -> list:
+    edges = ctx.graph.sorted_edges()
+    good = [e for e in edges if ctx.without(e).graph.is_connected()]
     good_set = set(good)
     return [
         (e, f)
@@ -460,17 +478,10 @@ def admissible_edge_pairs(G: Graph) -> list:
 
 def _scan_one(G: Graph):
     ctx = _GraphCtx(G)
-    edge_ctx = {}
     pairs = 0
     failures = []
-    for e, f in admissible_edge_pairs(G):
-        if e not in edge_ctx:
-            edge_ctx[e] = _GraphCtx(G.delete_edge(e))
-        if f not in edge_ctx:
-            edge_ctx[f] = _GraphCtx(G.delete_edge(f))
-        report = edge_deletion_equivalence(
-            G, e, f, _ctx=ctx, _ctx_e=edge_ctx[e], _ctx_f=edge_ctx[f]
-        )
+    for e, f in _admissible_pairs(ctx):
+        report = _equivalence(ctx, e, f)
         pairs += 1
         if not report.all_agree:
             failures.append(report.as_dict())

@@ -20,6 +20,10 @@ run on the bit rows before the code is computed, so rejected candidates
 are never canonized.  Searches shard their per-graph checks over a process pool when asked;
 results merge in enumeration order so reports are byte-identical
 regardless of worker count.
+
+No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
+complete graph; reports record both facts as the ``no_isolated`` and
+``exclude_complete`` flags of the class, which are not options.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from .budget import (
     BudgetExceeded,
     budget_cap,
 )
-from .graphs import BipartiteGraph, ferrers_from_partition, ferrers_invariant, is_ferrers
+from .graphs import BipartiteGraph, _rows_connected, ferrers_from_partition, is_ferrers
 from .partitions import Partition
 from .spectral import spectral_radius
-from .trees import tau
+from .trees import tree_report
 
 MAX_CODE_SIDE = 12
 
@@ -121,11 +125,6 @@ def canonical_code(G: BipartiteGraph, parts_fixed: bytes | None = None) -> bytes
     return code
 
 
-def canonical_form(G: BipartiteGraph) -> BipartiteGraph:
-    """The representative graph rebuilt from the canonical code."""
-    return graph_from_code(canonical_code(G))
-
-
 def graph_from_code(code: bytes) -> BipartiteGraph:
     m, n = code[0], code[1]
     rows = [
@@ -144,8 +143,6 @@ class ClassSpec:
     e: int = 0
     degrees: tuple = ()
     max_vertices: int = 0
-    no_isolated: bool = False
-    exclude_complete: bool = False
 
     @classmethod
     def kpqe(cls, p: int, q: int, e: int) -> "ClassSpec":
@@ -153,18 +150,17 @@ class ClassSpec:
             raise ValueError("need 2 <= p <= q")
         if not (1 < e < p * q):
             raise ValueError("need 1 < e < p*q")
-        return cls(kind="kpqe", p=p, q=q, e=e, no_isolated=True, exclude_complete=True)
+        return cls(kind="kpqe", p=p, q=q, e=e)
 
     @classmethod
     def degree_class(cls, degrees: Partition) -> "ClassSpec":
-        return cls(kind="degree_class", degrees=tuple(degrees), no_isolated=True)
+        return cls(kind="degree_class", degrees=tuple(degrees))
 
     @classmethod
     def all_connected_bipartite(cls, max_vertices: int) -> "ClassSpec":
         if max_vertices < 2:
             raise ValueError("need at least 2 vertices")
-        return cls(kind="all_connected_bipartite", max_vertices=max_vertices,
-                   no_isolated=True)
+        return cls(kind="all_connected_bipartite", max_vertices=max_vertices)
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -174,8 +170,7 @@ class ClassSpec:
             out.update(degrees=list(self.degrees))
         else:
             out.update(max_vertices=self.max_vertices)
-        out.update(no_isolated=self.no_isolated,
-                   exclude_complete=self.exclude_complete)
+        out.update(no_isolated=True, exclude_complete=self.kind == "kpqe")
         return out
 
 
@@ -286,22 +281,6 @@ def _covers(rows, full):
     return cover == full
 
 
-def _rows_connected(rows, full):
-    """Connectivity of the bipartite graph on nonempty bit rows."""
-    reach, pending = rows[0], rows[1:]
-    while pending:
-        rest = []
-        for r in pending:
-            if r & reach:
-                reach |= r
-            else:
-                rest.append(r)
-        if len(rest) == len(pending):
-            return False
-        pending = rest
-    return reach == full
-
-
 def _dedupe_final(found):
     """Dedupe full-height graphs by canonical code (with part swap).
 
@@ -323,11 +302,10 @@ def _dedupe_final(found):
 def enumerate_class(spec: ClassSpec, guard: int | None = None) -> list:
     """One representative per isomorphism class, sorted by canonical code.
 
-    Every class kind excludes isolated vertices.
+    Every class kind excludes isolated vertices.  The candidate guard is
+    ``CANDIDATE_GUARD`` unless ``guard`` is given.
     """
-    if not spec.no_isolated:
-        raise ValueError("only classes without isolated vertices are enumerated")
-    counter = _Counter(budget_cap(CANDIDATE_GUARD, guard))
+    counter = _Counter(CANDIDATE_GUARD if guard is None else guard)
     if spec.kind == "kpqe":
         return _enumerate_kpqe(spec, counter)
     if spec.kind == "degree_class":
@@ -347,8 +325,7 @@ def _enumerate_kpqe(spec, counter):
         return used <= e <= used + left
 
     def accept(rows):
-        return (sum(r.bit_count() for r in rows) == e and _covers(rows, full)
-                and not (spec.exclude_complete and e == p * q))
+        return sum(r.bit_count() for r in rows) == e and _covers(rows, full)
 
     level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
     return _dedupe_final(
@@ -421,8 +398,8 @@ class SearchReport:
 
 
 def _ferrers_check_one(g: BipartiteGraph):
-    t = tau(g)
-    inv = ferrers_invariant(g)
+    report = tree_report(g)
+    t, inv = report.tau, report.ferrers_invariant
     return t, inv, t == inv and is_ferrers(g)
 
 
@@ -448,6 +425,11 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     if max_vertices > cap:
         raise BudgetExceeded(
             "scan of %d vertices exceeds the budget of %d" % (max_vertices, cap)
+        )
+    if max_vertices - 1 > MAX_CODE_SIDE:
+        raise BudgetExceeded(
+            "scan columns range up to max_vertices-1=%d, over the %d-column "
+            "cap of canonical codes" % (max_vertices - 1, MAX_CODE_SIDE)
         )
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)

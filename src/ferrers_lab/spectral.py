@@ -96,7 +96,7 @@ def _max_residual(matrix, values, vectors) -> float:
 class SpectrumReport:
     lambda_max: float
     laplacian_spectrum: list
-    normalized_spectrum: list
+    normalized_spectrum: list | None
     residual: float
 
 
@@ -108,6 +108,11 @@ def _gram(G: BipartiteGraph):
         ]
         for i in range(G.m)
     ]
+
+
+def _density(G: BipartiteGraph) -> Fraction:
+    """Edge density e/(m*n), exact."""
+    return Fraction(G.edge_count(), G.m * G.n)
 
 
 def spectral_radius(G: BipartiteGraph) -> float:
@@ -135,18 +140,22 @@ def normalized_spectrum(G) -> list:
 
 
 def spectrum_report(G: BipartiteGraph) -> SpectrumReport:
-    """All three spectra plus the worst eigenpair reconstruction residual."""
+    """All three spectra plus the worst eigenpair reconstruction residual.
+
+    With an isolated vertex the normalized Laplacian is undefined: its
+    spectrum is None and the residual covers the other two.
+    """
     gram = _gram(G)
     gvals, gvecs = jacobi_eigh(gram)
     lap = laplacian(G)
     lvals, lvecs = jacobi_eigh(lap)
-    nlap = normalized_laplacian(G)
-    nvals, nvecs = jacobi_eigh(nlap)
-    residual = max(
-        _max_residual(gram, gvals, gvecs),
-        _max_residual(lap, lvals, lvecs),
-        _max_residual(nlap, nvals, nvecs),
-    )
+    residuals = [_max_residual(gram, gvals, gvecs), _max_residual(lap, lvals, lvecs)]
+    nvals = None
+    if all(G.degrees()):
+        nlap = normalized_laplacian(G)
+        nvals, nvecs = jacobi_eigh(nlap)
+        residuals.append(_max_residual(nlap, nvals, nvecs))
+    residual = max(residuals)
     return SpectrumReport(
         lambda_max=math.sqrt(max(gvals[0], 0.0)) if G.edge_count() else 0.0,
         laplacian_spectrum=lvals,
@@ -214,7 +223,7 @@ def normalized_product_check(G: BipartiteGraph, mu: list | None = None) -> Bound
     product = 1.0
     for x in mu[1: total - 1]:
         product *= x
-    rho = Fraction(G.edge_count(), G.m * G.n)
+    rho = _density(G)
     return BoundCheck(
         name="normalized_product",
         lhs=product,
@@ -243,7 +252,7 @@ def reflected_product_check(G: BipartiteGraph, k: int) -> BoundCheck:
     product = 1.0
     for x in mu[:k]:
         product *= x * (2.0 - x)
-    rho = Fraction(G.edge_count(), G.m * G.n)
+    rho = _density(G)
     return BoundCheck(
         name="reflected_product",
         lhs=product,
@@ -261,7 +270,7 @@ def dense_cut_vertex_hypothesis(G: BipartiteGraph) -> bool:
     Density is compared exactly (544/1000); the cut test removes each
     degree-2 vertex and looks for a component split.
     """
-    rho = Fraction(G.edge_count(), G.m * G.n)
+    rho = _density(G)
     if rho < Fraction(544, 1000):
         return False
     graph = G.to_graph()

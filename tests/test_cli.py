@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -29,6 +31,70 @@ def staircase_file(tmp_path):
                      "--out", str(path)])
     assert code == 0
     return str(path)
+
+
+# sha256 of every README command example, as json and as csv, with the
+# elapsed line dropped; the two scans run at smaller sizes
+README_DIGESTS = [
+    ("gen", ["gen", "--partition", "3,3,2,1", "--cols", "3"],
+     "1cbcbff1910695d91ff0d1289a77fc6a57690f649dab488b05ca19dc2244fadb",
+     "1cbcbff1910695d91ff0d1289a77fc6a57690f649dab488b05ca19dc2244fadb"),
+    ("trees", ["trees", "--graph", "EX"],
+     "3dc1ae61206943733ad71bc9cae1703f8f88987fd139867670f8dfcbac9e7520",
+     "609e7fecefa50331d89583c5a75f85c60423c54dbd69737a44efab8e39dc1599"),
+    ("trees-stdin", ["trees", "--graph", "-"],
+     "3dc1ae61206943733ad71bc9cae1703f8f88987fd139867670f8dfcbac9e7520",
+     "609e7fecefa50331d89583c5a75f85c60423c54dbd69737a44efab8e39dc1599"),
+    ("spectral", ["spectral", "--graph", "EX"],
+     "2db131b7d7838ae84aa18e8a7f1ae854c3e0cc70633483aa488d1b852c5411ac",
+     "51ebdb9792517348ce0be4b7399c01d176f236e62b6618a542cb5804d96d6e83"),
+    ("resistance", ["resistance", "--graph", "EX", "--pair", "4,7"],
+     "fc3535d4c395668657f4819c2f1d6fa1438c9d8143e91512767415b272ed35a5",
+     "5d8c6d25f961a2d4bc5cdaa717cd7a34f1548187d8291f43edb46e252513eaf9"),
+    ("thm71", ["thm71", "--graph", "K4", "--e", "1,2", "--f", "3,4"],
+     "8e05ac2baf96add0911961f6f25cfd9d823065086ae0cd416b44c73b937a3feb",
+     "1637726924f0fbe42299aa866d635138131645e39162df0b0b9f09c3daa8b51e"),
+    ("thm71-scan", ["thm71-scan", "--max-n", "5", "--jobs", "2"],
+     "a331794e698d2c9fcd7cb41789f9be58fa89eae11e030dd9361931ddb44b0af5",
+     "b8a100a0a544c5d849c3d3ec505e675bf87b9d87b35355040afe7a59ec2d038f"),
+    ("check-all", ["check", "--graph", "EX", "--all"],
+     "f595c1b6714674255432ee9517020474d9334150b8b3d410f0985068669d083b",
+     "ebe11b830d2acf71839813b4a9538562b98e99f606219e84ac1b94ff8072e245"),
+    ("check-bozkurt", ["check", "--graph", "EX", "--bound", "bozkurt"],
+     "6b2e223cb9f16e769f825f3e7d0157079e7d9e7c30165098e2451cf760a76b88",
+     "820e9c07eae074b0d5d70fa3c431597abb6437e309d10dc6bc451c742ebfb316"),
+    ("verify-ferrers-bound", ["verify-ferrers-bound", "--max-vertices", "8", "--jobs", "2"],
+     "bc078dfb036af3e68fb68fcf760150d777e2c9e6b53ba67fefe13214563d2049",
+     "28f0176afd048adf95944adadfe28a714766bbd9c0beb309a09a7b4a5134b3b7"),
+    ("spectral-search", ["spectral-search", "--p", "3", "--q", "4", "--e", "10"],
+     "425fa6d22b16a06fc2cb85dc4ba22d0c2ca795eaac5365b9c6d0e7df9fc1eb0b",
+     "a798a721bf384d5d4a26f9cf43218e22ae50dd2a0aa48fe11a79dcf985f0d3de"),
+    ("degree-class", ["degree-class", "--D", "3,3,2,1"],
+     "94c47d8dfb20c5af63a19dc74de18565cf42bd8fa37385b4623ec90182be4fee",
+     "bdf5a8e66a5a96a013edc8916abdb25cde6ab9fe62166b2677eab02d060564c7"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv, json_sha, csv_sha",
+                         [case[1:] for case in README_DIGESTS],
+                         ids=[case[0] for case in README_DIGESTS])
+def test_readme_examples_byte_identical(argv, json_sha, csv_sha, fmt,
+                                        staircase_file, tmp_path, capsys,
+                                        monkeypatch):
+    k4 = tmp_path / "k4.graph"
+    k4.write_text("general 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+    files = {"EX": staircase_file, "K4": str(k4)}
+    argv = [files.get(arg, arg) for arg in argv]
+    if argv[-1] == "-":
+        with open(staircase_file) as fh:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 0
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.lstrip().startswith(('"elapsed":', "elapsed,"))]
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    assert digest == (json_sha if fmt == "json" else csv_sha)
 
 
 def test_gen_trees_round_trip(staircase_file, capsys):
@@ -119,6 +185,24 @@ def test_spectral_command_disconnected_skips_normalized_product(tmp_path, capsys
         "skipped": "normalized spectrum requires a connected graph"
     }
     assert checks["sqrt_edge_bound"]["tight"] is False
+
+
+def test_spectral_command_isolated_vertex(tmp_path, capsys):
+    # only the normalized spectrum is undefined; the rest is still reported
+    path = tmp_path / "star_plus_isolated.graph"
+    path.write_text("bipartite 1 3\ne 1 1\n")
+    code, out, _ = run_cli(["spectral", "--graph", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda_max"] == 1.0
+    assert doc["laplacian_spectrum"] == pytest.approx([2, 0, 0, 0], abs=1e-12)
+    assert doc["normalized_spectrum"] is None
+    assert doc["residual"] < 1e-12
+    assert doc["checks"]["normalized_product"] == {
+        "skipped": "normalized spectrum requires a connected graph"
+    }
+    assert doc["checks"]["sqrt_edge_bound"]["tight"] is True
+    assert doc["checks"]["dense_cut_vertex"] == {"holds": False}
 
 
 def test_resistance_command(staircase_file, capsys):
@@ -253,6 +337,18 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
+def test_scan_over_code_cap_is_budget_exit(capsys):
+    # the budget admits 14 vertices, but the columns range up to 13 > 12
+    start = time.monotonic()
+    code, out, err = run_cli(
+        ["verify-ferrers-bound", "--max-vertices", "14", "--budget", "14"], capsys
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("ferrers-lab: budget exceeded: ")
+    assert "12-column cap" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("degrees", ["4,4,4,4", "4,4,4,4,4"])
 def test_degree_class_over_code_cap_is_budget_exit(degrees, capsys):
     # m*d1 is within the budget, but the columns range up to sum(D) > 12
@@ -328,3 +424,17 @@ def test_budget_env_override(staircase_file, capsys, monkeypatch):
     monkeypatch.setenv("FERRERS_LAB_BUDGET", "1000000")
     code, _, _ = run_cli(["trees", "--graph", staircase_file, "--enumerate"], capsys)
     assert code == 0
+
+
+def test_budget_env_leaves_candidate_guard_alone(capsys, monkeypatch):
+    # a value meant as a vertex or p*q cap must not stop the enumeration
+    argv = ["spectral-search", "--p", "3", "--q", "4", "--e", "10"]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    monkeypatch.setenv("FERRERS_LAB_BUDGET", "30")
+    code, capped, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    plain, capped = json.loads(plain), json.loads(capped)
+    plain.pop("elapsed")
+    capped.pop("elapsed")
+    assert capped == plain

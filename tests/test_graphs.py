@@ -58,7 +58,7 @@ def test_staircase_rejects_wide_part():
 def test_staircase_allows_isolated_columns():
     g = ferrers_from_partition(Partition((2, 1)), 3)
     assert g.degrees_v() == [2, 1, 0]
-    assert not g.stats().connected
+    assert not g.is_connected()
 
 
 def test_staircase_degree_sequences_exhaustive():
@@ -208,10 +208,12 @@ def test_bridge_join_multiplies_tree_counts(rng):
 
 
 def test_stats_exact_density():
-    s = example_staircase().stats()
-    assert s.rho == Fraction(9, 12)
-    assert s.e == 9
-    assert s.connected
+    g = example_staircase()
+    assert g.edge_count() == 9
+    assert Fraction(g.edge_count(), g.m * g.n) == Fraction(9, 12)
+    # degrees 3,3,2,1 and 4,3,2: 432 / (4 * 3)
+    assert ferrers_invariant(g) == 36
+    assert g.is_connected()
 
 
 def test_graph_file_round_trip():
@@ -228,6 +230,36 @@ def test_graph_file_errors_name_lines():
         parse_graph_file("bipartite 2 2\n1 2\n")
     with pytest.raises(GraphFormatError, match="line 3"):
         parse_graph_file("general 3\n1 2\n1 2 3\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty graph file"),
+    ("\n  \n", "line 1: empty graph file"),
+    ("nonsense 1 2\n", "line 1: unknown header 'nonsense'"),
+    ("\nmystery\n", "line 2: unknown header 'mystery'"),
+    ("bipartite 2\n", "line 1: expected 'bipartite m n'"),
+    ("\n\nbipartite 2 2 2\n", "line 3: expected 'bipartite m n'"),
+    ("bipartite a 2\n", "line 1: bad part sizes"),
+    ("bipartite 2 2\n1 2\n", "line 2: expected 'e i j'"),
+    ("bipartite 2 2\ne 1 1\n\nf 1 2\n", "line 4: expected 'e i j'"),
+    ("bipartite 2 2\ne 1 1 1\n", "line 2: expected 'e i j'"),
+    ("bipartite 2 2\ne 1 x\n", "line 2: bad edge indices"),
+    ("bipartite 2 2\ne 3 1\n", "graph body: edge (3,1) out of range"),
+    ("bipartite 0 2\n", "graph body: both parts must be nonempty"),
+    ("general\n", "line 1: expected 'general n'"),
+    ("general 3 3\n", "line 1: expected 'general n'"),
+    ("general x\n", "line 1: bad vertex count"),
+    ("general 3\n1 2\n1 2 3\n", "line 3: expected 'i j'"),
+    ("general 3\ne 1 2\n", "line 2: expected 'i j'"),
+    ("general 3\n1 y\n", "line 2: bad edge indices"),
+    ("general 3\n1 1\n", "graph body: loop at vertex 1"),
+    ("general 3\n1 4\n", "graph body: edge (1,4) out of range"),
+    ("general -1\n", "graph body: negative vertex count"),
+])
+def test_graph_file_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph_file(text)
+    assert str(info.value) == message
 
 
 def test_degree_sequences_pass_gale_ryser(rng):

@@ -201,6 +201,20 @@ def test_equivalence_chorded_cycle():
         assert report.all_agree
 
 
+def test_scan_builds_each_deletion_once(monkeypatch):
+    # one G-e per edge and one G-e-f per pair, shared by all eleven conditions
+    c6_chord = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+    expected_pairs = len(admissible_edge_pairs(c6_chord))
+    deleted = []
+    orig = Graph.delete_edge
+    monkeypatch.setattr(Graph, "delete_edge",
+                        lambda self, edge: deleted.append(edge) or orig(self, edge))
+    module = importlib.import_module("ferrers_lab.resistance")
+    pairs, failures = module._scan_one(c6_chord)
+    assert failures == [] and pairs == expected_pairs
+    assert len(deleted) == len(c6_chord.edges) + pairs
+
+
 def test_equivalence_preconditions():
     with pytest.raises(ValueError, match="share"):
         edge_deletion_equivalence(K4, (1, 2), (2, 3))

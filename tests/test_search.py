@@ -17,12 +17,12 @@ from ferrers_lab import (
     tau,
     verify_ferrers_bound,
 )
+from ferrers_lab.graphs import _rows_connected
 from ferrers_lab.search import (
     ClassSpec,
     _classes_mn,
     _code_rows,
     _Counter,
-    _rows_connected,
 )
 
 from conftest import (
@@ -310,11 +310,15 @@ def test_classes_mn_level_order_matches_reference(m, n):
 
 
 def test_rows_connected_matches_graph_connectivity():
+    # the bit-row test, zero rows included, against the components of the
+    # general graph
     for m, n in ((1, 3), (2, 3), (3, 3), (3, 4), (4, 3)):
         full = (1 << n) - 1
-        for rows in itertools.product(range(1, 1 << n), repeat=m):
+        for rows in itertools.product(range(1 << n), repeat=m):
             g = BipartiteGraph(m, n, rows)
-            assert _rows_connected(rows, full) == g.is_connected(), (m, n, rows)
+            expected = g.to_graph().is_connected()
+            assert _rows_connected(rows, full) == expected, (m, n, rows)
+            assert g.is_connected() == expected, (m, n, rows)
 
 
 def test_connected_bipartite_counts_match_oeis_a005142():
