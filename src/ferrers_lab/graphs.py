@@ -60,9 +60,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
     def edges(self):
         """Yield biadjacency pairs (i, j), row-major, 1-based."""
         for i, r in enumerate(self.rows, start=1):
@@ -95,18 +92,6 @@ class BipartiteGraph:
 
     def is_connected(self) -> bool:
         return _rows_connected(self.rows, (1 << self.n) - 1)
-
-    def delete_u(self, i: int) -> "BipartiteGraph":
-        """Remove row vertex u_i (requires m >= 2)."""
-        rows = list(self.rows)
-        del rows[i - 1]
-        return BipartiteGraph(self.m - 1, self.n, rows)
-
-    def delete_v(self, j: int) -> "BipartiteGraph":
-        """Remove column vertex v_j (requires n >= 2)."""
-        low = (1 << (j - 1)) - 1
-        rows = [(r & low) | ((r >> j) << (j - 1)) for r in self.rows]
-        return BipartiteGraph(self.m, self.n - 1, rows)
 
     def __eq__(self, other):
         return (

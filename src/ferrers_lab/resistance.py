@@ -20,7 +20,6 @@ tau(G\\e) * tau(G\\f) = tau(G) * tau(G\\{e,f}).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .exactla import (
 )
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
+from .search import _code_rows, _pmap
 from .trees import tau
 
 
@@ -371,52 +371,27 @@ def ferrers_tree_identity(lmbda: Partition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# small general-graph enumeration for the exhaustive equivalence scan
+# small general-graph enumeration for the exhaustive equivalence scan,
+# keyed by the ``search`` canonical code of each graph's incidence matrix
 # ---------------------------------------------------------------------------
 
 
-def _refine_colors(n, adj):
-    colors = [0] * n
-    while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in range(n) if adj[v] >> u & 1)
-            sigs.append((colors[v], tuple(nb)))
-        ranks = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+def _incidence_code(n, adj):
+    """Canonical code of the vertex-edge incidence matrix of a graph.
 
-
-def _canonical_adjacency(n, adj):
-    """Minimum upper-triangle bitstring over color-respecting relabelings."""
-    colors = _refine_colors(n, adj)
-    classes = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    grouped = [classes[c] for c in sorted(classes)]
-    best = None
-    for perm_parts in itertools.product(*(itertools.permutations(g) for g in grouped)):
-        order = [v for part in perm_parts for v in part]
-        pos = [0] * n
-        for newpos, v in enumerate(order):
-            pos[v] = newpos
-        key = 0
-        for v in range(n):
-            mask = adj[v]
-            while mask:
-                low = mask & -mask
-                u = low.bit_length() - 1
-                mask ^= low
-                if u > v:
-                    a, b = pos[v], pos[u]
-                    if a > b:
-                        a, b = b, a
-                    key |= 1 << (a * n + b)
-        if best is None or key < best:
-            best = key
-    return best
+    Row v has a bit for each edge at v.  Row and column permutations that
+    carry one such matrix to another are exactly a vertex relabeling plus
+    an edge reordering, so equal codes mean isomorphic graphs.
+    """
+    rows = [0] * n
+    col = 0
+    for v in range(n):
+        for u in range(v + 1, n):
+            if adj[v] >> u & 1:
+                rows[v] |= 1 << col
+                rows[u] |= 1 << col
+                col += 1
+    return _code_rows(rows, col)
 
 
 _GRAPH_REPS_CACHE = {}
@@ -435,7 +410,7 @@ def _graph_reps(n):
             for nb in range(1 << (n - 1)):
                 adj = [row | ((nb >> v & 1) << (n - 1)) for v, row in enumerate(smaller)]
                 adj.append(nb)
-                key = _canonical_adjacency(n, adj)
+                key = _incidence_code(n, adj)
                 if key not in seen:
                     seen.add(key)
                     reps.append(tuple(adj))
@@ -498,13 +473,7 @@ def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1) -> dict:
     graphs = []
     for n in range(4, max_n + 1):
         graphs.extend(connected_graphs(n))
-    if jobs > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_scan_one, graphs)
-    else:
-        results = [_scan_one(g) for g in graphs]
+    results = _pmap(_scan_one, graphs, jobs)
     pairs_total = sum(r[0] for r in results)
     failures = [fail for r in results for fail in r[1]]
     return {

@@ -5,7 +5,9 @@ least tuple of biadjacency row values reachable by row and column
 permutations (plus the part swap when the parts have equal size).  The
 code is found by a pruned branch-and-bound that picks rows greedily while
 refining an ordered partition of the columns, so only permutations
-consistent with the refinement are ever touched.
+consistent with the refinement are ever touched.  It is the package's
+only canonizer: ``resistance`` keys general graphs by the code of their
+vertex-edge incidence matrix (vertices as rows, edges as columns).
 
 Classes are generated row by row, once per column count: each level is
 deduped by the canonical code of the partial matrix, and a level's

@@ -24,6 +24,19 @@ _JACOBI_SWEEPS = 100
 _JACOBI_EPS = 1e-13
 
 
+def _ordered_sum(values) -> float:
+    """Sum floats strictly left to right.
+
+    Python 3.12 made ``sum()`` of floats compensated, which moves the last
+    digits of reported residuals; plain order keeps reports byte-identical
+    on every supported version.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def jacobi_eigh(matrix):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
@@ -39,10 +52,11 @@ def jacobi_eigh(matrix):
             if abs(a[i][j] - a[j][i]) > 1e-12 * (1.0 + abs(a[i][j])):
                 raise ValueError("matrix is not symmetric")
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    norm = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
+    norm = math.sqrt(_ordered_sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
     thresh = _JACOBI_EPS * max(1.0, norm)
     for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+        off = math.sqrt(_ordered_sum(
+            a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
         if off <= thresh:
             break
         for p in range(n - 1):
@@ -80,7 +94,7 @@ def eigen_residual(matrix, value, vector) -> float:
     n = len(matrix)
     res = 0.0
     for i in range(n):
-        r = sum(matrix[i][j] * vector[j] for j in range(n)) - value * vector[i]
+        r = _ordered_sum(matrix[i][j] * vector[j] for j in range(n)) - value * vector[i]
         res += r * r
     return math.sqrt(res)
 

@@ -48,10 +48,6 @@ class MultiPoly:
         return (MultiPoly, (self.arity, self.terms))
 
     @classmethod
-    def zero(cls, arity: int) -> "MultiPoly":
-        return cls(arity)
-
-    @classmethod
     def monomial(cls, arity: int, exps, coeff: int = 1) -> "MultiPoly":
         return cls(arity, {tuple(exps): coeff})
 

@@ -22,7 +22,7 @@ from ferrers_lab import (
     moore_penrose_laplacian,
     resistance,
 )
-from ferrers_lab.resistance import admissible_edge_pairs
+from ferrers_lab.resistance import _graph_reps, _incidence_code, admissible_edge_pairs
 
 from conftest import connected_ferrers_partitions, random_connected_graph
 
@@ -235,9 +235,47 @@ def test_equivalence_scan_small():
 
 
 def test_connected_graph_counts():
-    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    # A001349; the n = 7 enumeration is cached and criterion 6 builds it too
+    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
     for n, count in expected.items():
         assert len(connected_graphs(n)) == count
+
+
+def test_graph_class_counts():
+    # A000088: all graphs on n vertices up to isomorphism
+    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+    for n, count in expected.items():
+        assert len(_graph_reps(n)) == count
+
+
+def _adjacency(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def test_incidence_code_separates_c6_from_two_triangles():
+    # both 2-regular on 6 vertices: the adjacency matrix read as a
+    # biadjacency matrix would key them the same
+    c6 = _adjacency(6, [(v, (v + 1) % 6) for v in range(6)])
+    two_k3 = _adjacency(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert _incidence_code(6, c6) != _incidence_code(6, two_k3)
+
+
+def test_incidence_code_invariant_under_relabeling(rng):
+    for _ in range(25):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < density]
+        key = _incidence_code(n, _adjacency(n, edges))
+        for _ in range(2):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabeled = [(perm[a], perm[b]) for a, b in edges]
+            assert _incidence_code(n, _adjacency(n, relabeled)) == key
 
 
 def test_edge_deletion_never_decreases_resistance_exhaustive():

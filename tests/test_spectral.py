@@ -18,6 +18,7 @@ from ferrers_lab import (
     sqrt_edge_bound_check,
     tau,
 )
+from ferrers_lab.spectral import eigen_residual
 
 from conftest import (
     bipartite_cycle,
@@ -43,6 +44,13 @@ def test_jacobi_matches_numpy(rng):
         for w, x in zip(values, vectors):
             residual = np.array(a) @ np.array(x) - w * np.array(x)
             assert np.linalg.norm(residual) <= 1e-9 * (1 + abs(w))
+
+
+def test_eigen_residual_sums_left_to_right():
+    # compensated summation (sum() of floats from Python 3.12) reads 1.0
+    # here; the plain left-to-right order every report was pinned on reads 0
+    a = [[1e16, 1.0, -1e16], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert eigen_residual(a, 0.0, [1, 1, 1]) == 0.0
 
 
 def test_jacobi_rejects_asymmetric():
