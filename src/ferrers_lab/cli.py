@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -310,7 +311,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="ferrers-lab",
         description="Exact spectral and spanning-tree analysis of bipartite graphs.",

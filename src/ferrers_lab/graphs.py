@@ -294,12 +294,18 @@ def is_ferrers(G: BipartiteGraph) -> bool:
 
 
 def laplacian(G) -> list:
-    """Laplacian as a dense integer matrix (degree diagonal minus adjacency)."""
+    """Laplacian as a dense integer matrix (degree diagonal minus adjacency).
+
+    A bipartite graph is read from its bit rows, U vertices first, as in
+    ``to_graph``.
+    """
     if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
+        edges = [(i, G.m + j) for i, j in G.edges()]
+    else:
+        edges = G.edges
     n = G.vcount
     lap = [[0] * n for _ in range(n)]
-    for a, b in G.edges:
+    for a, b in edges:
         lap[a - 1][b - 1] -= 1
         lap[b - 1][a - 1] -= 1
         lap[a - 1][a - 1] += 1

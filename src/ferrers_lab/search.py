@@ -9,19 +9,17 @@ consistent with the refinement are ever touched.  It is the package's
 only canonizer: ``resistance`` keys general graphs by the code of their
 vertex-edge incidence matrix (vertices as rows, edges as columns).
 
-Classes are generated row by row, once per column count: each level is
-deduped by the canonical code of the partial matrix, and a level's
-classes are the next level's parents.  A parent is extended only by
-nonzero rows that are least in their orbit under permutations of its
-twin columns (identical columns), tried in increasing order, so the
-first candidate seen for each class, its representative, is the same as
-if every row had been tried.  A candidate whose rows repeat those of an
-earlier candidate of its level, in another order, is skipped.  At the
-last level the class filters (connectivity, edge count, no empty column)
-run on the bit rows before the code is computed, so rejected candidates
-are never canonized.  Searches shard their per-graph checks over a process pool when asked;
-results merge in enumeration order so reports are byte-identical
-regardless of worker count.
+Classes are generated row by row, once per column count, by orderly
+generation (Read 1978): a candidate is kept only when it is its own code,
+tested by a search bounded by the candidate itself.  The code is
+nondecreasing, its first k values are the code of those k rows, and each
+value fills the low end of the twin-column groups of the values above
+it; so each kept matrix is extended by those fills no less than its last
+row, and every class is reached exactly once.  At the last level the
+class filters (connectivity, edge count, no empty column) run on the bit
+rows first.  Searches shard their per-graph checks over a process pool
+when asked; results merge in enumeration order so reports are
+byte-identical regardless of worker count.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -51,9 +49,13 @@ MAX_CODE_SIDE = 12
 SPECTRAL_TIE_TOL = 1e-9
 
 
-def _code_rows(rows, n):
-    """Least tuple of row values over row/column permutations (parts fixed)."""
-    best = None
+def _code_rows(rows, n, bound=None):
+    """Least tuple of row values over row/column permutations (parts fixed).
+
+    The search prunes against ``bound`` from the start, so it returns
+    min(code, bound) and gives up on a branch as soon as it exceeds bound.
+    """
+    best = bound
     full = (1 << n) - 1
 
     def rec(remaining, cells, acc):
@@ -118,13 +120,13 @@ def canonical_code(G: BipartiteGraph, parts_fixed: bytes | None = None) -> bytes
     if G.m > MAX_CODE_SIDE or G.n > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
-    code = parts_fixed
-    if code is None:
-        code = _serialize(G.m, G.n, _code_rows(G.rows, G.n))
+    if parts_fixed is None:
+        rows = _code_rows(G.rows, G.n)
+    else:
+        rows = graph_from_code(parts_fixed).rows
     if G.m == G.n:
-        t = G.transpose()
-        code = min(code, _serialize(t.m, t.n, _code_rows(t.rows, t.n)))
-    return code
+        rows = _code_rows(G.transpose().rows, G.m, rows)
+    return _serialize(G.m, G.n, rows)
 
 
 def graph_from_code(code: bytes) -> BipartiteGraph:
@@ -222,14 +224,15 @@ def _twin_masks(rows, n):
 def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
           accept=None):
     """Yield (m, classes) for m = 1..depth: the m x n biadjacency classes
-    without zero rows (parts fixed), as {parts-fixed code: first-seen rows}.
+    without zero rows (parts fixed), as {parts-fixed code: code rows}.
 
-    ``keep_partial(rows)`` may reject a partial matrix (monotone filters
-    only, e.g. edge budgets); rejected partials are never extended.
-    ``degrees_left(rows)`` narrows the next row to those degrees, tried by
-    degree, then by value.  ``accept(rows)`` is a class-invariant filter
-    run before canonization at the last level only.  ``counter`` counts
-    every candidate examined and records where growth is.
+    ``keep_partial(rows)`` may reject a partial matrix (filters that hold
+    for every row prefix of a member, e.g. edge budgets); rejected partials
+    are never extended.  ``degrees_left(rows)`` narrows the next row to
+    those degrees, tried by degree, then by value.  ``accept(rows)`` is a
+    class-invariant filter run before the code test at the last level
+    only.  ``counter`` counts every candidate examined and records where
+    growth is.
     """
     if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
@@ -239,9 +242,10 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
     for m in range(1, depth + 1):
         last = m == depth
         counter.rows_done, counter.classes = m - 1, len(level)
-        nxt, seen = {}, set()
+        nxt = {}
         for rows in level.values():
-            masks = _twin_masks(rows, n)
+            floor = rows[-1] if rows else 0
+            masks = [x for x in _twin_masks(rows, n) if x >= floor]
             if degrees_left is not None:
                 allowed = degrees_left(rows)
                 masks = sorted((x for x in masks if x.bit_count() in allowed),
@@ -253,22 +257,14 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
                     continue
                 if last and accept is not None and not accept(cand):
                     continue
-                # the same rows as an earlier candidate, in another order
-                rowset = 0
-                for r in sorted(cand):
-                    rowset = rowset << n | r
-                if rowset in seen:
-                    continue
-                seen.add(rowset)
-                code = _serialize(m, n, _code_rows(cand, n))
-                if code not in nxt:
-                    nxt[code] = cand
+                if _code_rows(cand, n, cand) == cand:
+                    nxt[_serialize(m, n, cand)] = cand
         level = nxt
         yield m, level
 
 
 def _classes_mn(m, n, counter, **filters):
-    """The m x n classes of ``_grow``: {parts-fixed code: rows}."""
+    """The m x n classes of ``_grow``: {parts-fixed code: code rows}."""
     level = {}
     for _, level in _grow(n, m, counter, **filters):
         pass
@@ -366,7 +362,7 @@ def _enumerate_connected(spec, counter):
                               accept=lambda rows: _rows_connected(rows, full)):
             for code, rows in level.items():
                 g = BipartiteGraph(m, n, rows)
-                # shallower levels are all canonized as parents anyway; their
+                # shallower levels are all kept as parents anyway; their
                 # graph-level test is what the traced benchmark counts
                 if m == depth or g.is_connected():
                     out.append((code, g))

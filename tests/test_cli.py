@@ -151,6 +151,34 @@ def test_pipe_through_processes(tmp_path):
     assert json.loads(trees.stdout)["tau"] == "1"
 
 
+def test_main_repeated_in_one_process_matches_fresh_runs(capsys, monkeypatch):
+    # the parser is built once per process: a usage error between calls
+    # leaves nothing behind, and every call matches a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["gen", "--partition", "3,3,2,1", "--format", "csv"],
+        ["gen", "--partition", "3,3,2,1", "--cols", "-"],
+        ["gen", "--partition", "2,1"],
+        ["no-such-command"],
+        ["gen", "--partition", "3,3,2,1", "--cols", "3"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "ferrers_lab.cli", *argv],
+                               capture_output=True, text=True,
+                               env=dict(os.environ))
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_spectral_command(staircase_file, capsys):
     code, out, _ = run_cli(["spectral", "--graph", staircase_file], capsys)
     assert code == 0

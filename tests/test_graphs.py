@@ -89,6 +89,20 @@ def test_laplacian_row_sums_and_symmetry(rng):
         )
 
 
+def test_bipartite_laplacian_matches_graph_route(rng):
+    # read from the bit rows, U vertices first, isolated vertices included
+    graphs = [BipartiteGraph(2, 3, [0b001, 0]), BipartiteGraph(1, 1, [0])]
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.random()
+        graphs.append(BipartiteGraph(m, n, [
+            sum(1 << j for j in range(n) if rng.random() < density)
+            for _ in range(m)
+        ]))
+    for g in graphs:
+        assert laplacian(g) == laplacian(g.to_graph()), g
+
+
 def _is_staircase_under(g, row_perm, col_perm):
     degs = [g.rows[i].bit_count() for i in row_perm]
     if any(degs[k] < degs[k + 1] for k in range(len(degs) - 1)):

@@ -23,6 +23,7 @@ from ferrers_lab.search import (
     _classes_mn,
     _code_rows,
     _Counter,
+    _twin_masks,
 )
 
 from conftest import (
@@ -114,6 +115,41 @@ def test_canonical_code_complete_cross_validation():
             by_brute.setdefault(_bruteforce_key(g, swap=True), set()).add(g.rows)
         assert sorted(by_code.values(), key=sorted) == \
             sorted(by_brute.values(), key=sorted), (m, n)
+
+
+def _random_rows(rng, m, n):
+    density = rng.random()
+    return tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                 for _ in range(m))
+
+
+def test_code_is_nondecreasing_and_prefix_closed(rng):
+    # what orderly generation rests on: the code is sorted, its first k
+    # values are the code of those k rows, and each value fills the low end
+    # of the twin-column groups of the values above it
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        code = _code_rows(_random_rows(rng, m, n), n)
+        assert list(code) == sorted(code)
+        for k in range(1, m + 1):
+            assert _code_rows(code[:k], n) == code[:k]
+            assert code[k - 1] in [0] + _twin_masks(code[:k - 1], n)
+
+
+def test_code_search_bound(rng):
+    # a search bounded from the start returns min(code, bound)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, m, n)
+        code = _code_rows(rows, n)
+        i = rng.randrange(m)
+        bounds = [code, rows, _code_rows(_random_rows(rng, m, n), n),
+                  _random_rows(rng, m, n)]
+        for step in (-1, 1):
+            if 0 <= code[i] + step < 1 << n:
+                bounds.append(code[:i] + (code[i] + step,) + code[i + 1:])
+        for bound in bounds:
+            assert _code_rows(rows, n, bound) == min(code, bound), (rows, bound)
 
 
 def test_enumerate_kpqe_hand_case():
@@ -307,6 +343,33 @@ def test_classes_mn_level_order_matches_reference(m, n):
     # the same first-seen representative, in the same order
     ref = [rows for rows in _reference_level(m, n).values() if 0 not in rows]
     assert list(_classes_mn(m, n, _Counter(10 ** 6)).values()) == ref
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec.kpqe(3, 4, 6), ClassSpec.kpqe(4, 4, 8),
+    ClassSpec.degree_class(Partition((2, 1, 1, 1))),
+    ClassSpec.degree_class(Partition((3, 3, 2, 1))),
+    ClassSpec.all_connected_bipartite(8),
+], ids=_spec_id)
+def test_representatives_are_their_own_codes(spec):
+    # growth keeps a candidate only in canonical form (parts fixed)
+    graphs = enumerate_class(spec)
+    assert graphs
+    for g in graphs:
+        assert _code_rows(g.rows, g.n) == g.rows
+
+
+@pytest.mark.parametrize("spec, candidates", [
+    (ClassSpec.all_connected_bipartite(9), 2688),
+    (ClassSpec.kpqe(4, 5, 10), 1365),
+    (ClassSpec.degree_class(Partition((3, 3, 2, 1))), 1121),
+], ids=lambda value: _spec_id(value) if isinstance(value, ClassSpec) else None)
+def test_enumeration_candidate_counts(spec, candidates):
+    # a parent is extended only by its twin-group fills no less than its
+    # last row; the guard admits exactly the candidates examined
+    enumerate_class(spec, guard=candidates)
+    with pytest.raises(BudgetExceeded):
+        enumerate_class(spec, guard=candidates - 1)
 
 
 def test_rows_connected_matches_graph_connectivity():
