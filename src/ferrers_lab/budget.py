@@ -15,6 +15,7 @@ import os
 DEFAULT_TREE_BUDGET = 10 ** 6
 DEFAULT_SCAN_VERTICES = 10
 DEFAULT_SPECTRAL_PQ = 24
+DEFAULT_THM71_VERTICES = 7
 CANDIDATE_GUARD = 20_000_000
 
 
@@ -35,3 +36,14 @@ def budget_cap(default: int, override: int | None = None) -> int:
         return int(override)
     env = os.environ.get("FERRERS_LAB_BUDGET")
     return int(env) if env else default
+
+
+def admit(amount: int, default: int, budget: int | None, what: str):
+    """Raise ``BudgetExceeded`` when ``amount`` is over the resolved cap.
+
+    ``what`` names the request with one ``%d`` for the amount, e.g.
+    "scan of %d vertices".
+    """
+    cap = budget_cap(default, budget)
+    if amount > cap:
+        raise BudgetExceeded("%s exceeds the budget of %d" % (what % amount, cap))

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import BudgetExceeded
+from .budget import DEFAULT_THM71_VERTICES, BudgetExceeded
 from .conjectures import (
     bozkurt_check,
     ferrers_bound_check,
@@ -241,8 +241,6 @@ def _cmd_resistance(config):
 
 def _cmd_thm71(config):
     graph = _load_graph(config.options["graph"])
-    if isinstance(graph, BipartiteGraph):
-        graph = graph.to_graph()
     e = _parse_pair(config.options["e"])
     f = _parse_pair(config.options["f"])
     report = edge_deletion_equivalence(graph, e, f)
@@ -363,7 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thm71-scan",
                        help="exhaustive equivalence check over small graphs")
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
+    p.add_argument("--max-n", type=int, default=DEFAULT_THM71_VERTICES,
+                   dest="max_n")
     common(p, jobs=True)
 
     p = sub.add_parser("check", help="per-graph bound reports")

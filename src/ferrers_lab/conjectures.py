@@ -195,8 +195,6 @@ def grone_merris_check(G) -> BoundReport:
     A theorem, so it should always hold; checked within the floating
     tolerance because the spectrum is floating.
     """
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
     spectrum = laplacian_spectrum(G)
     degs = [d for d in G.degrees() if d > 0]
     dual = conjugate(Partition(sorted(degs, reverse=True))) if degs else Partition(())

@@ -315,8 +315,6 @@ def laplacian(G) -> list:
 
 def normalized_laplacian(G) -> list:
     """Degree-normalized Laplacian D^{-1/2} L D^{-1/2} as a float matrix."""
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
     deg = G.degrees()
     if any(d == 0 for d in deg):
         raise ValueError("normalized Laplacian undefined with isolated vertices")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
+from .budget import DEFAULT_THM71_VERTICES, admit
 from .exactla import (
     GInverse,
     InternalCheckError,
@@ -68,9 +69,13 @@ class IncidenceVector:
 
 
 class _GraphCtx:
-    """Per-graph cache of the exact objects the equivalence checks reuse."""
+    """Per-graph cache of the exact objects the equivalence checks reuse.
 
-    def __init__(self, graph: Graph):
+    Resistance reads only the Laplacian, so a ``BipartiteGraph`` serves
+    there; edge deletion needs a ``Graph``.
+    """
+
+    def __init__(self, graph):
         self.graph = graph
         self._mp = None
         self._bordered = {}
@@ -129,8 +134,6 @@ class _GraphCtx:
 
 def resistance(G, i: int, j: int) -> Fraction:
     """Exact resistance distance between distinct vertices of a connected graph."""
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
     if i == j:
         raise ValueError("resistance needs two distinct vertices")
     if not (1 <= i <= G.vcount and 1 <= j <= G.vcount):
@@ -468,8 +471,10 @@ def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1) -> dict:
 
     Covers all isomorphism classes with 4..max_n vertices and every
     admissible edge pair; returns counts and any disagreeing reports
-    (expected none).
+    (expected none).  ``max_n`` is capped at ``DEFAULT_THM71_VERTICES``
+    unless ``FERRERS_LAB_BUDGET`` is set.
     """
+    admit(max_n, DEFAULT_THM71_VERTICES, None, "thm71 scan of %d vertices")
     graphs = []
     for n in range(4, max_n + 1):
         graphs.extend(connected_graphs(n))

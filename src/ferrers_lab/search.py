@@ -36,7 +36,7 @@ from .budget import (
     DEFAULT_SCAN_VERTICES,
     DEFAULT_SPECTRAL_PQ,
     BudgetExceeded,
-    budget_cap,
+    admit,
 )
 from .graphs import BipartiteGraph, _rows_connected, ferrers_from_partition, is_ferrers
 from .partitions import Partition
@@ -371,17 +371,25 @@ def _enumerate_connected(spec, counter):
 
 @dataclass
 class SearchReport:
-    """Outcome record of one exhaustive enumeration run."""
+    """Outcome record of one exhaustive enumeration run.
+
+    ``extremal`` and ``counterexamples`` are the canonical codes of the
+    extremal and counterexample graphs, in the same order.
+    """
 
     spec: ClassSpec
     examined: int
-    extremal: list
-    counterexamples: list
     elapsed: float
     checked_property: str
-    details: dict = field(default_factory=dict)
-    extremal_graphs: list = field(default_factory=list)
-    counterexample_graphs: list = field(default_factory=list)
+    details: dict
+    extremal_graphs: list
+    counterexample_graphs: list
+    extremal: list = field(init=False)
+    counterexamples: list = field(init=False)
+
+    def __post_init__(self):
+        self.extremal = [canonical_code(g) for g in self.extremal_graphs]
+        self.counterexamples = [canonical_code(g) for g in self.counterexample_graphs]
 
     def as_dict(self) -> dict:
         return {
@@ -410,6 +418,14 @@ def _pmap(fn, items, jobs):
     return [fn(item) for item in items]
 
 
+def _maximizers(graphs, jobs):
+    """The top spectral radius of ``graphs`` (None when there are none) and
+    the graphs within ``SPECTRAL_TIE_TOL`` of it, in enumeration order."""
+    values = _pmap(spectral_radius, graphs, jobs)
+    top = max(values, default=None)
+    return top, [g for g, v in zip(graphs, values) if v >= top - SPECTRAL_TIE_TOL]
+
+
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                          budget: int | None = None) -> SearchReport:
     """Check tau <= degree-product invariant over every connected bipartite
@@ -419,11 +435,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     extremal graphs attain equality.  Equality cases that fail the
     staircase recognition are surfaced separately in the details.
     """
-    cap = budget_cap(DEFAULT_SCAN_VERTICES, budget)
-    if max_vertices > cap:
-        raise BudgetExceeded(
-            "scan of %d vertices exceeds the budget of %d" % (max_vertices, cap)
-        )
+    admit(max_vertices, DEFAULT_SCAN_VERTICES, budget, "scan of %d vertices")
     if max_vertices - 1 > MAX_CODE_SIDE:
         raise BudgetExceeded(
             "scan columns range up to max_vertices-1=%d, over the %d-column "
@@ -432,36 +444,20 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
     graphs = enumerate_class(spec)
-    results = _pmap(_ferrers_check_one, graphs, jobs)
-    extremal, counterexamples = [], []
-    extremal_graphs, counterexample_graphs = [], []
-    equality_ferrers = 0
-    equality_other = []
-    for g, (t, inv, eq_ferrers) in zip(graphs, results):
-        if t > inv:
-            counterexamples.append(canonical_code(g))
-            counterexample_graphs.append(g)
-        elif t == inv:
-            code = canonical_code(g)
-            extremal.append(code)
-            extremal_graphs.append(g)
-            if eq_ferrers:
-                equality_ferrers += 1
-            else:
-                equality_other.append(code.hex())
+    checked = list(zip(graphs, _pmap(_ferrers_check_one, graphs, jobs)))
+    equal = [(g, ferrers) for g, (t, inv, ferrers) in checked if t == inv]
     return SearchReport(
         spec=spec,
         examined=len(graphs),
-        extremal=extremal,
-        counterexamples=counterexamples,
         elapsed=time.monotonic() - start,
         checked_property="tree_count_le_degree_product",
         details={
-            "equality_ferrers": equality_ferrers,
-            "equality_non_ferrers": equality_other,
+            "equality_ferrers": sum(ferrers for _, ferrers in equal),
+            "equality_non_ferrers": [canonical_code(g).hex()
+                                     for g, ferrers in equal if not ferrers],
         },
-        extremal_graphs=extremal_graphs,
-        counterexample_graphs=counterexample_graphs,
+        extremal_graphs=[g for g, _ in equal],
+        counterexample_graphs=[g for g, (t, inv, _) in checked if t > inv],
     )
 
 
@@ -496,55 +492,23 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
     empty report.
     """
     spec = ClassSpec.kpqe(p, q, e)
-    cap = budget_cap(DEFAULT_SPECTRAL_PQ, budget)
-    if p * q > cap:
-        raise BudgetExceeded(
-            "spectral search over p*q=%d exceeds the budget of %d" % (p * q, cap)
-        )
+    admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")
     start = time.monotonic()
     graphs = enumerate_class(spec)
-    if not graphs:
-        return SearchReport(
-            spec=spec,
-            examined=0,
-            extremal=[],
-            counterexamples=[],
-            elapsed=time.monotonic() - start,
-            checked_property="spectral_radius_maximizer_is_staircase",
-            details={"lambda_max": None, "maximizer_count": 0,
-                     "one_vertex_extension_shape": [],
-                     "maximizer_connected": []},
-        )
-    values = _pmap(spectral_radius, graphs, jobs)
-    top = max(values)
-    extremal, extremal_graphs = [], []
-    counterexamples, counterexample_graphs = [], []
-    shapes, connected_flags = [], []
-    for g, val in zip(graphs, values):
-        if val >= top - SPECTRAL_TIE_TOL:
-            code = canonical_code(g)
-            extremal.append(code)
-            extremal_graphs.append(g)
-            shapes.append(_is_complete_minus_vertex(g))
-            connected_flags.append(g.is_connected())
-            if not is_ferrers(g):
-                counterexamples.append(code)
-                counterexample_graphs.append(g)
+    top, maxima = _maximizers(graphs, jobs)
     return SearchReport(
         spec=spec,
         examined=len(graphs),
-        extremal=extremal,
-        counterexamples=counterexamples,
         elapsed=time.monotonic() - start,
         checked_property="spectral_radius_maximizer_is_staircase",
         details={
             "lambda_max": top,
-            "maximizer_count": len(extremal),
-            "one_vertex_extension_shape": shapes,
-            "maximizer_connected": connected_flags,
+            "maximizer_count": len(maxima),
+            "one_vertex_extension_shape": [_is_complete_minus_vertex(g) for g in maxima],
+            "maximizer_connected": [g.is_connected() for g in maxima],
         },
-        extremal_graphs=extremal_graphs,
-        counterexample_graphs=counterexample_graphs,
+        extremal_graphs=maxima,
+        counterexample_graphs=[g for g in maxima if not is_ferrers(g)],
     )
 
 
@@ -557,12 +521,8 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
     """
     degrees = Partition(degrees)
     spec = ClassSpec.degree_class(degrees)
-    cap = budget_cap(DEFAULT_SPECTRAL_PQ, budget)
-    if len(degrees) * degrees[0] > cap:
-        raise BudgetExceeded(
-            "degree class m*d1=%d exceeds the budget of %d"
-            % (len(degrees) * degrees[0], cap)
-        )
+    admit(len(degrees) * degrees[0], DEFAULT_SPECTRAL_PQ, budget,
+          "degree class m*d1=%d")
     if sum(degrees) > MAX_CODE_SIDE:
         raise BudgetExceeded(
             "degree class columns range up to sum(D)=%d, over the %d-column "
@@ -570,24 +530,15 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
         )
     start = time.monotonic()
     graphs = enumerate_class(spec)
-    values = _pmap(spectral_radius, graphs, jobs)
-    top = max(values)
-    staircase_code = canonical_code(ferrers_from_partition(degrees, degrees[0]))
-    extremal, extremal_graphs = [], []
-    for g, val in zip(graphs, values):
-        if val >= top - SPECTRAL_TIE_TOL:
-            extremal.append(canonical_code(g))
-            extremal_graphs.append(g)
-    attains = staircase_code in extremal
-    counterexamples = [] if attains else [staircase_code]
+    top, maxima = _maximizers(graphs, jobs)
+    staircase = canonical_code(ferrers_from_partition(degrees, degrees[0]))
+    attains = staircase in map(canonical_code, maxima)
     return SearchReport(
         spec=spec,
         examined=len(graphs),
-        extremal=extremal,
-        counterexamples=counterexamples,
         elapsed=time.monotonic() - start,
         checked_property="staircase_attains_spectral_max",
         details={"lambda_max": top, "staircase_attains_max": attains},
-        extremal_graphs=extremal_graphs,
-        counterexample_graphs=[] if attains else [graph_from_code(staircase_code)],
+        extremal_graphs=maxima,
+        counterexample_graphs=[] if attains else [graph_from_code(staircase)],
     )

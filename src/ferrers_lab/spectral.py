@@ -145,8 +145,6 @@ def laplacian_spectrum(G) -> list:
 
 def normalized_spectrum(G) -> list:
     """Normalized-Laplacian eigenvalues of a connected graph, nonincreasing."""
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
     if not G.is_connected():
         raise ValueError("normalized spectrum requires a connected graph")
     values, _ = jacobi_eigh(normalized_laplacian(G))

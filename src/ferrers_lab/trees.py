@@ -125,8 +125,6 @@ def tau(G) -> int:
 
     Exact for any vertex count >= 1; disconnected graphs give 0.
     """
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
     if G.vcount < 1:
         raise ValueError("graph needs at least one vertex")
     return tree_count(laplacian(G))
@@ -217,7 +215,7 @@ def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> MultiPoly:
     Slot i (0-based) is x_{i+1} for i < m, and y_{i-m+1} after that.
     """
     arity = G.m + G.n
-    trees = enumerate_spanning_trees(G.to_graph(), budget=budget)
+    trees = enumerate_spanning_trees(G, budget=budget)
     terms = {}
     for tree in trees:
         exps = [0] * arity

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ferrers_lab import BipartiteGraph, Graph, Partition
+from ferrers_lab import BipartiteGraph, Graph, Partition, search
 
 
 def partitions_of(total, max_part=None):
@@ -122,3 +122,17 @@ EXAMPLE_LAPLACIAN = [
     [-1, -1, -1, 0, 0, 3, 0],
     [-1, -1, 0, 0, 0, 0, 2],
 ]
+
+
+def inflate_tau_of(target):
+    """A ``search._ferrers_check_one`` that reports tau above the invariant
+    for the class with canonical code ``target``."""
+    orig = search._ferrers_check_one
+
+    def check(g):
+        t, inv, eq_ferrers = orig(g)
+        if search.canonical_code(g) == target:
+            return inv + 1, inv, False
+        return t, inv, eq_ferrers
+
+    return check

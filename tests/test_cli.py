@@ -12,7 +12,7 @@ import pytest
 
 from ferrers_lab import cli, exactla, parse_graph_file, search, spectral, trees
 
-from conftest import example_staircase
+from conftest import example_staircase, inflate_tau_of
 
 # the package exports a function under the module's name
 resistance_module = importlib.import_module("ferrers_lab.resistance")
@@ -306,6 +306,25 @@ def test_verify_ferrers_bound_command(tmp_path, capsys):
         parse_graph_file(fh.read())
 
 
+def test_verify_ferrers_bound_command_counterexample(tmp_path, capsys,
+                                                     monkeypatch):
+    # a class whose tau is inflated above the invariant is the one
+    # counterexample: exit 1, and its graph file is emitted; the scan keys
+    # classes with no more rows than columns
+    target = search.canonical_code(example_staircase().transpose())
+    monkeypatch.setattr(search, "_ferrers_check_one", inflate_tau_of(target))
+    outdir = tmp_path / "graphs"
+    code, out, _ = run_cli(
+        ["verify-ferrers-bound", "--max-vertices", "7",
+         "--emit-graphs", str(outdir)], capsys
+    )
+    assert code == 1
+    assert json.loads(out)["counterexamples"] == [target.hex()]
+    assert "counterexample_001.graph" not in os.listdir(outdir)
+    with open(outdir / "counterexample_000.graph") as fh:
+        assert search.canonical_code(parse_graph_file(fh.read())) == target
+
+
 def test_cli_determinism_across_jobs(capsys):
     _, first, _ = run_cli(["verify-ferrers-bound", "--max-vertices", "6"], capsys)
     _, second, _ = run_cli(
@@ -363,6 +382,25 @@ def test_exit_code_budget(capsys):
     code, _, err = run_cli(["verify-ferrers-bound", "--max-vertices", "11"], capsys)
     assert code == 3
     assert "budget" in err
+
+
+def test_thm71_scan_admission(capsys, monkeypatch):
+    # 8 vertices would run for minutes: refused at once, naming the cap
+    monkeypatch.delenv("FERRERS_LAB_BUDGET", raising=False)
+    start = time.monotonic()
+    code, out, err = run_cli(["thm71-scan", "--max-n", "8"], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == ("ferrers-lab: budget exceeded: thm71 scan of 8 vertices "
+                   "exceeds the budget of 7\n")
+
+
+def test_thm71_scan_budget_env(capsys, monkeypatch):
+    monkeypatch.setenv("FERRERS_LAB_BUDGET", "4")
+    code, _, err = run_cli(["thm71-scan", "--max-n", "5"], capsys)
+    assert code == 3 and "budget of 4" in err
+    code, out, _ = run_cli(["thm71-scan", "--max-n", "4"], capsys)
+    assert code == 0 and json.loads(out)["max_n"] == 4
 
 
 def test_scan_over_code_cap_is_budget_exit(capsys):

@@ -16,11 +16,14 @@ from ferrers_lab import (
     ferrers_invariant,
     format_graph,
     gale_ryser,
+    grone_merris_check,
     is_ferrers,
     laplacian,
     normalized_laplacian,
+    normalized_spectrum,
     parse_graph_file,
     pendant_add,
+    resistance,
     tau,
 )
 
@@ -101,6 +104,20 @@ def test_bipartite_laplacian_matches_graph_route(rng):
         ]))
     for g in graphs:
         assert laplacian(g) == laplacian(g.to_graph()), g
+
+
+def test_bipartite_queries_match_graph_route(rng):
+    # tree count, normalized spectra, Grone-Merris and resistance read a
+    # bipartite graph directly, U vertices first as in to_graph
+    graphs = [example_staircase(), complete_bipartite(3, 4), bipartite_cycle(4)]
+    graphs += [random_connected_bipartite(rng, 5, 5) for _ in range(20)]
+    for g in graphs:
+        h = g.to_graph()
+        assert tau(g) == tau(h), g
+        assert normalized_laplacian(g) == normalized_laplacian(h), g
+        assert normalized_spectrum(g) == normalized_spectrum(h), g
+        assert grone_merris_check(g) == grone_merris_check(h), g
+        assert resistance(g, 1, g.vcount) == resistance(h, 1, g.vcount), g
 
 
 def _is_staircase_under(g, row_perm, col_perm):

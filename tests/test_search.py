@@ -10,6 +10,7 @@ from ferrers_lab import (
     canonical_code,
     degree_class_max,
     enumerate_class,
+    ferrers_from_partition,
     graph_from_code,
     is_ferrers,
     spectral_radius,
@@ -17,6 +18,7 @@ from ferrers_lab import (
     tau,
     verify_ferrers_bound,
 )
+from ferrers_lab import search
 from ferrers_lab.graphs import _rows_connected
 from ferrers_lab.search import (
     ClassSpec,
@@ -30,6 +32,7 @@ from conftest import (
     bipartite_cycle,
     complete_bipartite,
     example_staircase,
+    inflate_tau_of,
     random_connected_bipartite,
     shuffle_bipartite,
 )
@@ -520,3 +523,59 @@ def test_degree_class_max_two_rows():
     assert report.details["staircase_attains_max"]
     golden = (1 + math.sqrt(5)) / 2
     assert abs(report.details["lambda_max"] - golden) <= 1e-9
+
+
+def test_verify_ferrers_bound_reports_the_counterexample(monkeypatch):
+    plain = verify_ferrers_bound(6, jobs=1)
+    cycle = canonical_code(bipartite_cycle(3))  # tau 6 < invariant 64/9
+    assert cycle not in plain.extremal
+    monkeypatch.setattr(search, "_ferrers_check_one", inflate_tau_of(cycle))
+    report = verify_ferrers_bound(6, jobs=1)
+    assert report.counterexamples == [cycle]
+    assert [canonical_code(g) for g in report.counterexample_graphs] == [cycle]
+    assert report.extremal == plain.extremal
+    assert report.details == plain.details
+
+
+def test_verify_ferrers_bound_surfaces_non_ferrers_equality(monkeypatch):
+    plain = verify_ferrers_bound(6, jobs=1)
+    k33 = canonical_code(complete_bipartite(3, 3))  # tau = invariant = 81
+    assert k33 in plain.extremal
+    assert plain.details["equality_non_ferrers"] == []
+    orig = search.is_ferrers
+    monkeypatch.setattr(search, "is_ferrers",
+                        lambda g: orig(g) and canonical_code(g) != k33)
+    report = verify_ferrers_bound(6, jobs=1)
+    assert report.details == {
+        "equality_ferrers": plain.details["equality_ferrers"] - 1,
+        "equality_non_ferrers": [k33.hex()],
+    }
+    assert report.extremal == plain.extremal
+    assert report.counterexamples == []
+
+
+def test_degree_class_max_reports_a_beaten_staircase(monkeypatch):
+    degrees = Partition((3, 3, 2, 1))
+    staircase = canonical_code(ferrers_from_partition(degrees, 3))
+    orig = search.spectral_radius
+    monkeypatch.setattr(
+        search, "spectral_radius",
+        lambda g: orig(g) - 1 if canonical_code(g) == staircase else orig(g))
+    report = degree_class_max(degrees, jobs=1)
+    assert report.details["staircase_attains_max"] is False
+    assert staircase not in report.extremal
+    assert report.counterexamples == [staircase]
+    assert report.counterexample_graphs == [graph_from_code(staircase)]
+    assert report.extremal == [canonical_code(g) for g in report.extremal_graphs]
+
+
+def test_spectral_search_empty_class_details():
+    report = spectral_search(2, 4, 3, jobs=1)
+    assert report.examined == 0
+    assert report.extremal_graphs == [] and report.counterexample_graphs == []
+    assert report.details == {
+        "lambda_max": None,
+        "maximizer_count": 0,
+        "one_vertex_extension_shape": [],
+        "maximizer_connected": [],
+    }
