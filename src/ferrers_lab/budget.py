@@ -1,16 +1,14 @@
 """Budget guards for the enumeration-heavy operations.
 
-Each guarded operation has a default cap; the FERRERS_LAB_BUDGET
-environment variable, when set, replaces the default at every site that
-does not receive an explicit override.  A separate hard candidate guard,
+Each guarded operation has a default cap in its own unit (vertices, p*q,
+m*d1 or spanning trees), which the command's ``--budget`` flag replaces
+for that one request.  A separate hard candidate guard,
 ``CANDIDATE_GUARD``, bounds how many raw candidates any class enumeration
-may examine, to keep runaway requests from exhausting memory; the
-variable never touches the guard.
+may examine, to keep runaway requests from exhausting memory; no flag
+touches it.
 """
 
 from __future__ import annotations
-
-import os
 
 DEFAULT_TREE_BUDGET = 10 ** 6
 DEFAULT_SCAN_VERTICES = 10
@@ -30,20 +28,13 @@ class BudgetExceeded(RuntimeError):
         self.progress = progress
 
 
-def budget_cap(default: int, override: int | None = None) -> int:
-    """Resolve a budget: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get("FERRERS_LAB_BUDGET")
-    return int(env) if env else default
-
-
 def admit(amount: int, default: int, budget: int | None, what: str):
-    """Raise ``BudgetExceeded`` when ``amount`` is over the resolved cap.
+    """Raise ``BudgetExceeded`` when ``amount`` is over ``budget``, or over
+    ``default`` when no budget is given.
 
     ``what`` names the request with one ``%d`` for the amount, e.g.
     "scan of %d vertices".
     """
-    cap = budget_cap(default, budget)
+    cap = default if budget is None else budget
     if amount > cap:
         raise BudgetExceeded("%s exceeds the budget of %d" % (what % amount, cap))

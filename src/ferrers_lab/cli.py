@@ -1,10 +1,13 @@
 """Command-line front door.
 
 One subcommand per operation; every report is a single JSON document (or
-a flattened key,value CSV) with a schema_version field.  Rationals
-serialize as "p/q" strings and floats are fixed to 12 significant digits,
-so identical inputs produce byte-identical reports, including under
---jobs > 1.  "-" means standard input/output for graph files.
+a flattened key,value CSV) with a schema_version field.  Each handler
+returns its report as raw values with its exit code, and ``run`` alone
+renders and writes it: ``_jsonable`` is the one formatter, so rationals
+serialize as "p/q" strings, canonical codes as hex and floats to 12
+significant digits, and identical inputs produce byte-identical reports,
+including under --jobs > 1.  "-" means standard input/output for graph
+files.
 
 Exit codes: 0 success with no counterexamples, 1 a verified counterexample
 or failed bound, 2 usage or input error, 3 budget exceeded, 4 an internal
@@ -20,7 +23,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import DEFAULT_THM71_VERTICES, BudgetExceeded
@@ -30,7 +32,7 @@ from .conjectures import (
     grone_merris_check,
     venkataramana_check,
 )
-from .exactla import InternalCheckError, format_rational
+from .exactla import InternalCheckError
 from .graphs import (
     BipartiteGraph,
     GraphFormatError,
@@ -56,27 +58,14 @@ from .trees import enumerate_spanning_trees, sigma_bruteforce, tree_report
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, its flags, and output options."""
-
-    command: str
-    options: dict
-    jobs: int = 1
-    budget: int | None = None
-    fmt: str = "json"
-    out: str = "-"
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be positive")
-
-
 def _jsonable(value):
+    """The one report formatter: a rational as "p/q" (a bare integer when
+    the denominator is 1), a float to 12 significant digits, bytes as hex
+    and a tuple as a list."""
     if isinstance(value, Fraction):
-        return format_rational(value)
+        if value.denominator == 1:
+            return str(value.numerator)
+        return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, float):
         return float("%.12g" % value)
     if isinstance(value, bytes):
@@ -145,23 +134,20 @@ def _parse_pair(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def _finish_search(config, report):
-    """Emit the graphs when asked and write the report; exit 1 on a
-    counterexample."""
-    directory = config.options["emit_graphs"]
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+def _search_doc(args, report):
+    """The search report and its exit code (1 on a counterexample), after
+    writing its graphs when asked."""
+    if args.emit_graphs:
+        os.makedirs(args.emit_graphs, exist_ok=True)
         for label, graphs in (
             ("extremal", report.extremal_graphs),
             ("counterexample", report.counterexample_graphs),
         ):
             for idx, g in enumerate(graphs):
-                path = os.path.join(directory, "%s_%03d.graph" % (label, idx))
+                path = os.path.join(args.emit_graphs, "%s_%03d.graph" % (label, idx))
                 with open(path, "w") as fh:
                     fh.write(format_graph(g))
-    doc = {"schema_version": SCHEMA_VERSION, **report.as_dict()}
-    _write(_render(doc, config.fmt), config.out)
-    return 0 if not report.counterexamples else 1
+    return report.as_dict(), 0 if not report.counterexamples else 1
 
 
 def _bound_doc(check):
@@ -169,44 +155,39 @@ def _bound_doc(check):
             "tight": check.tight, "tol": check.tol}
 
 
-def _cmd_gen(config):
-    lmbda = Partition.from_string(config.options["partition"])
-    cols = config.options["cols"] or (lmbda[0] if len(lmbda) else 0)
-    graph = ferrers_from_partition(lmbda, cols)
-    _write(format_graph(graph), config.out)
-    return 0
+def _cmd_gen(args):
+    lmbda = Partition.from_string(args.partition)
+    cols = args.cols or (lmbda[0] if len(lmbda) else 0)
+    return format_graph(ferrers_from_partition(lmbda, cols)), 0
 
 
-def _cmd_trees(config):
-    graph = _require_bipartite(_load_graph(config.options["graph"]), "trees")
+def _cmd_trees(args):
+    graph = _require_bipartite(_load_graph(args.graph), "trees")
     report = tree_report(graph)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tau": str(report.tau),
-        "ferrers_invariant": format_rational(report.ferrers_invariant),
+        "tau": str(report.tau),  # exact in any JSON reader, however large
+        "ferrers_invariant": report.ferrers_invariant,
         "ferrers_good": report.ferrers_good,
     }
-    if config.options["enumerate"]:
-        trees = enumerate_spanning_trees(graph, budget=config.budget)
+    if args.enumerate:
+        trees = enumerate_spanning_trees(graph, budget=args.budget)
         doc["enumeration"] = {
             "count": len(trees),
             "matches_tau": len(trees) == report.tau,
         }
-    if config.options["sigma"]:
-        poly = sigma_bruteforce(graph, budget=config.budget)
+    if args.sigma:
+        poly = sigma_bruteforce(graph, budget=args.budget)
         doc["sigma"] = [
-            {"coefficient": coeff, "exponents": list(exps)}
+            {"coefficient": coeff, "exponents": exps}
             for exps, coeff in poly.sorted_terms()
         ]
-    _write(_render(doc, config.fmt), config.out)
-    return 0 if report.ferrers_good else 1
+    return doc, 0 if report.ferrers_good else 1
 
 
-def _cmd_spectral(config):
-    graph = _require_bipartite(_load_graph(config.options["graph"]), "spectral")
+def _cmd_spectral(args):
+    graph = _require_bipartite(_load_graph(args.graph), "spectral")
     report = spectrum_report(graph)
     doc = {
-        "schema_version": SCHEMA_VERSION,
         "lambda_max": report.lambda_max,
         "laplacian_spectrum": report.laplacian_spectrum,
         "normalized_spectrum": report.normalized_spectrum,
@@ -222,38 +203,25 @@ def _cmd_spectral(config):
         checks["normalized_product"] = {"skipped": str(exc)}
     checks["dense_cut_vertex"] = {"holds": dense_cut_vertex_hypothesis(graph)}
     doc["checks"] = checks
-    _write(_render(doc, config.fmt), config.out)
-    return 0
+    return doc, 0
 
 
-def _cmd_resistance(config):
-    graph = _load_graph(config.options["graph"])
-    i, j = _parse_pair(config.options["pair"])
-    value = resistance(graph, i, j)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "pair": [i, j],
-        "resistance": format_rational(value),
-    }
-    _write(_render(doc, config.fmt), config.out)
-    return 0
+def _cmd_resistance(args):
+    graph = _load_graph(args.graph)
+    i, j = _parse_pair(args.pair)
+    return {"pair": [i, j], "resistance": resistance(graph, i, j)}, 0
 
 
-def _cmd_thm71(config):
-    graph = _load_graph(config.options["graph"])
-    e = _parse_pair(config.options["e"])
-    f = _parse_pair(config.options["f"])
-    report = edge_deletion_equivalence(graph, e, f)
-    doc = {"schema_version": SCHEMA_VERSION, **report.as_dict()}
-    _write(_render(doc, config.fmt), config.out)
-    return 0 if report.all_agree else 1
+def _cmd_thm71(args):
+    graph = _load_graph(args.graph)
+    report = edge_deletion_equivalence(graph, _parse_pair(args.e), _parse_pair(args.f))
+    return report.as_dict(), 0 if report.all_agree else 1
 
 
-def _cmd_thm71_scan(config):
-    result = edge_deletion_equivalence_scan(config.options["max_n"], jobs=config.jobs)
-    doc = {"schema_version": SCHEMA_VERSION, **result}
-    _write(_render(doc, config.fmt), config.out)
-    return 0 if result["all_agree_everywhere"] else 1
+def _cmd_thm71_scan(args):
+    result = edge_deletion_equivalence_scan(args.max_n, jobs=args.jobs,
+                                            budget=args.budget)
+    return result, 0 if result["all_agree_everywhere"] else 1
 
 
 _BOUNDS = {
@@ -264,35 +232,28 @@ _BOUNDS = {
 }
 
 
-def _cmd_check(config):
-    graph = _require_bipartite(_load_graph(config.options["graph"]), "check")
-    names = list(_BOUNDS) if config.options["all"] else [config.options["bound"]]
+def _cmd_check(args):
+    graph = _require_bipartite(_load_graph(args.graph), "check")
+    names = list(_BOUNDS) if args.all else [args.bound]
     reports = [_BOUNDS[name](graph) for name in names]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "reports": [r.as_dict() for r in reports],
-    }
-    _write(_render(doc, config.fmt), config.out)
-    return 0 if all(r.holds is not False for r in reports) else 1
+    doc = {"reports": [r.as_dict() for r in reports]}
+    return doc, 0 if all(r.holds is not False for r in reports) else 1
 
 
-def _cmd_verify_ferrers_bound(config):
-    return _finish_search(config, verify_ferrers_bound(
-        config.options["max_vertices"], jobs=config.jobs, budget=config.budget
-    ))
+def _cmd_verify_ferrers_bound(args):
+    return _search_doc(args, verify_ferrers_bound(
+        args.max_vertices, jobs=args.jobs, budget=args.budget))
 
 
-def _cmd_spectral_search(config):
-    return _finish_search(config, spectral_search(
-        config.options["p"], config.options["q"], config.options["e"],
-        jobs=config.jobs, budget=config.budget,
-    ))
+def _cmd_spectral_search(args):
+    return _search_doc(args, spectral_search(
+        args.p, args.q, args.e, jobs=args.jobs, budget=args.budget))
 
 
-def _cmd_degree_class(config):
-    degrees = Partition.from_string(config.options["degrees"])
-    return _finish_search(config, degree_class_max(
-        degrees, jobs=config.jobs, budget=config.budget))
+def _cmd_degree_class(args):
+    degrees = Partition.from_string(args.degrees)
+    return _search_doc(args, degree_class_max(
+        degrees, jobs=args.jobs, budget=args.budget))
 
 
 _COMMANDS = {
@@ -363,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustive equivalence check over small graphs")
     p.add_argument("--max-n", type=int, default=DEFAULT_THM71_VERTICES,
                    dest="max_n")
-    common(p, jobs=True)
+    common(p, jobs=True, budget=True)
 
     p = sub.add_parser("check", help="per-graph bound reports")
     p.add_argument("--graph", required=True)
@@ -396,10 +357,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one parsed invocation; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one parsed invocation, then render and write its report;
+    returns the process exit code."""
     try:
-        return _COMMANDS[config.command](config)
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be at least 1")
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ValueError("budget must be positive")
+        doc, code = _COMMANDS[args.command](args)
+        if isinstance(doc, dict):
+            doc = _render({"schema_version": SCHEMA_VERSION, **doc}, args.format)
+        _write(doc, args.out)
+        return code
     except BudgetExceeded as exc:
         message = "ferrers-lab: budget exceeded: %s" % exc
         if exc.progress is not None:
@@ -415,20 +385,7 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    options = dict(vars(args))
-    command = options.pop("command")
-    fmt = options.pop("format", "json")
-    out = options.pop("out", "-")
-    jobs = options.pop("jobs", 1)
-    budget = options.pop("budget", None)
-    try:
-        config = RunConfig(command=command, options=options, jobs=jobs,
-                           budget=budget, fmt=fmt, out=out)
-    except ValueError as exc:
-        print("ferrers-lab: %s" % exc, file=sys.stderr)
-        return 2
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -37,17 +37,10 @@ class BoundReport:
     notes: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        def render(x):
-            if isinstance(x, Fraction):
-                from .exactla import format_rational
-
-                return format_rational(x)
-            return x
-
         out = {
             "name": self.name,
-            "lhs": render(self.lhs),
-            "rhs": render(self.rhs),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "holds": self.holds,
             "equality": self.equality,
             "mode": self.mode,
@@ -55,7 +48,7 @@ class BoundReport:
         if self.mode == "tolerance":
             out["tol"] = self.tol
         if self.notes:
-            out["notes"] = {k: render(v) for k, v in self.notes.items()}
+            out["notes"] = self.notes
         return out
 
 

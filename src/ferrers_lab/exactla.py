@@ -359,10 +359,3 @@ def bordered_ginverse(laplacian, i: int) -> GInverse:
     rows.insert(k, [0] * n)
     return GInverse(tuple(map(tuple, rows)), tau, "bordered(%d)" % i)
 
-
-def format_rational(x: Fraction) -> str:
-    """Serialize a rational as "p/q", omitting a unit denominator."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)

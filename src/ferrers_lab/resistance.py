@@ -20,7 +20,7 @@ tau(G\\e) * tau(G\\f) = tau(G) * tau(G\\{e,f}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -167,23 +167,7 @@ class EquivalenceReport:
     witnesses: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "e": list(self.e),
-            "f": list(self.f),
-            "conditions": dict(self.conditions),
-            "all_agree": self.all_agree,
-            "witnesses": {
-                name: [
-                    {
-                        "ginverse": w["ginverse"],
-                        "coords": list(w["coords"]),
-                        "values": [str(v) for v in w["values"]],
-                    }
-                    for w in entries
-                ]
-                for name, entries in self.witnesses.items()
-            },
-        }
+        return asdict(self)
 
 
 def _coord_pair(ginv: GInverse, vec: IncidenceVector, a: int, b: int):
@@ -466,15 +450,16 @@ def _scan_one(G: Graph):
     return pairs, failures
 
 
-def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1) -> dict:
+def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1,
+                                   budget: int | None = None) -> dict:
     """Run the eleven-condition check over every connected graph up to max_n.
 
     Covers all isomorphism classes with 4..max_n vertices and every
     admissible edge pair; returns counts and any disagreeing reports
-    (expected none).  ``max_n`` is capped at ``DEFAULT_THM71_VERTICES``
-    unless ``FERRERS_LAB_BUDGET`` is set.
+    (expected none), their witness values as exact rationals.  ``max_n``
+    is capped at ``budget``, by default ``DEFAULT_THM71_VERTICES``.
     """
-    admit(max_n, DEFAULT_THM71_VERTICES, None, "thm71 scan of %d vertices")
+    admit(max_n, DEFAULT_THM71_VERTICES, budget, "thm71 scan of %d vertices")
     graphs = []
     for n in range(4, max_n + 1):
         graphs.extend(connected_graphs(n))

@@ -395,8 +395,8 @@ class SearchReport:
         return {
             "class": self.spec.as_dict(),
             "examined": self.examined,
-            "extremal": [c.hex() for c in self.extremal],
-            "counterexamples": [c.hex() for c in self.counterexamples],
+            "extremal": self.extremal,
+            "counterexamples": self.counterexamples,
             "elapsed": self.elapsed,
             "checked_property": self.checked_property,
             "details": self.details,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded, budget_cap
+from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, tree_count
 from .graphs import BipartiteGraph, ferrers_invariant, laplacian
 from .partitions import Partition, conjugate
@@ -172,7 +172,8 @@ def enumerate_spanning_trees(G, budget: int | None = None) -> list:
         G = G.to_graph()
     if not G.is_connected():
         raise ValueError("graph must be connected")
-    budget = budget_cap(DEFAULT_TREE_BUDGET, budget)
+    if budget is None:
+        budget = DEFAULT_TREE_BUDGET
     count = tau(G)
     if count > budget:
         raise BudgetExceeded(

@@ -3,7 +3,9 @@ import hashlib
 import importlib
 import io
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -384,9 +386,8 @@ def test_exit_code_budget(capsys):
     assert "budget" in err
 
 
-def test_thm71_scan_admission(capsys, monkeypatch):
+def test_thm71_scan_admission(capsys):
     # 8 vertices would run for minutes: refused at once, naming the cap
-    monkeypatch.delenv("FERRERS_LAB_BUDGET", raising=False)
     start = time.monotonic()
     code, out, err = run_cli(["thm71-scan", "--max-n", "8"], capsys)
     assert time.monotonic() - start < 1.0
@@ -395,12 +396,63 @@ def test_thm71_scan_admission(capsys, monkeypatch):
                    "exceeds the budget of 7\n")
 
 
-def test_thm71_scan_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("FERRERS_LAB_BUDGET", "4")
-    code, _, err = run_cli(["thm71-scan", "--max-n", "5"], capsys)
+def test_thm71_scan_budget_flag(capsys):
+    code, _, err = run_cli(["thm71-scan", "--max-n", "5", "--budget", "4"], capsys)
     assert code == 3 and "budget of 4" in err
-    code, out, _ = run_cli(["thm71-scan", "--max-n", "4"], capsys)
+    code, out, _ = run_cli(["thm71-scan", "--max-n", "4", "--budget", "4"], capsys)
     assert code == 0 and json.loads(out)["max_n"] == 4
+
+
+def test_budget_env_var_is_ignored(capsys, monkeypatch):
+    # no environment variable raises a cap: 9 vertices would take hours
+    monkeypatch.setenv("FERRERS_LAB_BUDGET", "24")
+    start = time.monotonic()
+    code, out, err = run_cli(["thm71-scan", "--max-n", "9"], capsys)
+    assert time.monotonic() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == ("ferrers-lab: budget exceeded: thm71 scan of 9 vertices "
+                   "exceeds the budget of 7\n")
+
+
+def _flip_condition_i_on_c4(orig):
+    # the 4-cycle is the one 4-vertex graph with four edges, and (1,3),(2,4)
+    # is its first admissible pair
+    def flipped(ctx, e, f):
+        report = orig(ctx, e, f)
+        if len(ctx.graph.edges) == 4 and e == (1, 3):
+            conditions = {**report.conditions, "i": not report.conditions["i"]}
+            return dataclasses.replace(report, conditions=conditions, all_agree=False)
+        return report
+    return flipped
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patch only when they fork")
+def test_thm71_scan_failure_witnesses_cross_the_pool(capsys, monkeypatch):
+    # a failing pair's witnesses travel from the workers as raw rationals
+    # and are rendered once, in the parent
+    monkeypatch.setattr(resistance_module, "_equivalence",
+                        _flip_condition_i_on_c4(resistance_module._equivalence))
+    outputs = {}
+    for fmt in ("json", "csv"):
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(["thm71-scan", "--max-n", "4", "--jobs", jobs,
+                                      "--format", fmt], capsys)
+            assert code == 1 and err == ""
+            outputs[fmt, jobs] = out
+        assert outputs[fmt, "1"] == outputs[fmt, "2"]
+    [failure] = json.loads(outputs["json", "1"])["failures"]
+    assert (failure["e"], failure["f"], failure["all_agree"]) == ([1, 3], [2, 4], False)
+    rational = re.compile(r"-?\d+(/\d+)?")
+    values = [v for entries in failure["witnesses"].values()
+              for w in entries for v in w["values"]]
+    assert len(failure["witnesses"]) == 8 and len(values) == 24
+    assert all(isinstance(v, str) and rational.fullmatch(v) for v in values)
+    assert "-1/8" in values and "-2" in values
+    rows = [line.split(",", 1) for line in outputs["csv", "1"].splitlines()[1:]]
+    csv_values = [v for key, v in rows if key.startswith("failures[0].witnesses.")
+                  and ".values[" in key]
+    assert csv_values == values
 
 
 def test_scan_over_code_cap_is_budget_exit(capsys):
@@ -480,27 +532,51 @@ def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_budget_env_override(staircase_file, capsys, monkeypatch):
-    monkeypatch.setenv("FERRERS_LAB_BUDGET", "5")
+def test_budget_flag_override(staircase_file, capsys):
     code, _, err = run_cli(
-        ["trees", "--graph", staircase_file, "--enumerate"], capsys
+        ["trees", "--graph", staircase_file, "--enumerate", "--budget", "5"], capsys
     )
     assert code == 3
     assert "budget" in err
-    monkeypatch.setenv("FERRERS_LAB_BUDGET", "1000000")
-    code, _, _ = run_cli(["trees", "--graph", staircase_file, "--enumerate"], capsys)
+    code, _, _ = run_cli(["trees", "--graph", staircase_file, "--enumerate",
+                          "--budget", "1000000"], capsys)
     assert code == 0
 
 
-def test_budget_env_leaves_candidate_guard_alone(capsys, monkeypatch):
-    # a value meant as a vertex or p*q cap must not stop the enumeration
+def test_budget_flag_leaves_candidate_guard_alone(capsys):
+    # a value meant as a p*q cap must not stop the enumeration
     argv = ["spectral-search", "--p", "3", "--q", "4", "--e", "10"]
     code, plain, _ = run_cli(argv, capsys)
     assert code == 0
-    monkeypatch.setenv("FERRERS_LAB_BUDGET", "30")
-    code, capped, err = run_cli(argv, capsys)
+    code, capped, err = run_cli(argv + ["--budget", "30"], capsys)
     assert code == 0 and err == ""
     plain, capped = json.loads(plain), json.loads(capped)
     plain.pop("elapsed")
     capped.pop("elapsed")
     assert capped == plain
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--jobs", "jobs must be at least 1"),
+    ("--budget", "budget must be positive"),
+])
+def test_nonpositive_jobs_or_budget_is_usage_error(flag, message, capsys):
+    code, out, err = run_cli(
+        ["verify-ferrers-bound", "--max-vertices", "5", flag, "0"], capsys
+    )
+    assert (code, out, err) == (2, "", "ferrers-lab: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--partition", "3,3,2,1"],
+    ["trees", "--graph", "EX"],
+], ids=["gen", "trees"])
+def test_out_into_missing_directory_is_input_error(argv, staircase_file, tmp_path,
+                                                   capsys):
+    target = tmp_path / "missing" / "report"
+    argv = [staircase_file if arg == "EX" else arg for arg in argv]
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ferrers-lab: ") and str(target) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not target.parent.exists()
