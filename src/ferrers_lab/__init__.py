@@ -10,12 +10,9 @@ from .budget import BudgetExceeded
 from .exactla import (
     GInverse,
     InternalCheckError,
-    RatMatrix,
     bordered_ginverse,
-    det,
     det_int,
     moore_penrose_laplacian,
-    solve,
 )
 from .graphs import (
     BipartiteGraph,
@@ -57,7 +54,6 @@ from .spectral import (
 from .resistance import (
     CertificateReport,
     EquivalenceReport,
-    IncidenceVector,
     connected_graphs,
     edge_deletion_equivalence,
     edge_deletion_equivalence_scan,

@@ -157,7 +157,9 @@ def _bound_doc(check):
 
 def _cmd_gen(args):
     lmbda = Partition.from_string(args.partition)
-    cols = args.cols or (lmbda[0] if len(lmbda) else 0)
+    cols = args.cols
+    if cols is None:
+        cols = lmbda[0] if len(lmbda) else 0
     return format_graph(ferrers_from_partition(lmbda, cols)), 0
 
 
@@ -379,7 +381,9 @@ def run(args: argparse.Namespace) -> int:
     except InternalCheckError as exc:
         print("ferrers-lab: internal check failed: %s" % exc, file=sys.stderr)
         return 4
-    except (GraphFormatError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise  # not an unusable path, e.g. a worker pool failing to fork
         print("ferrers-lab: %s" % exc, file=sys.stderr)
         return 2
 

@@ -13,20 +13,16 @@ one denominator:
 Each build checks its input (integer, symmetric, zero row sums), checks the
 kernel's determinant against the cofactor tree count, and certifies the
 result with an exact integer identity; a failed check raises
-``InternalCheckError``.  ``RatMatrix`` (entries are ``fractions.Fraction``,
-lowest terms, positive denominator) is the rational boundary: reports, the
-remaining rational routines and the test oracles.  All matrices are sized
-for desk scale.
+``InternalCheckError``.  Every matrix the runtime computes with is a list
+of integer rows, and a rational result is integer rows over one
+denominator; ``RatMatrix`` is left only for the tests.  All matrices are
+sized for desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class InternalCheckError(AssertionError):
@@ -39,7 +35,14 @@ class InternalCheckError(AssertionError):
 
 
 class RatMatrix:
-    """Dense matrix of exact rationals."""
+    """Dense matrix of exact rationals, the tests' rational product type.
+
+    The runtime builds none: every matrix it computes with is a list of
+    integer rows.  The class stays in the package, not in the tests,
+    because the benchmark tracer (``perfbench/tracer.py``, ``METHODS``)
+    binds ``__matmul__`` and ``matvec`` by name on every traced run; it
+    leaves together with those entries, in a change to the benchmark.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -47,23 +50,9 @@ class RatMatrix:
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __reduce__(self):
-        return (RatMatrix, (self.rows,))
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def ones(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([[_ONE] * ncols for _ in range(nrows)])
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
 
     def __getitem__(self, key):
         i, j = key
@@ -71,26 +60,6 @@ class RatMatrix:
 
     def __eq__(self, other):
         return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "RatMatrix(%d x %d)" % (self.nrows, self.ncols)
-
-    def __sub__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix([[c * x for x in row] for row in self.rows])
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -104,25 +73,6 @@ class RatMatrix:
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
         return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
-
-    def delete(self, drop_rows, drop_cols) -> "RatMatrix":
-        """Submatrix with the given 0-based rows and columns removed."""
-        drop_rows = set(drop_rows)
-        drop_cols = set(drop_cols)
-        return RatMatrix(
-            [
-                [x for j, x in enumerate(row) if j not in drop_cols]
-                for i, row in enumerate(self.rows)
-                if i not in drop_rows
-            ]
-        )
 
 
 def det_int(rows) -> int:
@@ -155,46 +105,6 @@ def det_int(rows) -> int:
             ai[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1] if n else 1
-
-
-def det(a: RatMatrix) -> Fraction:
-    """Exact determinant; rational entries are cleared row-wise first."""
-    if a.nrows != a.ncols:
-        raise ValueError("matrix is not square")
-    denom = 1
-    cleared = []
-    for row in a.rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        denom *= mult
-        cleared.append([int(x * mult) for x in row])
-    return Fraction(det_int(cleared), denom)
-
-
-def solve(a: RatMatrix, b) -> list:
-    """Exact solution of ``a @ x = b`` for square nonsingular ``a``."""
-    n = a.nrows
-    if a.ncols != n:
-        raise ValueError("matrix is not square")
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong length")
-    m = [list(row) + [Fraction(bi)] for row, bi in zip(a.rows, b)]
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-        mk = m[k]
-        inv = 1 / mk[k]
-        for j in range(k, n + 1):
-            mk[j] *= inv
-        for r in range(n):
-            if r != k and m[r][k]:
-                f = m[r][k]
-                mr = m[r]
-                for j in range(k, n + 1):
-                    mr[j] -= f * mk[j]
-    return [m[i][n] for i in range(n)]
 
 
 def det_adj_int(rows):
@@ -256,26 +166,20 @@ class GInverse:
 
     ``kind`` is "moore_penrose" or "bordered(i)" with ``i`` the 1-based
     pivot vertex.  The inverse is ``numerators / denominator``, integer rows
-    over one integer; ``matrix`` is the same inverse as a ``RatMatrix``.
+    over one integer.
     """
 
     numerators: tuple
     denominator: int
     kind: str
 
-    @property
-    def matrix(self) -> RatMatrix:
-        d = self.denominator
-        return RatMatrix([[Fraction(x, d) for x in row] for row in self.numerators])
 
-
-def _integer_laplacian(laplacian) -> list:
-    """Integer rows of a RatMatrix or row sequence, checked Laplacian-shaped.
+def _integer_laplacian(rows) -> list:
+    """``rows`` as integer lists, checked Laplacian-shaped.
 
     Square and nonempty, integer entries, symmetric, zero row sums; raises
     ValueError otherwise.
     """
-    rows = laplacian.rows if isinstance(laplacian, RatMatrix) else laplacian
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("need a nonempty square matrix")
@@ -304,7 +208,7 @@ def _sparse_matmul(a, b) -> list:
 def moore_penrose_laplacian(laplacian) -> GInverse:
     """Exact Moore-Penrose inverse of a connected-graph Laplacian.
 
-    ``laplacian`` is a RatMatrix or a sequence of rows with integer entries.
+    ``laplacian`` is a sequence of rows with integer entries.
     With J the all-ones matrix and tau the tree count, det(L + J) = n^2 tau
     and M = adj(L + J) - tau J = n^2 tau L^+, an integer matrix.  The result
     is certified exactly: L M = d I - n tau J with d = n^2 tau, M symmetric
@@ -333,7 +237,7 @@ def moore_penrose_laplacian(laplacian) -> GInverse:
 def bordered_ginverse(laplacian, i: int) -> GInverse:
     """G-inverse of a connected-graph Laplacian with row/column ``i`` zeroed.
 
-    ``laplacian`` is a RatMatrix or a sequence of rows with integer entries.
+    ``laplacian`` is a sequence of rows with integer entries.
     The principal submatrix L_i with vertex ``i`` (1-based) removed has
     determinant tau and inverse adj(L_i) / tau, embedded back with zeros;
     the result H satisfies L @ H @ L == L.  It is certified exactly by

@@ -28,7 +28,6 @@ from .budget import DEFAULT_THM71_VERTICES, admit
 from .exactla import (
     GInverse,
     InternalCheckError,
-    RatMatrix,
     bordered_ginverse,
     det_int,
     moore_penrose_laplacian,
@@ -38,34 +37,6 @@ from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
 from .search import _code_rows, _pmap
 from .trees import tau
-
-
-@dataclass(frozen=True)
-class IncidenceVector:
-    """Signed indicator of an oriented edge: +1 at ``i``, -1 at ``j``.
-
-    Edges are oriented from the lower-numbered endpoint, which keeps every
-    construction deterministic; the checks below are orientation-invariant.
-    """
-
-    n: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.i == self.j or not (1 <= self.i <= self.n and 1 <= self.j <= self.n):
-            raise ValueError("bad incidence endpoints")
-
-    @classmethod
-    def for_edge(cls, n: int, edge) -> "IncidenceVector":
-        a, b = edge
-        return cls(n, min(a, b), max(a, b))
-
-    def as_list(self) -> list:
-        vec = [Fraction(0)] * self.n
-        vec[self.i - 1] = Fraction(1)
-        vec[self.j - 1] = Fraction(-1)
-        return vec
 
 
 class _GraphCtx:
@@ -170,10 +141,11 @@ class EquivalenceReport:
         return asdict(self)
 
 
-def _coord_pair(ginv: GInverse, vec: IncidenceVector, a: int, b: int):
-    """Coordinates ``a`` and ``b`` of G x for the incidence vector x."""
+def _coord_pair(ginv: GInverse, edge, a: int, b: int):
+    """Coordinates ``a`` and ``b`` of G x, with x the incidence vector of the
+    sorted ``edge``: +1 at its lower endpoint, -1 at the other."""
     num, d = ginv.numerators, ginv.denominator
-    i, j = vec.i - 1, vec.j - 1
+    i, j = edge[0] - 1, edge[1] - 1
     return (Fraction(num[a - 1][i] - num[a - 1][j], d),
             Fraction(num[b - 1][i] - num[b - 1][j], d))
 
@@ -213,8 +185,6 @@ def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
     k, l = f
     ctx_e = ctx.without(e)
     ctx_f = ctx.without(f)
-    x_e = IncidenceVector.for_edge(n, e)
-    x_f = IncidenceVector.for_edge(n, f)
 
     outside = [v for v in range(1, n + 1) if v not in {i, j, k, l}]
     pivot = outside[0] if outside else i
@@ -226,24 +196,24 @@ def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
     conditions["ii"] = ctx.resistance(k, l) == ctx_e.resistance(k, l)
     conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * ctx_e.without(f).tau()
 
-    def ginv_condition(name, ginvs_ctx, vec, a, b):
+    def ginv_condition(name, ginvs_ctx, edge, a, b):
         entries = []
         verdict = True
         for ginv in ginvs_ctx:
-            va, vb = _coord_pair(ginv, vec, a, b)
+            va, vb = _coord_pair(ginv, edge, a, b)
             entries.append({"ginverse": ginv.kind, "coords": (a, b), "values": (va, vb)})
             verdict = verdict and va == vb
         conditions[name] = verdict
         witnesses[name] = entries
 
-    ginv_condition("iv", [ctx.mp], x_f, i, j)
-    ginv_condition("v", [ctx.mp, ctx.bordered(pivot)], x_f, i, j)
-    ginv_condition("vi", [ctx_f.mp], x_f, i, j)
-    ginv_condition("vii", [ctx_f.mp, ctx_f.bordered(pivot)], x_f, i, j)
-    ginv_condition("viii", [ctx.mp], x_e, k, l)
-    ginv_condition("ix", [ctx.mp, ctx.bordered(pivot)], x_e, k, l)
-    ginv_condition("x", [ctx_e.mp], x_e, k, l)
-    ginv_condition("xi", [ctx_e.mp, ctx_e.bordered(pivot)], x_e, k, l)
+    ginv_condition("iv", [ctx.mp], f, i, j)
+    ginv_condition("v", [ctx.mp, ctx.bordered(pivot)], f, i, j)
+    ginv_condition("vi", [ctx_f.mp], f, i, j)
+    ginv_condition("vii", [ctx_f.mp, ctx_f.bordered(pivot)], f, i, j)
+    ginv_condition("viii", [ctx.mp], e, k, l)
+    ginv_condition("ix", [ctx.mp, ctx.bordered(pivot)], e, k, l)
+    ginv_condition("x", [ctx_e.mp], e, k, l)
+    ginv_condition("xi", [ctx_e.mp, ctx_e.bordered(pivot)], e, k, l)
 
     values = set(conditions.values())
     return EquivalenceReport(
@@ -293,10 +263,11 @@ def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateRepo
         w = (1/p) * [-1/n ... -1/n, (p-1)/n, 0 ... 0, -1]
 
     (p-1 leading entries, then position p, then zeros, then position m+n)
-    must satisfy L w = x_f for f = {u_p, v_n}; and deleting f must leave
-    the resistance between u_{p+1} and v_k unchanged.  Both checks are
-    exact.  When deleting f isolates v_n (p = 1), the resistance after
-    deletion is taken in the component containing both vertices.
+    must satisfy L w = x_f for f = {u_p, v_n}, checked in integers as
+    L (p n w) = p n x_f; and deleting f must leave the resistance between
+    u_{p+1} and v_k unchanged.  Both checks are exact.  When deleting f
+    isolates v_n (p = 1), the resistance after deletion is taken in the
+    component containing both vertices.
     """
     m = len(lmbda)
     n = lmbda[0] if m else 0
@@ -313,16 +284,11 @@ def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateRepo
 
     G = ferrers_from_partition(lmbda, n).to_graph()
     total = m + n
-    w = [Fraction(0)] * total
-    for idx in range(p - 1):
-        w[idx] = Fraction(-1, p * n)
-    w[p - 1] = Fraction(p - 1, p * n)
-    w[total - 1] = Fraction(-1, p)
-
-    lap = RatMatrix(laplacian(G))
-    f_edge = (p, m + n)
-    x_f = IncidenceVector.for_edge(total, f_edge).as_list()
-    w_ok = lap.matvec(w) == x_f
+    f_edge = (p, total)
+    pn_w = [-1] * (p - 1) + [p - 1] + [0] * (total - p - 1) + [-n]
+    pn_x_f = [0] * total
+    pn_x_f[p - 1], pn_x_f[total - 1] = p * n, -p * n
+    w_ok = [sum(a * b for a, b in zip(row, pn_w)) for row in laplacian(G)] == pn_x_f
 
     u_next, v_k = p + 1, m + k
     before = resistance(G, u_next, v_k)

@@ -158,7 +158,12 @@ class ClassSpec:
 
     @classmethod
     def degree_class(cls, degrees: Partition) -> "ClassSpec":
-        return cls(kind="degree_class", degrees=tuple(degrees))
+        degrees = tuple(degrees)
+        if not degrees:
+            raise ValueError("degree sequence must be nonempty")
+        if min(degrees) < 1:
+            raise ValueError("degree sequence must be positive")
+        return cls(kind="degree_class", degrees=degrees)
 
     @classmethod
     def all_connected_bipartite(cls, max_vertices: int) -> "ClassSpec":
@@ -333,8 +338,6 @@ def _enumerate_kpqe(spec, counter):
 
 def _enumerate_degree_class(spec, counter):
     degs = sorted(spec.degrees, reverse=True)
-    if not degs or degs[-1] < 1:
-        raise ValueError("degree sequence must be positive")
     m, total = len(degs), sum(degs)
 
     def degrees_left(rows):

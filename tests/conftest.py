@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from ferrers_lab import BipartiteGraph, Graph, Partition, search
+from ferrers_lab.exactla import RatMatrix
 
 
 def partitions_of(total, max_part=None):
@@ -136,3 +138,71 @@ def inflate_tau_of(target):
         return t, inv, eq_ferrers
 
     return check
+
+
+# ---------------------------------------------------------------------------
+# rational oracles: plain Gaussian elimination over Fraction, independent of
+# the runtime's fraction-free integer kernel
+# ---------------------------------------------------------------------------
+
+
+def det(a: RatMatrix) -> Fraction:
+    """Exact determinant by Gaussian elimination over ``Fraction``."""
+    if a.nrows != a.ncols:
+        raise ValueError("matrix is not square")
+    m = [list(row) for row in a.rows]
+    n = len(m)
+    result = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            result = -result
+        mk = m[k]
+        result *= mk[k]
+        for r in range(k + 1, n):
+            f = m[r][k] / mk[k]
+            if f:
+                m[r][k:] = [x - f * y for x, y in zip(m[r][k:], mk[k:])]
+    return result
+
+
+def solve(a: RatMatrix, b) -> list:
+    """Exact solution of ``a @ x = b`` for square nonsingular ``a``, by
+    Gauss-Jordan elimination over ``Fraction``."""
+    n = a.nrows
+    if a.ncols != n:
+        raise ValueError("matrix is not square")
+    if len(b) != n:
+        raise ValueError("right-hand side has wrong length")
+    m = [list(row) + [Fraction(bi)] for row, bi in zip(a.rows, b)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        mk = m[k]
+        inv = 1 / mk[k]
+        mk[k:] = [x * inv for x in mk[k:]]
+        for r in range(n):
+            if r != k and m[r][k]:
+                f = m[r][k]
+                m[r][k:] = [x - f * y for x, y in zip(m[r][k:], mk[k:])]
+    return [row[n] for row in m]
+
+
+def identity(n, d=1) -> RatMatrix:
+    """``d`` times the n x n identity."""
+    return RatMatrix([[d if r == c else 0 for c in range(n)] for r in range(n)])
+
+
+def is_symmetric(a: RatMatrix) -> bool:
+    return a.rows == tuple(zip(*a.rows))
+
+
+def as_matrix(ginv) -> RatMatrix:
+    """A ``GInverse`` (integer rows over one denominator) as a ``RatMatrix``."""
+    d = ginv.denominator
+    return RatMatrix([[Fraction(x, d) for x in row] for row in ginv.numerators])

@@ -580,3 +580,40 @@ def test_out_into_missing_directory_is_input_error(argv, staircase_file, tmp_pat
     assert err.startswith("ferrers-lab: ") and str(target) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trees", "--graph", "DIR"],
+    ["gen", "--partition", "2,1", "--out", "DIR"],
+    ["degree-class", "--D", "2,1", "--emit-graphs", "FILE"],
+], ids=["graph-is-directory", "out-is-directory", "emit-graphs-is-file"])
+def test_unusable_path_is_input_error(argv, tmp_path, capsys):
+    paths = {"DIR": tmp_path / "dir", "FILE": tmp_path / "file"}
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("")
+    argv = [str(paths[arg]) if arg in paths else arg for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("ferrers-lab: [Errno ") and str(tmp_path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_oserror_without_a_path_propagates(monkeypatch):
+    # e.g. a worker pool that cannot fork: not an input error
+    def fail(args):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", fail)
+    with pytest.raises(OSError):
+        cli.main(["gen", "--partition", "2,1"])
+
+
+def test_empty_degree_sequence_is_usage_error(capsys):
+    code, out, err = run_cli(["degree-class", "--D="], capsys)
+    assert (code, out, err) == (2, "", "ferrers-lab: degree sequence must be nonempty\n")
+
+
+def test_gen_zero_cols_is_usage_error(capsys):
+    code, out, err = run_cli(["gen", "--partition", "3,2", "--cols", "0"], capsys)
+    assert (code, out, err) == (
+        2, "", "ferrers-lab: largest part 3 exceeds column count 0\n")

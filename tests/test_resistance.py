@@ -6,15 +6,14 @@ import pytest
 
 from ferrers_lab import (
     Graph,
-    IncidenceVector,
     InternalCheckError,
     Partition,
-    RatMatrix,
     bordered_ginverse,
     connected_graphs,
     edge_deletion_equivalence,
     edge_deletion_equivalence_scan,
     edge_deletion_monotonicity,
+    exactla,
     ferrers_edge_invariance,
     ferrers_from_partition,
     ferrers_tree_identity,
@@ -24,7 +23,7 @@ from ferrers_lab import (
 )
 from ferrers_lab.resistance import _graph_reps, _incidence_code, admissible_edge_pairs
 
-from conftest import connected_ferrers_partitions, random_connected_graph
+from conftest import as_matrix, connected_ferrers_partitions, random_connected_graph
 
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -53,11 +52,11 @@ def test_resistance_ginverse_independence(rng):
     # Moore-Penrose route and the minor-ratio route exactly
     for _ in range(8):
         g = random_connected_graph(rng, max_n=6)
-        lap = RatMatrix(laplacian(g))
-        plus = moore_penrose_laplacian(lap).matrix
+        lap = laplacian(g)
+        plus = as_matrix(moore_penrose_laplacian(lap))
         for i, j in itertools.combinations(range(1, g.vcount + 1), 2):
             r = resistance(g, i, j)
-            h = bordered_ginverse(lap, i).matrix
+            h = as_matrix(bordered_ginverse(lap, i))
             assert h[j - 1, j - 1] == r
             assert plus[i - 1, i - 1] + plus[j - 1, j - 1] - 2 * plus[i - 1, j - 1] == r
 
@@ -135,13 +134,6 @@ def test_foster_sum_rule(rng):
         g = random_connected_graph(rng, max_n=7)
         total = sum(resistance(g, a, b) for a, b in g.edges)
         assert total == g.vcount - 1
-
-
-def test_incidence_vector():
-    x = IncidenceVector.for_edge(4, (3, 1))
-    assert x.as_list() == [Fraction(1), Fraction(0), Fraction(-1), Fraction(0)]
-    with pytest.raises(ValueError):
-        IncidenceVector(3, 2, 2)
 
 
 def test_edge_deletion_monotonicity_cycle():
@@ -326,6 +318,31 @@ def test_certificate_vector_sweep():
             continue
         report = ferrers_edge_invariance(lam, p, lam[p])
         assert report.w_is_solution and report.resistance_equal, lam
+
+
+def test_runtime_builds_no_rational_matrix(monkeypatch):
+    # every matrix the runtime computes with is integer rows; RatMatrix is
+    # the tests' type only
+    staircase = ferrers_from_partition(Partition((3, 3, 2, 1)), 3).to_graph()
+    lap = laplacian(staircase)
+    calls = [
+        lambda: ferrers_edge_invariance(Partition((3, 2)), 1, 2),
+        lambda: ferrers_edge_invariance(Partition((3, 3, 2, 1)), 2, 2),
+        lambda: edge_deletion_equivalence(staircase, (3, 6), (2, 7)),
+        lambda: resistance(staircase, 4, 7),
+        lambda: moore_penrose_laplacian(lap),
+        lambda: bordered_ginverse(lap, 3),
+    ]
+    usual = [call() for call in calls]
+
+    def refuse(self, rows):
+        raise RuntimeError("a RatMatrix was built")
+
+    monkeypatch.setattr(exactla.RatMatrix, "__init__", refuse)
+    with pytest.raises(RuntimeError):
+        exactla.RatMatrix([[1]])
+    assert [call() for call in calls] == usual
+    assert usual[0].w_is_solution and usual[1].w_is_solution
 
 
 def test_tree_identity_examples():

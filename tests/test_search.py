@@ -194,6 +194,15 @@ def test_enumerate_degree_class_two_rows():
     assert len(classes) == 2
 
 
+@pytest.mark.parametrize("degrees, message", [
+    ((), "nonempty"),
+    ((2, 0), "positive"),
+])
+def test_degree_class_spec_rejects_bad_sequences(degrees, message):
+    with pytest.raises(ValueError, match=message):
+        ClassSpec.degree_class(degrees)
+
+
 def naive_connected_bipartite_count(max_vertices):
     """Independent oracle: all labeled graphs, filtered, deduped brute force."""
     total = 0
