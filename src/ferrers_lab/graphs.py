@@ -5,6 +5,10 @@ iff u_{i+1} ~ v_{j+1}).  ``Graph`` is a plain vertex-count plus edge set
 with 1-based vertices.  Bipartite graphs convert to general ones with the
 U-part first (u_1..u_m become 1..m, v_1..v_n become m+1..m+n), so the
 Laplacian shows the biadjacency block structure directly.
+
+Connectivity of both graph types is one bit-row routine, ``_reach``: a
+bipartite graph's biadjacency rows, or a general graph's closed
+neighbourhoods, are joined from a seed row until nothing more meets it.
 """
 
 from __future__ import annotations
@@ -136,14 +140,6 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def adjacency(self) -> list:
-        """Neighbor lists indexed by vertex (entry 0 unused)."""
-        adj = [[] for _ in range(self.vcount + 1)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
     def degrees(self) -> list:
         deg = [0] * (self.vcount + 1)
         for a, b in self.edges:
@@ -158,53 +154,11 @@ class Graph:
             raise ValueError("edge %r not present" % (edge,))
         return Graph(self.vcount, self.edges - {key})
 
-    def components(self) -> list:
-        """Connected components as sorted vertex lists."""
-        adj = self.adjacency()
-        seen = [False] * (self.vcount + 1)
-        comps = []
-        for start in range(1, self.vcount + 1):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
     def is_connected(self) -> bool:
-        if self.vcount <= 1:
+        if not self.vcount:
             return True
-        return len(self.components()) == 1
-
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph; kept vertices are renumbered 1..k in sorted order."""
-        vertices = sorted(set(vertices))
-        index = {v: i + 1 for i, v in enumerate(vertices)}
-        keep = set(vertices)
-        edges = [
-            (index[a], index[b]) for a, b in self.edges if a in keep and b in keep
-        ]
-        return Graph(len(vertices), edges)
-
-    def delete_vertex(self, v: int) -> "Graph":
-        return self.induced([u for u in range(1, self.vcount + 1) if u != v])
-
-    def is_cut_vertex(self, v: int) -> bool:
-        """True iff removing ``v`` increases the number of components."""
-        before = len(self.components())
-        # the removed vertex itself counted as a component only if isolated
-        if not any(v in (a, b) for a, b in self.edges):
-            return False
-        after = len(self.delete_vertex(v).components())
-        return after > before
+        return _rows_connected(_closed_rows(self.vcount, self.edges),
+                               (1 << self.vcount) - 1)
 
     def __eq__(self, other):
         return (
@@ -220,21 +174,38 @@ class Graph:
         return "Graph(vcount=%d, edges=%d)" % (self.vcount, len(self.edges))
 
 
-def _rows_connected(rows, full):
-    """Connectivity of the bipartite graph with bit rows ``rows`` over the
-    columns in ``full``: False when a row is zero or a column uncovered."""
-    reach, pending = rows[0], rows[1:]
+def _reach(rows, seed):
+    """``seed`` joined with every row that meets it, repeated until no more
+    rows join: the one connectivity loop of the package."""
+    pending = rows
     while pending:
         rest = []
         for r in pending:
-            if r & reach:
-                reach |= r
+            if r & seed:
+                seed |= r
             else:
                 rest.append(r)
         if len(rest) == len(pending):
-            return False
+            break
         pending = rest
-    return reach == full
+    return seed
+
+
+def _rows_connected(rows, full):
+    """Connectivity of the bipartite graph with bit rows ``rows`` over the
+    columns in ``full``: False when a row is zero or a column uncovered."""
+    return all(rows) and _reach(rows[1:], rows[0]) == full
+
+
+def _closed_rows(vcount, edges):
+    """Closed neighbourhoods of a general graph as bit rows (bit v-1 for
+    vertex v); their reach is the whole vertex set exactly when the graph
+    is connected."""
+    rows = [1 << v for v in range(vcount)]
+    for a, b in edges:
+        rows[a - 1] |= 1 << (b - 1)
+        rows[b - 1] |= 1 << (a - 1)
+    return rows
 
 
 def ferrers_from_partition(lmbda: Partition, ncols: int) -> BipartiteGraph:
@@ -251,46 +222,16 @@ def ferrers_from_partition(lmbda: Partition, ncols: int) -> BipartiteGraph:
     return BipartiteGraph(len(lmbda), ncols, [(1 << p) - 1 for p in lmbda])
 
 
-def _rev_bits(mask: int, width: int) -> int:
-    out = 0
-    for j in range(width):
-        if mask >> j & 1:
-            out |= 1 << (width - 1 - j)
-    return out
-
-
 def is_ferrers(G: BipartiteGraph) -> bool:
     """True iff some row/column permutation puts the biadjacency in staircase form.
 
-    Sorts rows and columns by degree (nonincreasing, ties by
-    lexicographically larger row/column first) and checks that every row is
-    a left-justified run; nested neighborhoods make the sorted arrangement
-    staircase whenever any arrangement is.  Graphs with isolated vertices
-    fail: a staircase has a full first row and a nonempty last one.
+    That holds exactly when the row neighbourhoods are nested: sorted by
+    size, each lies inside the next.  A staircase also has a full first row
+    and a nonempty last one, so graphs with isolated vertices fail.
     """
-    degs_v = G.degrees_v()
-    if any(d == 0 for d in degs_v) or any(r == 0 for r in G.rows):
-        return False
-    # order columns by (degree desc, column bit-vector desc read from row 1)
-    cols = [
-        sum((G.rows[i] >> j & 1) << (G.m - 1 - i) for i in range(G.m))
-        for j in range(G.n)
-    ]
-    order = sorted(range(G.n), key=lambda j: (-degs_v[j], -cols[j]))
-    remap = [0] * G.n
-    for newpos, j in enumerate(order):
-        remap[j] = newpos
-    rows = []
-    for r in G.rows:
-        out = 0
-        mask = r
-        while mask:
-            low = mask & -mask
-            out |= 1 << remap[low.bit_length() - 1]
-            mask ^= low
-        rows.append(out)
-    rows.sort(key=lambda r: (-r.bit_count(), -_rev_bits(r, G.n)))
-    return all(r == (1 << r.bit_count()) - 1 for r in rows)
+    rows = sorted(G.rows, key=int.bit_count)
+    return (rows[0] != 0 and rows[-1] == (1 << G.n) - 1
+            and all(a & ~b == 0 for a, b in zip(rows, rows[1:])))
 
 
 def laplacian(G) -> list:

@@ -88,13 +88,14 @@ def _is_exact(seq) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in seq)
 
 
-def majorizes(a, b, tol: float = MAJORIZATION_TOL) -> bool:
+def majorizes(a, b) -> bool:
     """True iff ``a`` is majorized by ``b`` (written a < b in the literature).
 
     Every prefix sum of the nonincreasing rearrangement of ``a`` must be at
     most the corresponding prefix sum of ``b``, with equality for the full
     sum.  Sequences of unequal length are zero-padded to the longer one.
-    Comparison is exact for int/Fraction entries, within ``tol`` otherwise.
+    Comparison is exact for int/Fraction entries, within
+    ``MAJORIZATION_TOL`` otherwise.
     """
     a = sorted(a, reverse=True)
     b = sorted(b, reverse=True)
@@ -109,11 +110,11 @@ def majorizes(a, b, tol: float = MAJORIZATION_TOL) -> bool:
         if exact:
             if sa > sb:
                 return False
-        elif sa > sb + tol:
+        elif sa > sb + MAJORIZATION_TOL:
             return False
     if exact:
         return sa == sb
-    return abs(sa - sb) <= tol
+    return abs(sa - sb) <= MAJORIZATION_TOL
 
 
 def gale_ryser(a: Partition, b: Partition) -> bool:

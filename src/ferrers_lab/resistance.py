@@ -114,19 +114,6 @@ def resistance(G, i: int, j: int) -> Fraction:
     return _GraphCtx(G).resistance(i, j)
 
 
-def _resistance_in_component(G: Graph, i: int, j: int) -> Fraction:
-    """Resistance inside the component containing both vertices."""
-    for comp in G.components():
-        if i in comp:
-            if j not in comp:
-                raise ValueError("vertices lie in different components")
-            if len(comp) == G.vcount:
-                return resistance(G, i, j)
-            sub = G.induced(comp)
-            return resistance(sub, comp.index(i) + 1, comp.index(j) + 1)
-    raise ValueError("vertex out of range")
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of the eleven-condition edge-deletion equivalence check."""
@@ -266,8 +253,8 @@ def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateRepo
     must satisfy L w = x_f for f = {u_p, v_n}, checked in integers as
     L (p n w) = p n x_f; and deleting f must leave the resistance between
     u_{p+1} and v_k unchanged.  Both checks are exact.  When deleting f
-    isolates v_n (p = 1), the resistance after deletion is taken in the
-    component containing both vertices.
+    isolates v_n (p = 1), the resistance after deletion is taken on the
+    other m + n - 1 vertices.
     """
     m = len(lmbda)
     n = lmbda[0] if m else 0
@@ -293,10 +280,10 @@ def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateRepo
     u_next, v_k = p + 1, m + k
     before = resistance(G, u_next, v_k)
     g_f = G.delete_edge(f_edge)
-    if g_f.is_connected():
-        after = resistance(g_f, u_next, v_k)
-    else:
-        after = _resistance_in_component(g_f, u_next, v_k)
+    if p == 1:
+        # v_n, the last vertex, lost its only edge
+        g_f = Graph(total - 1, g_f.edges)
+    after = resistance(g_f, u_next, v_k)
     return CertificateReport(w_is_solution=w_ok, resistance_equal=before == after)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactla import InternalCheckError
-from .graphs import BipartiteGraph, laplacian, normalized_laplacian
+from .graphs import BipartiteGraph, _closed_rows, _reach, laplacian, normalized_laplacian
 
 #: default absolute tolerance for floating comparisons in reports
 TOL = 1e-9
@@ -279,15 +279,22 @@ def reflected_product_check(G: BipartiteGraph, k: int) -> BoundCheck:
 def dense_cut_vertex_hypothesis(G: BipartiteGraph) -> bool:
     """True iff density >= 0.544 and some cut vertex has degree exactly 2.
 
-    Density is compared exactly (544/1000); the cut test removes each
-    degree-2 vertex and looks for a component split.
+    Density is compared exactly (544/1000).  Removing a degree-2 vertex
+    splits its component into at most the two pieces holding its
+    neighbours, so it is a cut vertex exactly when the bit-row reach of one
+    neighbour in G - v misses the other.
     """
     rho = _density(G)
     if rho < Fraction(544, 1000):
         return False
-    graph = G.to_graph()
-    degs = graph.degrees()
-    return any(
-        degs[v - 1] == 2 and graph.is_cut_vertex(v)
-        for v in range(1, graph.vcount + 1)
-    )
+    rows = _closed_rows(G.vcount, G.to_graph().edges)
+    for v, row in enumerate(rows):
+        keep = ~(1 << v)
+        nbrs = row & keep
+        if nbrs.bit_count() != 2:
+            continue
+        x = nbrs & -nbrs
+        rest = [r & keep for w, r in enumerate(rows) if w != v]
+        if not _reach(rest, rows[x.bit_length() - 1] & keep) & (nbrs ^ x):
+            return True
+    return False

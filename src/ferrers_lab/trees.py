@@ -1,9 +1,12 @@
 """Spanning-tree counting, explicit enumeration, and the weighted tree polynomial.
 
 The count comes from a Laplacian cofactor (exact, Bareiss); enumeration is
-a deletion/contraction backtrack over the sorted edge list with a
-connectivity prune, guarded by a budget.  The weighted polynomial assigns
-each spanning tree the monomial prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}
+a deletion/contraction backtrack over the sorted edge list, guarded by a
+budget.  An edge is included when it joins two components of the chosen
+forest (one vertex mask per component), and skipped only while those
+masks and the remaining edges, as bit rows, still connect the graph: the
+bit-row reach of ``graphs``.  The weighted polynomial assigns each
+spanning tree the monomial prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}
 and is available both brute-force and in product form for staircase graphs.
 """
 
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, tree_count
-from .graphs import BipartiteGraph, ferrers_invariant, laplacian
+from .graphs import BipartiteGraph, _rows_connected, ferrers_invariant, laplacian
 from .partitions import Partition, conjugate
 
 
@@ -130,37 +133,6 @@ def tau(G) -> int:
     return tree_count(laplacian(G))
 
 
-class _DisjointSet:
-    def __init__(self, n):
-        self.parent = list(range(n + 1))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _spans(vcount, chosen, remaining):
-    ds = _DisjointSet(vcount)
-    comps = vcount
-    for a, b in chosen:
-        if ds.union(a, b):
-            comps -= 1
-    for a, b in remaining:
-        if ds.union(a, b):
-            comps -= 1
-    return comps == 1
-
-
 def enumerate_spanning_trees(G, budget: int | None = None) -> list:
     """All spanning trees as sorted edge tuples, each exactly once.
 
@@ -181,28 +153,29 @@ def enumerate_spanning_trees(G, budget: int | None = None) -> list:
         )
     edges = G.sorted_edges()
     n = G.vcount
+    full = (1 << n) - 1
+    bits = [1 << (a - 1) | 1 << (b - 1) for a, b in edges]
     trees = []
     chosen = []
 
-    def walk(idx, ds, picked):
+    # comp[v - 1] is the vertex mask of v's component in the chosen forest,
+    # bits[i] the mask of the endpoints of edges[i]
+    def walk(idx, comp, picked):
         if picked == n - 1:
             trees.append(tuple(chosen))
             return
         if idx == len(edges):
             return
         a, b = edges[idx]
-        ra, rb = ds.find(a), ds.find(b)
-        if ra != rb:
-            nxt = _DisjointSet(0)
-            nxt.parent = list(ds.parent)
-            nxt.union(ra, rb)
+        if not comp[a - 1] >> (b - 1) & 1:
+            joined = comp[a - 1] | comp[b - 1]
             chosen.append(edges[idx])
-            walk(idx + 1, nxt, picked + 1)
+            walk(idx + 1, [joined if c & joined else c for c in comp], picked + 1)
             chosen.pop()
-        if _spans(n, chosen, edges[idx + 1:]):
-            walk(idx + 1, ds, picked)
+        if _rows_connected(comp + bits[idx + 1:], full):
+            walk(idx + 1, comp, picked)
 
-    walk(0, _DisjointSet(n), 0)
+    walk(0, [1 << v for v in range(n)], 0)
     trees.sort()
     if len(trees) != count:
         raise InternalCheckError("enumeration found %d trees, cofactor says %d"
@@ -245,7 +218,7 @@ def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> MultiPoly:
     if conjugate(lmbda) != lmbda_dual:
         raise ValueError("second argument must be the conjugate of the first")
     m, n = len(lmbda), len(lmbda_dual)
-    if lmbda[0] != n or lmbda_dual[0] != m:
+    if not m or lmbda[0] != n or lmbda_dual[0] != m:
         raise ValueError("partition does not describe a connected staircase graph")
     arity = m + n
     poly = MultiPoly.monomial(arity, [1] * arity)

@@ -141,6 +141,36 @@ def inflate_tau_of(target):
 
 
 # ---------------------------------------------------------------------------
+# connectivity oracle: union-find over an edge list, independent of the
+# runtime's bit-row reach
+# ---------------------------------------------------------------------------
+
+
+def components(n, edges, forest=False):
+    """Component vertex sets of the graph on vertices 1..n, by union-find;
+    with ``forest`` set, None as soon as an edge closes a cycle."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            if forest:
+                return None
+            continue
+        parent[rb] = ra
+    comps = {}
+    for v in range(1, n + 1):
+        comps.setdefault(find(v), set()).add(v)
+    return list(comps.values())
+
+
+# ---------------------------------------------------------------------------
 # rational oracles: plain Gaussian elimination over Fraction, independent of
 # the runtime's fraction-free integer kernel
 # ---------------------------------------------------------------------------

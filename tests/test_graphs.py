@@ -31,6 +31,7 @@ from conftest import (
     EXAMPLE_LAPLACIAN,
     bipartite_cycle,
     complete_bipartite,
+    components,
     example_staircase,
     partitions_up_to,
     random_connected_bipartite,
@@ -124,6 +125,8 @@ def _is_staircase_under(g, row_perm, col_perm):
     degs = [g.rows[i].bit_count() for i in row_perm]
     if any(degs[k] < degs[k + 1] for k in range(len(degs) - 1)):
         return False
+    if degs[0] != g.n or degs[-1] == 0:  # a full first row, a nonempty last one
+        return False
     for pos, i in enumerate(row_perm):
         want = set(col_perm[: degs[pos]])
         got = {j for j in range(g.n) if g.rows[i] >> j & 1}
@@ -159,9 +162,31 @@ def test_is_ferrers_complete_and_isolated():
 
 
 def test_is_ferrers_matches_bruteforce(rng):
-    for _ in range(40):
-        g = random_connected_bipartite(rng, max_m=3, max_n=4)
-        assert is_ferrers(g) == brute_force_is_ferrers(g)
+    graphs = [random_connected_bipartite(rng, max_m=3, max_n=4) for _ in range(40)]
+    # every matrix up to 3 x 3, zero rows and empty columns included
+    graphs += [
+        BipartiteGraph(m, n, rows)
+        for m in range(1, 4)
+        for n in range(1, 4)
+        for rows in itertools.product(range(1 << n), repeat=m)
+    ]
+    for g in graphs:
+        assert is_ferrers(g) == brute_force_is_ferrers(g), g
+
+
+def test_graph_is_connected_matches_union_find(rng):
+    # seeded random general graphs, the empty and one-vertex graphs included
+    for n in range(9):
+        for _ in range(30):
+            p = rng.random()
+            edges = [
+                (a, b)
+                for a in range(1, n + 1)
+                for b in range(a + 1, n + 1)
+                if rng.random() < p
+            ]
+            expected = len(components(n, edges)) <= 1
+            assert Graph(n, edges).is_connected() == expected, (n, edges)
 
 
 def test_normalized_laplacian_single_edge():

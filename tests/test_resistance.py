@@ -23,7 +23,12 @@ from ferrers_lab import (
 )
 from ferrers_lab.resistance import _graph_reps, _incidence_code, admissible_edge_pairs
 
-from conftest import as_matrix, connected_ferrers_partitions, random_connected_graph
+from conftest import (
+    as_matrix,
+    components,
+    connected_ferrers_partitions,
+    random_connected_graph,
+)
 
 K4 = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 C4 = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -93,7 +98,7 @@ def test_resistance_matches_forest_count_oracle(rng):
         for i, j in itertools.combinations(range(1, n + 1), 2):
             count = 0
             for subset in itertools.combinations(edges, n - 2):
-                comps = _forest_components(n, subset)
+                comps = components(n, subset, forest=True)
                 if comps is None or len(comps) != 2:
                     continue
                 if (i in comps[0]) != (j in comps[0]):
@@ -103,29 +108,8 @@ def test_resistance_matches_forest_count_oracle(rng):
             assert resistance(g, i, j) == Fraction(count, trees)
 
 
-def _forest_components(n, subset):
-    """Component vertex sets if the edge subset is acyclic, else None."""
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in subset:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return None
-        parent[rb] = ra
-    comps = {}
-    for v in range(1, n + 1):
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values())
-
-
 def _is_spanning_tree(n, subset):
-    comps = _forest_components(n, subset)
+    comps = components(n, subset, forest=True)
     return comps is not None and len(comps) == 1
 
 

@@ -31,6 +31,7 @@ from ferrers_lab.search import (
 from conftest import (
     bipartite_cycle,
     complete_bipartite,
+    components,
     example_staircase,
     inflate_tau_of,
     random_connected_bipartite,
@@ -385,15 +386,17 @@ def test_enumeration_candidate_counts(spec, candidates):
 
 
 def test_rows_connected_matches_graph_connectivity():
-    # the bit-row test, zero rows included, against the components of the
-    # general graph
+    # the bit-row test, zero rows included, against union-find components
+    # of the general graph
     for m, n in ((1, 3), (2, 3), (3, 3), (3, 4), (4, 3)):
         full = (1 << n) - 1
         for rows in itertools.product(range(1 << n), repeat=m):
             g = BipartiteGraph(m, n, rows)
-            expected = g.to_graph().is_connected()
+            h = g.to_graph()
+            expected = len(components(h.vcount, h.edges)) == 1
             assert _rows_connected(rows, full) == expected, (m, n, rows)
             assert g.is_connected() == expected, (m, n, rows)
+            assert h.is_connected() == expected, (m, n, rows)
 
 
 def test_connected_bipartite_counts_match_oeis_a005142():

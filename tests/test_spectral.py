@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from ferrers_lab.spectral import eigen_residual
 from conftest import (
     bipartite_cycle,
     complete_bipartite,
+    components,
     example_staircase,
     random_connected_bipartite,
 )
@@ -205,6 +208,32 @@ def test_dense_cut_vertex_hypothesis():
     assert dense_cut_vertex_hypothesis(complete_bipartite(1, 2))  # P3
     assert not dense_cut_vertex_hypothesis(complete_bipartite(2, 2))
     assert not dense_cut_vertex_hypothesis(example_staircase())
+
+
+def test_dense_cut_vertex_hypothesis_matches_component_count():
+    # the definition, on every matrix up to 3 x 4: density >= 0.544 and a
+    # degree-2 vertex whose removal raises the union-find component count
+    dense_disconnected = {True: 0, False: 0}
+    for m in range(1, 4):
+        for n in range(1, 5):
+            for rows in itertools.product(range(1 << n), repeat=m):
+                g = BipartiteGraph(m, n, rows)
+                h = g.to_graph()
+                k = h.vcount
+                edges = h.sorted_edges()
+                before = len(components(k, edges))
+                degs = h.degrees()
+                dense = Fraction(len(edges), m * n) >= Fraction(544, 1000)
+                # without its edges v stays behind as one more component
+                expected = dense and any(
+                    degs[v - 1] == 2
+                    and len(components(k, [e for e in edges if v not in e])) - 1 > before
+                    for v in range(1, k + 1)
+                )
+                assert dense_cut_vertex_hypothesis(g) == expected, (m, n, rows)
+                if dense and before > 1:
+                    dense_disconnected[expected] += 1
+    assert all(dense_disconnected.values()), dense_disconnected
 
 
 def test_spectrum_report_residual_bound(rng):

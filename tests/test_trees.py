@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from ferrers_lab import (
 from conftest import (
     bipartite_cycle,
     complete_bipartite,
+    components,
     connected_ferrers_partitions,
     example_staircase,
     random_connected_graph,
@@ -64,6 +66,22 @@ def test_enumeration_matches_tau(rng):
     for _ in range(15):
         g = random_connected_graph(rng, max_n=7)
         assert len(enumerate_spanning_trees(g)) == tau(g)
+
+
+def test_enumeration_matches_spanning_subsets(rng):
+    # the spanning trees are exactly the (n-1)-edge subsets that union-find
+    # finds connected, in the same sorted order
+    graphs = [example_staircase(), complete_bipartite(3, 3), Graph(1, [])]
+    graphs += [random_connected_graph(rng, max_n=6) for _ in range(12)]
+    for g in graphs:
+        h = g.to_graph() if isinstance(g, BipartiteGraph) else g
+        n = h.vcount
+        expected = [
+            subset
+            for subset in itertools.combinations(h.sorted_edges(), n - 1)
+            if len(components(n, subset)) == 1
+        ]
+        assert enumerate_spanning_trees(g) == expected, g
 
 
 def test_enumeration_budget_error():
@@ -112,6 +130,11 @@ def test_sigma_formula_rejects_mismatched_dual():
         sigma_formula(Partition((2, 2)), Partition((2, 1, 1)))
     with pytest.raises(ValueError):
         sigma_formula(Partition((2, 1)), Partition((2, 2)))
+
+
+def test_sigma_formula_rejects_empty_partition():
+    with pytest.raises(ValueError, match="connected staircase"):
+        sigma_formula(Partition(()), Partition(()))
 
 
 def test_sigma_formula_matches_bruteforce_small_staircases():
