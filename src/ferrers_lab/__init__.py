@@ -39,7 +39,7 @@ from .trees import (
     tree_report,
 )
 from .spectral import (
-    BoundCheck,
+    BoundReport,
     SpectrumReport,
     dense_cut_vertex_hypothesis,
     jacobi_eigh,
@@ -73,7 +73,6 @@ from .search import (
     verify_ferrers_bound,
 )
 from .conjectures import (
-    BoundReport,
     bozkurt_check,
     ferrers_bound_check,
     graph_majorization_instance,

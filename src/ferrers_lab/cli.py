@@ -152,7 +152,7 @@ def _search_doc(args, report):
 
 def _bound_doc(check):
     return {"lhs": check.lhs, "rhs": check.rhs, "holds": check.holds,
-            "tight": check.tight, "tol": check.tol}
+            "tight": check.equality, "tol": check.tol}
 
 
 def _cmd_gen(args):
@@ -197,10 +197,10 @@ def _cmd_spectral(args):
     }
     checks = {}
     checks["sqrt_edge_bound"] = _bound_doc(
-        sqrt_edge_bound_check(graph, lhs=report.lambda_max))
+        sqrt_edge_bound_check(graph, report.lambda_max))
     try:
         checks["normalized_product"] = _bound_doc(
-            normalized_product_check(graph, mu=report.normalized_spectrum))
+            normalized_product_check(graph, report.normalized_spectrum))
     except ValueError as exc:
         checks["normalized_product"] = {"skipped": str(exc)}
     checks["dense_cut_vertex"] = {"holds": dense_cut_vertex_hypothesis(graph)}

@@ -10,46 +10,12 @@ and the tolerance is recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import BipartiteGraph
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
-from .spectral import TOL, laplacian_spectrum
+from .spectral import TOL, BoundReport, laplacian_spectrum
 from .trees import tau, tree_report
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One lhs <= rhs comparison with its arithmetic mode spelled out.
-
-    ``mode`` is "exact" or "tolerance"; with hypotheses-gated checks whose
-    hypotheses fail, ``holds``/``equality`` are None and the notes say so.
-    """
-
-    name: str
-    lhs: object
-    rhs: object
-    holds: bool | None
-    equality: bool | None
-    mode: str
-    tol: float = 0.0
-    notes: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "equality": self.equality,
-            "mode": self.mode,
-        }
-        if self.mode == "tolerance":
-            out["tol"] = self.tol
-        if self.notes:
-            out["notes"] = self.notes
-        return out
 
 
 def _is_complete_bipartite(G: BipartiteGraph) -> bool:

@@ -14,6 +14,7 @@ neighbourhoods, are joined from a seed row until nothing more meets it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import Partition
@@ -23,29 +24,24 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph files; carries the offending line number."""
 
 
+@dataclass(frozen=True, slots=True)
 class BipartiteGraph:
     """Simple bipartite graph on parts U (rows) and V (columns)."""
 
-    __slots__ = ("m", "n", "rows")
+    m: int
+    n: int
+    rows: tuple
 
-    def __init__(self, m: int, n: int, rows):
-        rows = tuple(int(r) for r in rows)
-        if m < 1 or n < 1:
+    def __post_init__(self):
+        rows = tuple(int(r) for r in self.rows)
+        if self.m < 1 or self.n < 1:
             raise ValueError("both parts must be nonempty")
-        if len(rows) != m:
-            raise ValueError("expected %d rows, got %d" % (m, len(rows)))
-        full = (1 << n) - 1
+        if len(rows) != self.m:
+            raise ValueError("expected %d rows, got %d" % (self.m, len(rows)))
+        full = (1 << self.n) - 1
         if any(r < 0 or r > full for r in rows):
-            raise ValueError("row mask out of range for %d columns" % n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+            raise ValueError("row mask out of range for %d columns" % self.n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BipartiteGraph is immutable")
-
-    def __reduce__(self):
-        return (BipartiteGraph, (self.m, self.n, self.rows))
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
@@ -97,45 +93,27 @@ class BipartiteGraph:
     def is_connected(self) -> bool:
         return _rows_connected(self.rows, (1 << self.n) - 1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BipartiteGraph)
-            and self.m == other.m
-            and self.n == other.n
-            and self.rows == other.rows
-        )
 
-    def __hash__(self):
-        return hash((self.m, self.n, self.rows))
-
-    def __repr__(self):
-        return "BipartiteGraph(m=%d, n=%d, rows=%r)" % (self.m, self.n, self.rows)
-
-
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with vertices 1..vcount."""
 
-    __slots__ = ("vcount", "edges")
+    vcount: int
+    edges: frozenset
 
-    def __init__(self, vcount: int, edges):
+    def __post_init__(self):
+        vcount = self.vcount
         if vcount < 0:
             raise ValueError("negative vertex count")
         norm = set()
-        for a, b in edges:
+        for a, b in self.edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("loop at vertex %d" % a)
             if not (1 <= a <= vcount and 1 <= b <= vcount):
                 raise ValueError("edge (%d,%d) out of range" % (a, b))
             norm.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "vcount", vcount)
         object.__setattr__(self, "edges", frozenset(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):
-        return (Graph, (self.vcount, tuple(sorted(self.edges))))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -159,16 +137,6 @@ class Graph:
             return True
         return _rows_connected(_closed_rows(self.vcount, self.edges),
                                (1 << self.vcount) - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vcount == other.vcount
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vcount, self.edges))
 
     def __repr__(self):
         return "Graph(vcount=%d, edges=%d)" % (self.vcount, len(self.edges))

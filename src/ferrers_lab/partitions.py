@@ -6,31 +6,27 @@ sequences (graph spectra are floats); everything else is integer-exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 #: absolute tolerance for prefix-sum comparisons on floating sequences
 MAJORIZATION_TOL = 1e-9
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A nonincreasing sequence of positive integers."""
 
-    __slots__ = ("parts",)
+    parts: tuple
 
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+    def __post_init__(self):
+        parts = tuple(int(p) for p in self.parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("partition parts must be positive, got %r" % (p,))
             if i > 0 and parts[i - 1] < p:
                 raise ValueError("partition parts must be nonincreasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return (Partition, (self.parts,))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -56,12 +52,6 @@ class Partition:
 
     def __getitem__(self, i):
         return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)

@@ -95,7 +95,8 @@ class _GraphCtx:
         plus = mp.numerators
         a, b = i - 1, j - 1
         via_mp = Fraction(plus[a][a] + plus[b][b] - 2 * plus[a][b], mp.denominator)
-        via_det = Fraction(self.minor_det([i, j]), self.minor_det([i]))
+        # minor_det([i]) is tau by the matrix-tree theorem, cached already
+        via_det = Fraction(self.minor_det([i, j]), self.tau())
         if via_mp != via_det:
             raise InternalCheckError(
                 "resistance routes disagree: %s vs %s" % (via_mp, via_det)

@@ -302,13 +302,13 @@ def _dedupe_final(found):
     return [by_code[c] for c in sorted(by_code)]
 
 
-def enumerate_class(spec: ClassSpec, guard: int | None = None) -> list:
+def enumerate_class(spec: ClassSpec) -> list:
     """One representative per isomorphism class, sorted by canonical code.
 
-    Every class kind excludes isolated vertices.  The candidate guard is
-    ``CANDIDATE_GUARD`` unless ``guard`` is given.
+    Every class kind excludes isolated vertices.  At most
+    ``CANDIDATE_GUARD`` candidates are examined.
     """
-    counter = _Counter(CANDIDATE_GUARD if guard is None else guard)
+    counter = _Counter(CANDIDATE_GUARD)
     if spec.kind == "kpqe":
         return _enumerate_kpqe(spec, counter)
     if spec.kind == "degree_class":
@@ -406,6 +406,15 @@ class SearchReport:
         }
 
 
+def _admit_columns(columns: int, what: str):
+    """Raise ``BudgetExceeded`` when a search's widest class has more
+    columns than canonical codes support; ``what`` names the column count
+    with one ``%d``, as for ``admit``."""
+    if columns > MAX_CODE_SIDE:
+        raise BudgetExceeded("%s, over the %d-column cap of canonical codes"
+                             % (what % columns, MAX_CODE_SIDE))
+
+
 def _ferrers_check_one(g: BipartiteGraph):
     report = tree_report(g)
     t, inv = report.tau, report.ferrers_invariant
@@ -439,11 +448,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     staircase recognition are surfaced separately in the details.
     """
     admit(max_vertices, DEFAULT_SCAN_VERTICES, budget, "scan of %d vertices")
-    if max_vertices - 1 > MAX_CODE_SIDE:
-        raise BudgetExceeded(
-            "scan columns range up to max_vertices-1=%d, over the %d-column "
-            "cap of canonical codes" % (max_vertices - 1, MAX_CODE_SIDE)
-        )
+    _admit_columns(max_vertices - 1, "scan columns range up to max_vertices-1=%d")
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
     graphs = enumerate_class(spec)
@@ -496,6 +501,7 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
     """
     spec = ClassSpec.kpqe(p, q, e)
     admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")
+    _admit_columns(q, "spectral search needs q=%d columns")
     start = time.monotonic()
     graphs = enumerate_class(spec)
     top, maxima = _maximizers(graphs, jobs)
@@ -526,11 +532,7 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
     spec = ClassSpec.degree_class(degrees)
     admit(len(degrees) * degrees[0], DEFAULT_SPECTRAL_PQ, budget,
           "degree class m*d1=%d")
-    if sum(degrees) > MAX_CODE_SIDE:
-        raise BudgetExceeded(
-            "degree class columns range up to sum(D)=%d, over the %d-column "
-            "cap of canonical codes" % (sum(degrees), MAX_CODE_SIDE)
-        )
+    _admit_columns(sum(degrees), "degree class columns range up to sum(D)=%d")
     start = time.monotonic()
     graphs = enumerate_class(spec)
     top, maxima = _maximizers(graphs, jobs)

@@ -6,6 +6,10 @@ Adjacency spectral radius is computed through the m x m Gram matrix B B'
 of the biadjacency matrix, halving the dimension and keeping the computed
 square nonnegative.  Verdicts that can be exact (density comparisons) use
 rationals; everything floating carries an explicit tolerance.
+
+``BoundReport`` is the one bound-comparison record of the package: the
+checks here return it with mode "tolerance", and ``conjectures`` returns it
+for its exact and tolerance checks alike.
 """
 
 from __future__ import annotations
@@ -177,77 +181,93 @@ def spectrum_report(G: BipartiteGraph) -> SpectrumReport:
 
 
 @dataclass(frozen=True)
-class BoundCheck:
-    """One floating bound comparison with its tolerance spelled out."""
+class BoundReport:
+    """One lhs <= rhs comparison with its arithmetic mode spelled out.
+
+    ``mode`` is "exact" or "tolerance"; with hypotheses-gated checks whose
+    hypotheses fail, ``holds``/``equality`` are None and the notes say so.
+    """
 
     name: str
-    lhs: float
-    rhs: float
-    holds: bool
-    tight: bool
-    tol: float
+    lhs: object
+    rhs: object
+    holds: bool | None
+    equality: bool | None
+    mode: str
+    tol: float = 0.0
     notes: dict = field(default_factory=dict)
 
+    def as_dict(self) -> dict:
+        out = {
+            "name": self.name,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "holds": self.holds,
+            "equality": self.equality,
+            "mode": self.mode,
+        }
+        if self.mode == "tolerance":
+            out["tol"] = self.tol
+        if self.notes:
+            out["notes"] = self.notes
+        return out
 
-def sqrt_edge_bound_check(G: BipartiteGraph, lhs: float | None = None) -> BoundCheck:
-    """Adjacency spectral radius against sqrt(edge count).
+
+def sqrt_edge_bound_check(G: BipartiteGraph, lhs: float) -> BoundReport:
+    """Adjacency spectral radius ``lhs`` of G against sqrt(edge count).
 
     The bound always holds; it is tight exactly on complete bipartite
-    graphs (possibly with isolated vertices).  ``lhs`` is the spectral
-    radius when the caller has already computed it.
+    graphs (possibly with isolated vertices).
     """
-    if lhs is None:
-        lhs = spectral_radius(G)
     rhs = math.sqrt(G.edge_count())
     tol = 1e-8
     if lhs > rhs + tol:
         raise InternalCheckError(
             "spectral radius %.12g exceeds sqrt(e) %.12g" % (lhs, rhs)
         )
-    return BoundCheck(
+    return BoundReport(
         name="sqrt_edge_bound",
         lhs=lhs,
         rhs=rhs,
         holds=True,
-        tight=abs(lhs - rhs) <= tol,
+        equality=abs(lhs - rhs) <= tol,
+        mode="tolerance",
         tol=tol,
     )
 
 
-def normalized_product_check(G: BipartiteGraph, mu: list | None = None) -> BoundCheck:
-    """Product of the vcount-2 middle normalized eigenvalues against density.
+def normalized_product_check(G: BipartiteGraph, mu: list) -> BoundReport:
+    """Product of the vcount-2 middle normalized eigenvalues ``mu`` vs density.
 
     For connected bipartite graphs the spectrum runs from the top value 2
     down to a single 0; the product spans everything strictly between.
     Through tau = (prod(deg)/sum(deg)) * prod(nonzero mu) this comparison
     is the tree-count-vs-degree-product bound in spectral form, with
     equality on staircase graphs.  The density e/(m*n) is exact and is
-    rounded to float only for the comparison (nearest double).  ``mu`` is
-    the normalized spectrum when the caller has already computed it.
+    rounded to float only for the comparison (nearest double).
     """
     total = G.m + G.n
     if total < 3:
         raise ValueError("need at least 3 vertices")
-    if mu is None:
-        mu = normalized_spectrum(G)
-    elif not G.is_connected():
+    if not G.is_connected():
         raise ValueError("normalized spectrum requires a connected graph")
     product = 1.0
     for x in mu[1: total - 1]:
         product *= x
     rho = _density(G)
-    return BoundCheck(
+    return BoundReport(
         name="normalized_product",
         lhs=product,
         rhs=float(rho),
         holds=product <= float(rho) + TOL,
-        tight=abs(product - float(rho)) <= TOL,
+        equality=abs(product - float(rho)) <= TOL,
+        mode="tolerance",
         tol=TOL,
         notes={"rho": rho},
     )
 
 
-def reflected_product_check(G: BipartiteGraph, k: int) -> BoundCheck:
+def reflected_product_check(G: BipartiteGraph, k: int) -> BoundReport:
     """Product of mu_i(2 - mu_i) over the k largest eigenvalues vs density.
 
     Bipartite normalized spectra are symmetric about 1, so 2 - mu is the
@@ -265,12 +285,13 @@ def reflected_product_check(G: BipartiteGraph, k: int) -> BoundCheck:
     for x in mu[:k]:
         product *= x * (2.0 - x)
     rho = _density(G)
-    return BoundCheck(
+    return BoundReport(
         name="reflected_product",
         lhs=product,
         rhs=float(rho),
         holds=product <= float(rho) + TOL,
-        tight=abs(product - float(rho)) <= TOL,
+        equality=abs(product - float(rho)) <= TOL,
+        mode="tolerance",
         tol=TOL,
         notes={"rho": rho, "k": k},
     )

@@ -21,6 +21,7 @@ from .graphs import BipartiteGraph, _rows_connected, ferrers_invariant, laplacia
 from .partitions import Partition, conjugate
 
 
+@dataclass(frozen=True, slots=True)
 class MultiPoly:
     """Multivariate polynomial with integer coefficients.
 
@@ -29,26 +30,20 @@ class MultiPoly:
     have identical renderings.
     """
 
-    __slots__ = ("arity", "terms")
+    arity: int
+    terms: dict = None
 
-    def __init__(self, arity: int, terms=None):
+    def __post_init__(self):
         clean = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in (self.terms or {}).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != arity:
+            if len(exps) != self.arity:
                 raise ValueError("exponent vector has arity %d, expected %d"
-                                 % (len(exps), arity))
+                                 % (len(exps), self.arity))
             coeff = int(coeff)
             if coeff:
                 clean[exps] = coeff
-        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        return (MultiPoly, (self.arity, self.terms))
 
     @classmethod
     def monomial(cls, arity: int, exps, coeff: int = 1) -> "MultiPoly":
@@ -96,13 +91,6 @@ class MultiPoly:
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.arity, tuple(self.sorted_terms())))

@@ -455,27 +455,34 @@ def test_thm71_scan_failure_witnesses_cross_the_pool(capsys, monkeypatch):
     assert csv_values == values
 
 
-def test_scan_over_code_cap_is_budget_exit(capsys):
-    # the budget admits 14 vertices, but the columns range up to 13 > 12
+def _assert_code_cap_exit(argv, capsys):
     start = time.monotonic()
-    code, out, err = run_cli(
-        ["verify-ferrers-bound", "--max-vertices", "14", "--budget", "14"], capsys
-    )
+    code, out, err = run_cli(argv, capsys)
     assert time.monotonic() - start < 1.0
     assert code == 3 and out == ""
     assert err.startswith("ferrers-lab: budget exceeded: ")
     assert "12-column cap" in err and err.count("\n") == 1
+
+
+def test_scan_over_code_cap_is_budget_exit(capsys):
+    # the budget admits 14 vertices, but the columns range up to 13 > 12
+    _assert_code_cap_exit(
+        ["verify-ferrers-bound", "--max-vertices", "14", "--budget", "14"], capsys
+    )
 
 
 @pytest.mark.parametrize("degrees", ["4,4,4,4", "4,4,4,4,4"])
 def test_degree_class_over_code_cap_is_budget_exit(degrees, capsys):
     # m*d1 is within the budget, but the columns range up to sum(D) > 12
-    start = time.monotonic()
-    code, out, err = run_cli(["degree-class", "--D", degrees], capsys)
-    assert time.monotonic() - start < 1.0
-    assert code == 3 and out == ""
-    assert err.startswith("ferrers-lab: budget exceeded: ")
-    assert "12-column cap" in err and err.count("\n") == 1
+    _assert_code_cap_exit(["degree-class", "--D", degrees], capsys)
+
+
+def test_spectral_search_over_code_cap_is_budget_exit(capsys):
+    # the budget admits p*q = 26, but q = 13 > 12 columns
+    _assert_code_cap_exit(
+        ["spectral-search", "--p", "2", "--q", "13", "--e", "5", "--budget", "100"],
+        capsys,
+    )
 
 
 def test_exit_code_budget_reports_enumeration_progress(capsys, monkeypatch):

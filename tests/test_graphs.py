@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ from ferrers_lab import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
+    MultiPoly,
     Partition,
     bridge_join,
     conjugate,
@@ -324,3 +327,25 @@ def test_degree_sequences_pass_gale_ryser(rng):
         a = Partition(sorted(g.degrees_u(), reverse=True))
         b = Partition(sorted(g.degrees_v(), reverse=True))
         assert gale_ryser(a, b)
+
+
+@pytest.mark.parametrize("value, same, text", [
+    (Partition((3, 1)), Partition([3, 1]), "Partition((3, 1))"),
+    (BipartiteGraph(2, 3, (1, 7)),
+     BipartiteGraph.from_edges(2, 3, [(2, 3), (1, 1), (2, 1), (2, 2)]),
+     "BipartiteGraph(m=2, n=3, rows=(1, 7))"),
+    (Graph(3, [(1, 2), (2, 3)]), Graph(3, [(3, 2), (2, 1)]),
+     "Graph(vcount=3, edges=2)"),
+    (MultiPoly(2, {(1, 0): 2, (0, 1): 1}),
+     MultiPoly(2, {(0, 1): 1, (1, 0): 2, (1, 1): 0}),
+     "MultiPoly(arity=2, terms=2)"),
+], ids=["Partition", "BipartiteGraph", "Graph", "MultiPoly"])
+def test_value_type_contract(value, same, text):
+    # immutable, slotted, picklable and hashable by value; repr unchanged
+    for f in dataclasses.fields(value):
+        with pytest.raises(AttributeError):
+            setattr(value, f.name, getattr(value, f.name))
+    assert not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert value == same and hash(value) == hash(same)
+    assert repr(value) == text

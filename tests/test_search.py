@@ -377,12 +377,14 @@ def test_representatives_are_their_own_codes(spec):
     (ClassSpec.kpqe(4, 5, 10), 1365),
     (ClassSpec.degree_class(Partition((3, 3, 2, 1))), 1121),
 ], ids=lambda value: _spec_id(value) if isinstance(value, ClassSpec) else None)
-def test_enumeration_candidate_counts(spec, candidates):
+def test_enumeration_candidate_counts(spec, candidates, monkeypatch):
     # a parent is extended only by its twin-group fills no less than its
     # last row; the guard admits exactly the candidates examined
-    enumerate_class(spec, guard=candidates)
+    monkeypatch.setattr(search, "CANDIDATE_GUARD", candidates)
+    enumerate_class(spec)
+    monkeypatch.setattr(search, "CANDIDATE_GUARD", candidates - 1)
     with pytest.raises(BudgetExceeded):
-        enumerate_class(spec, guard=candidates - 1)
+        enumerate_class(spec)
 
 
 def test_rows_connected_matches_graph_connectivity():
@@ -408,9 +410,10 @@ def test_connected_bipartite_counts_match_oeis_a005142():
         [1, 1, 3, 5, 17, 44, 182, 730, 4032]
 
 
-def test_enumeration_guard_reports_progress():
+def test_enumeration_guard_reports_progress(monkeypatch):
+    monkeypatch.setattr(search, "CANDIDATE_GUARD", 500)
     with pytest.raises(BudgetExceeded) as info:
-        enumerate_class(ClassSpec.all_connected_bipartite(8), guard=500)
+        enumerate_class(ClassSpec.all_connected_bipartite(8))
     progress = info.value.progress
     assert sorted(progress) == ["candidates", "classes", "columns", "rows_done"]
     assert progress["candidates"] == 501

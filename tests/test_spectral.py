@@ -104,19 +104,23 @@ def test_spectral_radius_edgeless():
     assert spectral_radius(BipartiteGraph(2, 2, [0, 0])) == 0.0
 
 
+def _sqrt_edge(g):
+    return sqrt_edge_bound_check(g, spectral_radius(g))
+
+
 def test_sqrt_edge_bound():
-    assert sqrt_edge_bound_check(complete_bipartite(3, 3)).tight
-    assert sqrt_edge_bound_check(complete_bipartite(1, 2)).tight  # P3
+    assert _sqrt_edge(complete_bipartite(3, 3)).equality
+    assert _sqrt_edge(complete_bipartite(1, 2)).equality  # P3
     c6 = bipartite_cycle(3)
-    check = sqrt_edge_bound_check(c6)
-    assert not check.tight
+    check = _sqrt_edge(c6)
+    assert not check.equality
     assert abs(check.lhs - 2.0) <= 1e-9  # cycle spectral radius
 
 
 def test_sqrt_edge_bound_random(rng):
     for _ in range(20):
         g = random_connected_bipartite(rng)
-        check = sqrt_edge_bound_check(g)
+        check = _sqrt_edge(g)
         assert check.lhs <= check.rhs + 1e-8
 
 
@@ -174,14 +178,18 @@ def test_matrix_tree_spectral_cross_check(rng):
         assert abs(product / n - t) <= 1e-6 * t
 
 
+def _normalized_product(g):
+    return normalized_product_check(g, normalized_spectrum(g))
+
+
 def test_normalized_product_check():
     k22 = complete_bipartite(2, 2)
-    check = normalized_product_check(k22)
+    check = _normalized_product(k22)
     assert check.holds
     assert check.lhs <= 1 + 1e-9
-    assert normalized_product_check(example_staircase()).holds
+    assert _normalized_product(example_staircase()).holds
     with pytest.raises(ValueError):
-        normalized_product_check(complete_bipartite(1, 1))
+        _normalized_product(complete_bipartite(1, 1))
 
 
 def test_normalized_product_exhaustive_small():
@@ -189,7 +197,7 @@ def test_normalized_product_exhaustive_small():
 
     for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
         if g.m + g.n >= 3:
-            assert normalized_product_check(g).holds
+            assert _normalized_product(g).holds
 
 
 def test_reflected_product_check():
