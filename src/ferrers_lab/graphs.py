@@ -73,7 +73,13 @@ class BipartiteGraph:
         return [r.bit_count() for r in self.rows]
 
     def degrees_v(self) -> list:
-        return [sum(r >> j & 1 for r in self.rows) for j in range(self.n)]
+        deg = [0] * self.n
+        for r in self.rows:
+            while r:
+                low = r & -r
+                deg[low.bit_length() - 1] += 1
+                r ^= low
+        return deg
 
     def degrees(self) -> list:
         """All vertex degrees, U-part first."""

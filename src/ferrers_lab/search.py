@@ -11,7 +11,8 @@ vertex-edge incidence matrix (vertices as rows, edges as columns).
 
 Classes are generated row by row, once per column count, by orderly
 generation (Read 1978): a candidate is kept only when it is its own code,
-tested by a search bounded by the candidate itself.  The code is
+tested by the same search descending only while its prefix equals the
+candidate and stopping at the first smaller prefix.  The code is
 nondecreasing, its first k values are the code of those k rows, and each
 value fills the low end of the twin-column groups of the values above
 it; so each kept matrix is extended by those fills no less than its last
@@ -19,7 +20,10 @@ row, and every class is reached exactly once.  At the last level the
 class filters (connectivity, edge count, no empty column) run on the bit
 rows first.  Searches shard their per-graph checks over a process pool
 when asked; results merge in enumeration order so reports are
-byte-identical regardless of worker count.
+byte-identical regardless of worker count.  The degree-product scan
+recomputes the Schur-complement tree count of ``trees`` by the Laplacian
+cofactor on every equality case and counterexample; a disagreement raises
+``InternalCheckError``.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -38,7 +42,14 @@ from .budget import (
     BudgetExceeded,
     admit,
 )
-from .graphs import BipartiteGraph, _rows_connected, ferrers_from_partition, is_ferrers
+from .exactla import InternalCheckError, tree_count
+from .graphs import (
+    BipartiteGraph,
+    _rows_connected,
+    ferrers_from_partition,
+    is_ferrers,
+    laplacian,
+)
 from .partitions import Partition
 from .spectral import spectral_radius
 from .trees import tree_report
@@ -49,6 +60,43 @@ MAX_CODE_SIDE = 12
 SPECTRAL_TIE_TOL = 1e-9
 
 
+def _row_values(remaining, cells, floor=0):
+    """{row: value} for the distinct rows of ``remaining`` under the column
+    ``cells``, or None as soon as a value falls below ``floor``.
+
+    A row's value is its ones packed to the low end of each cell, the cells
+    in order: the least row it can become under column permutations that
+    keep the cells.  With ``_split`` this is the canonizer's one
+    refinement step.
+    """
+    vals = {}
+    for r in remaining:
+        if r not in vals:
+            v = 0
+            for cellmask, width in cells:
+                v = (v << width) | ((1 << (r & cellmask).bit_count()) - 1)
+            if v < floor:
+                return None
+            vals[r] = v
+    return vals
+
+
+def _split(remaining, cells, r):
+    """``remaining`` less one copy of row ``r``, and ``cells`` with each
+    cell split into its zeros of ``r``, then its ones."""
+    rest = list(remaining)
+    rest.remove(r)
+    newcells = []
+    for cellmask, width in cells:
+        ones = cellmask & r
+        zeros = cellmask ^ ones
+        if zeros:
+            newcells.append((zeros, zeros.bit_count()))
+        if ones:
+            newcells.append((ones, ones.bit_count()))
+    return rest, newcells
+
+
 def _code_rows(rows, n, bound=None):
     """Least tuple of row values over row/column permutations (parts fixed).
 
@@ -56,7 +104,6 @@ def _code_rows(rows, n, bound=None):
     min(code, bound) and gives up on a branch as soon as it exceeds bound.
     """
     best = bound
-    full = (1 << n) - 1
 
     def rec(remaining, cells, acc):
         nonlocal best
@@ -65,41 +112,40 @@ def _code_rows(rows, n, bound=None):
             if best is None or cand < best:
                 best = cand
             return
-        vals = {}
-        for r in remaining:
-            if r in vals:
-                continue
-            v = 0
-            for cellmask, width in cells:
-                v = (v << width) | ((1 << (r & cellmask).bit_count()) - 1)
-            vals[r] = v
+        vals = _row_values(remaining, cells)
         vmin = min(vals.values())
-        depth = len(acc)
-        if best is not None:
-            prefix = tuple(acc) + (vmin,)
-            if prefix > best[: depth + 1]:
-                return
-        done = set()
-        for r, v in vals.items():
-            if v != vmin or r in done:
-                continue
-            done.add(r)
-            newcells = []
-            for cellmask, width in cells:
-                ones = cellmask & r
-                zeros = cellmask ^ ones
-                if zeros:
-                    newcells.append((zeros, zeros.bit_count()))
-                if ones:
-                    newcells.append((ones, ones.bit_count()))
-            rest = list(remaining)
-            rest.remove(r)
-            acc.append(vmin)
-            rec(rest, newcells, acc)
-            acc.pop()
+        acc.append(vmin)
+        if best is None or tuple(acc) <= best[:len(acc)]:
+            for r, v in vals.items():
+                if v == vmin:
+                    rec(*_split(remaining, cells, r), acc)
+        acc.pop()
 
-    rec(list(rows), [(full, n)], [])
+    rec(list(rows), [((1 << n) - 1, n)], [])
     return best
+
+
+def _is_code(rows, n):
+    """True iff ``rows`` is its own code: ``_code_rows(rows, n, rows) == rows``.
+
+    The same search, descending only while its prefix equals ``rows``; it
+    returns False at the first row value below ``rows``, since every leaf
+    under a smaller prefix is a smaller code.
+    """
+
+    def rec(remaining, cells):
+        target = rows[len(rows) - len(remaining)]
+        vals = _row_values(remaining, cells, target)
+        if vals is None:
+            return False
+        if len(remaining) == 1:
+            return True
+        for r, v in vals.items():
+            if v == target and not rec(*_split(remaining, cells, r)):
+                return False
+        return True
+
+    return rec(list(rows), [((1 << n) - 1, n)])
 
 
 def _serialize(m, n, values) -> bytes:
@@ -262,7 +308,7 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
                     continue
                 if last and accept is not None and not accept(cand):
                     continue
-                if _code_rows(cand, n, cand) == cand:
+                if _is_code(cand, n):
                     nxt[_serialize(m, n, cand)] = cand
         level = nxt
         yield m, level
@@ -416,8 +462,16 @@ def _admit_columns(columns: int, what: str):
 
 
 def _ferrers_check_one(g: BipartiteGraph):
+    """(tau, invariant, equality on a staircase) for one graph; the
+    Schur-complement tau of every equality case and counterexample is
+    recomputed by the Laplacian cofactor."""
     report = tree_report(g)
     t, inv = report.tau, report.ferrers_invariant
+    if t >= inv:
+        cofactor = tree_count(laplacian(g))
+        if cofactor != t:
+            raise InternalCheckError("tau of %r: Schur complement %d, cofactor %d"
+                                     % (g, t, cofactor))
     return t, inv, t == inv and is_ferrers(g)
 
 

@@ -1,22 +1,35 @@
 """Spanning-tree counting, explicit enumeration, and the weighted tree polynomial.
 
-The count comes from a Laplacian cofactor (exact, Bareiss); enumeration is
-a deletion/contraction backtrack over the sorted edge list, guarded by a
-budget.  An edge is included when it joins two components of the chosen
-forest (one vertex mask per component), and skipped only while those
-masks and the remaining edges, as bit rows, still connect the graph: the
-bit-row reach of ``graphs``.  The weighted polynomial assigns each
-spanning tree the monomial prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}
-and is available both brute-force and in product form for staircase graphs.
+The count of a general graph is a Laplacian cofactor (exact, Bareiss).  A
+bipartite graph's count takes the Schur complement of its column block
+instead, with the smaller part as rows: with row degrees d_u, column
+degrees d_v, P the lcm of the d_v and ' dropping the last row vertex,
+
+    tau = prod(d_v) * det(P D_U' - B' diag(P / d_v) B'^T) / P^(m-1),
+
+an integer (m-1)-square determinant in place of an (m+n-1)-square one.
+The division must be exact, or ``InternalCheckError`` is raised; the
+degree-product scan of ``search`` checks this count against the cofactor
+on every equality case and counterexample.
+
+Enumeration is a deletion/contraction backtrack over the sorted edge
+list, guarded by a budget.  An edge is included when it joins two
+components of the chosen forest (one vertex mask per component), and
+skipped only while those masks and the remaining edges, as bit rows,
+still connect the graph: the bit-row reach of ``graphs``.  The weighted
+polynomial assigns each spanning tree the monomial
+prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)} and is available both
+brute-force and in product form for staircase graphs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
-from .exactla import InternalCheckError, tree_count
+from .exactla import InternalCheckError, det_int, tree_count
 from .graphs import BipartiteGraph, _rows_connected, ferrers_invariant, laplacian
 from .partitions import Partition, conjugate
 
@@ -112,13 +125,44 @@ class TreeReport:
 
 
 def tau(G) -> int:
-    """Number of spanning trees, via the (1,1) Laplacian cofactor.
+    """Number of spanning trees: the Schur complement for a bipartite graph,
+    the (1,1) Laplacian cofactor for a general one.
 
     Exact for any vertex count >= 1; disconnected graphs give 0.
     """
+    if isinstance(G, BipartiteGraph):
+        return _schur_tau(G)
     if G.vcount < 1:
         raise ValueError("graph needs at least one vertex")
     return tree_count(laplacian(G))
+
+
+def _schur_tau(G: BipartiteGraph) -> int:
+    """Tree count of a bipartite graph from the Schur complement of its
+    column block, scaled to integers by P, the lcm of the column degrees."""
+    if G.m > G.n:
+        G = G.transpose()
+    du, dv = G.degrees_u(), G.degrees_v()
+    if 0 in du or 0 in dv:
+        return 0
+    p = math.lcm(*dv)
+    weight = [p // d for d in dv]
+    rows = G.rows[:-1]
+    a = [[0] * len(rows) for _ in rows]
+    for i, r in enumerate(rows):
+        for k in range(i, len(rows)):
+            shared, x = r & rows[k], 0
+            while shared:
+                low = shared & -shared
+                x -= weight[low.bit_length() - 1]
+                shared ^= low
+            a[i][k] = a[k][i] = x
+        a[i][i] += p * du[i]
+    t, rem = divmod(math.prod(dv) * det_int(a), p ** len(rows))
+    if rem:
+        raise InternalCheckError("Schur-complement tree count is not an integer:"
+                                 " remainder %d of %d" % (rem, p ** len(rows)))
+    return t
 
 
 def enumerate_spanning_trees(G, budget: int | None = None) -> list:

@@ -12,7 +12,15 @@ import time
 
 import pytest
 
-from ferrers_lab import cli, exactla, parse_graph_file, search, spectral, trees
+from ferrers_lab import (
+    cli,
+    exactla,
+    ferrers_invariant,
+    parse_graph_file,
+    search,
+    spectral,
+    trees,
+)
 
 from conftest import example_staircase, inflate_tau_of
 
@@ -535,6 +543,31 @@ def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
     monkeypatch.setattr(target, name, breaker(getattr(target, name)))
     code, _, err = run_cli([argv[0], "--graph", staircase_file] + argv[1:], capsys)
     assert code == 4
+    assert err.startswith("ferrers-lab: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _schur_overcount(orig):
+    return lambda g: orig(g) + 1
+
+
+def _schur_fake_equality(orig):
+    # one class on 6 vertices has tau 15 below an integer invariant 16
+    def broken(g):
+        inv = ferrers_invariant(g)
+        return int(inv) if inv.denominator == 1 else orig(g)
+    return broken
+
+
+@pytest.mark.parametrize("breaker", [_schur_overcount, _schur_fake_equality],
+                         ids=["overcount", "fake-equality"])
+def test_exit_code_internal_check_schur_tau(capsys, monkeypatch, breaker):
+    # a wrong Schur-complement tau that makes an equality case or a
+    # counterexample is caught by the scan's cofactor cross-check and
+    # reported as a defect (exit 4), never as a counterexample (exit 1)
+    monkeypatch.setattr(trees, "_schur_tau", breaker(trees._schur_tau))
+    code, out, err = run_cli(["verify-ferrers-bound", "--max-vertices", "6"], capsys)
+    assert code == 4 and out == ""
     assert err.startswith("ferrers-lab: internal check failed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 

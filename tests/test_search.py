@@ -25,6 +25,7 @@ from ferrers_lab.search import (
     _classes_mn,
     _code_rows,
     _Counter,
+    _is_code,
     _twin_masks,
 )
 
@@ -154,6 +155,26 @@ def test_code_search_bound(rng):
                 bounds.append(code[:i] + (code[i] + step,) + code[i + 1:])
         for bound in bounds:
             assert _code_rows(rows, n, bound) == min(code, bound), (rows, bound)
+
+
+def test_is_code_matches_bounded_search(rng):
+    # the orderly test stops at the first smaller prefix, but decides what
+    # the full bounded search decides; twin rows and columns are the cases
+    # where it descends into several equal branches
+    for _ in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, m, n)
+        if rng.random() < 0.5:
+            twins = rng.randrange(m)
+            rows = rows + rows[twins:twins + 1]
+        if rng.random() < 0.5 and n < 6:
+            j = rng.randrange(n)
+            rows = tuple(r | (r >> j & 1) << n for r in rows)
+            n += 1
+        code = _code_rows(rows, n)
+        for cand in (rows, code, tuple(sorted(rows))):
+            assert _is_code(cand, n) == (_code_rows(cand, n, cand) == cand), cand
+        assert _is_code(code, n)
 
 
 def test_enumerate_kpqe_hand_case():
@@ -432,8 +453,11 @@ def test_verify_ferrers_bound_small():
     assert report.counterexamples == []
     assert report.examined == 27 + 44
     assert report.details["equality_non_ferrers"] == []
-    assert report.details["equality_ferrers"] > 0
+    assert report.details["equality_ferrers"] == 35
     assert report.checked_property == "tree_count_le_degree_product"
+    report = verify_ferrers_bound(8)
+    assert report.counterexamples == []
+    assert report.details == {"equality_ferrers": 71, "equality_non_ferrers": []}
 
 
 def test_verify_ferrers_bound_deterministic_across_jobs():

@@ -7,17 +7,22 @@ from ferrers_lab import (
     BipartiteGraph,
     BudgetExceeded,
     Graph,
+    InternalCheckError,
     MultiPoly,
     Partition,
     bridge_join,
     conjugate,
     enumerate_spanning_trees,
     ferrers_from_partition,
+    laplacian,
     sigma_bruteforce,
     sigma_formula,
     tau,
     tree_report,
 )
+from ferrers_lab import trees
+from ferrers_lab.exactla import tree_count
+from ferrers_lab.search import _classes_mn, _Counter
 
 from conftest import (
     bipartite_cycle,
@@ -29,6 +34,10 @@ from conftest import (
 )
 
 
+def _cofactor_tau(g):
+    return tree_count(laplacian(g))
+
+
 def test_tau_worked_example():
     assert tau(example_staircase()) == 36
 
@@ -36,7 +45,9 @@ def test_tau_worked_example():
 def test_tau_complete_bipartite_grid():
     for m in range(1, 6):
         for n in range(1, 6):
-            assert tau(complete_bipartite(m, n)) == m ** (n - 1) * n ** (m - 1)
+            g = complete_bipartite(m, n)
+            assert tau(g) == m ** (n - 1) * n ** (m - 1)
+            assert _cofactor_tau(g) == tau(g)
 
 
 def test_tau_trees_and_disconnected():
@@ -45,6 +56,49 @@ def test_tau_trees_and_disconnected():
     assert tau(Graph(1, [])) == 1
     with pytest.raises(ValueError):
         tau(Graph(0, []))
+
+
+def test_schur_tau_matches_cofactor_every_class():
+    # every m x n class without a zero row on at most 8 vertices: connected
+    # ones, disconnected ones and ones with isolated columns, both ways round
+    counter = _Counter(10 ** 6)
+    for n in range(1, 8):
+        for m in range(1, 9 - n):
+            for rows in _classes_mn(m, n, counter).values():
+                g = BipartiteGraph(m, n, rows)
+                for h in (g, g.transpose()):
+                    assert tau(h) == _cofactor_tau(h), h
+
+
+def test_schur_tau_matches_cofactor_more_rows(rng):
+    # m > n: the rows are transposed to the smaller part first
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        m = rng.randint(n + 1, 8)
+        g = BipartiteGraph(m, n, [rng.randint(0, (1 << n) - 1) for _ in range(m)])
+        assert tau(g) == _cofactor_tau(g), g
+
+
+def test_schur_tau_small_and_degenerate_cases():
+    star = BipartiteGraph(3, 1, [1, 1, 1])  # "bipartite 3 1"
+    k11 = complete_bipartite(1, 1)
+    isolated_column = BipartiteGraph(2, 3, [0b011, 0b011])
+    zero_row = BipartiteGraph(2, 2, [0b11, 0])
+    two_edges = BipartiteGraph(2, 2, [0b01, 0b10])  # disconnected, no isolated vertex
+    k22_plus_path = BipartiteGraph(3, 4, [0b0011, 0b0011, 0b1100])
+    for g, expected in [(star, 1), (star.transpose(), 1), (k11, 1),
+                        (isolated_column, 0), (zero_row, 0), (two_edges, 0),
+                        (k22_plus_path, 0)]:
+        assert tau(g) == _cofactor_tau(g) == expected, g
+
+
+def test_schur_tau_inexact_division_is_internal_check(monkeypatch):
+    # column degrees (3, 2, 1): P = 6 and P^2 = 36 must divide 6 det(A)
+    orig = trees.det_int
+    monkeypatch.setattr(trees, "det_int", lambda a: orig(a) + 1)
+    staircase = BipartiteGraph(3, 3, [0b111, 0b011, 0b001])
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        tau(staircase)
 
 
 def test_enumeration_small_cases():
