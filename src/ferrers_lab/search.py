@@ -16,13 +16,26 @@ candidate and stopping at the first smaller prefix.  The code is
 nondecreasing, its first k values are the code of those k rows, and each
 value fills the low end of the twin-column groups of the values above
 it; so each kept matrix is extended by those fills no less than its last
-row, and every class is reached exactly once.  At the last level the
-class filters (connectivity, edge count, no empty column) run on the bit
-rows first.  Searches shard their per-graph checks over a process pool
-when asked; results merge in enumeration order so reports are
-byte-identical regardless of worker count.  The degree-product scan
-recomputes the Schur-complement tree count of ``trees`` by the Laplacian
-cofactor on every equality case and counterexample; a disagreement raises
+row, and every class with parts fixed is reached exactly once.  At the
+last level the class filters (connectivity, edge count, no empty column)
+run on the bit rows first.
+
+Growth holds the parts fixed, so a class with parts of equal size can be
+reached twice, once per orientation.  The connected scan and the kpqe
+classes with p = q are closed under the part swap; they keep a square
+class iff no labeling of its transpose is below its own code (the same
+early-stopping search, bounded by that code), so of the two orientations
+the one with the smaller code stays, and its code is already the full
+code.  A degree class fixes the row degrees only, so it is not closed
+under the swap, and its growth runs in degree order, not code order: it
+dedupes its square classes by the full code at the end.
+
+Searches shard their per-graph checks over a process pool when asked;
+results merge in enumeration order so reports are byte-identical
+regardless of worker count.  The degree-product scan compares
+tau*m*n with the product of the degrees, both integers, and recomputes
+the Schur-complement tree count of ``trees`` by the Laplacian cofactor on
+every equality case and counterexample; a disagreement raises
 ``InternalCheckError``.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
@@ -52,7 +65,7 @@ from .graphs import (
 )
 from .partitions import Partition
 from .spectral import spectral_radius
-from .trees import tree_report
+from .trees import degree_product_sides
 
 MAX_CODE_SIDE = 12
 
@@ -125,16 +138,18 @@ def _code_rows(rows, n, bound=None):
     return best
 
 
-def _is_code(rows, n):
-    """True iff ``rows`` is its own code: ``_code_rows(rows, n, rows) == rows``.
+def _is_code(rows, n, least):
+    """True iff no labeling of ``rows`` is below ``least``:
+    ``_code_rows(rows, n, least) == least``.
 
-    The same search, descending only while its prefix equals ``rows``; it
-    returns False at the first row value below ``rows``, since every leaf
-    under a smaller prefix is a smaller code.
+    The same search, descending only while its prefix equals ``least``; it
+    returns False at the first row value below ``least``, since every leaf
+    under a smaller prefix is a smaller code.  With ``least`` = ``rows`` it
+    decides whether ``rows`` is its own code.
     """
 
     def rec(remaining, cells):
-        target = rows[len(rows) - len(remaining)]
+        target = least[len(least) - len(remaining)]
         vals = _row_values(remaining, cells, target)
         if vals is None:
             return False
@@ -146,6 +161,20 @@ def _is_code(rows, n):
         return True
 
     return rec(list(rows), [((1 << n) - 1, n)])
+
+
+def _transpose_rows(rows, n):
+    """The bit rows of the transpose of the matrix with bit rows ``rows``
+    over ``n`` columns."""
+    return tuple(sum((r >> j & 1) << i for i, r in enumerate(rows))
+                 for j in range(n))
+
+
+def _keeps_orientation(rows, n):
+    """True iff the square code ``rows`` is not above the code of its
+    transpose: a class reached in both orientations keeps only the one with
+    the smaller code, which is then its full canonical code."""
+    return _is_code(_transpose_rows(rows, n), n, rows)
 
 
 def _serialize(m, n, values) -> bytes:
@@ -283,7 +312,8 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
     those degrees, tried by degree, then by value.  ``accept(rows)`` is a
     class-invariant filter run before the code test at the last level
     only.  ``counter`` counts every candidate examined and records where
-    growth is.
+    growth is.  Without ``degrees_left`` each level is in ascending code
+    order, since parents come in that order and their masks ascend.
     """
     if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
@@ -308,7 +338,7 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
                     continue
                 if last and accept is not None and not accept(cand):
                     continue
-                if _is_code(cand, n):
+                if _is_code(cand, n, cand):
                     nxt[_serialize(m, n, cand)] = cand
         level = nxt
         yield m, level
@@ -331,10 +361,12 @@ def _covers(rows, full):
 
 
 def _dedupe_final(found):
-    """Dedupe full-height graphs by canonical code (with part swap).
+    """Dedupe the graphs of a degree class by canonical code (with part swap).
 
     ``found`` holds (parts-fixed code, graph) pairs in enumeration order;
-    only equal-size parts need the part swap added.
+    only equal-size parts need the part swap added.  A degree class is not
+    closed under the swap, and its levels are ordered by degree, not by
+    code, so the local test of ``_keeps_orientation`` does not apply.
     Keeps the first-seen graph as the class representative: rebuilding
     from the code could swap equal-size parts and lose a class constraint
     such as "row degrees equal D".  Enumeration order is deterministic, so
@@ -377,9 +409,8 @@ def _enumerate_kpqe(spec, counter):
         return sum(r.bit_count() for r in rows) == e and _covers(rows, full)
 
     level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
-    return _dedupe_final(
-        (code, BipartiteGraph(p, q, rows)) for code, rows in level.items()
-    )
+    return [BipartiteGraph(p, q, rows) for rows in level.values()
+            if p < q or _keeps_orientation(rows, q)]
 
 
 def _enumerate_degree_class(spec, counter):
@@ -403,19 +434,17 @@ def _enumerate_degree_class(spec, counter):
 
 
 def _enumerate_connected(spec, counter):
-    out = []
+    found = []
     for n in range(1, spec.max_vertices):
         full = (1 << n) - 1
         depth = min(n, spec.max_vertices - n)
         for m, level in _grow(n, depth, counter,
                               accept=lambda rows: _rows_connected(rows, full)):
-            for code, rows in level.items():
-                g = BipartiteGraph(m, n, rows)
-                # shallower levels are all kept as parents anyway; their
-                # graph-level test is what the traced benchmark counts
-                if m == depth or g.is_connected():
-                    out.append((code, g))
-    return _dedupe_final(out)
+            found.extend((code, rows) for code, rows in level.items()
+                         if (m == depth or _rows_connected(rows, full))
+                         and (m < n or _keeps_orientation(rows, n)))
+    found.sort()
+    return [BipartiteGraph(code[0], code[1], rows) for code, rows in found]
 
 
 @dataclass
@@ -462,17 +491,17 @@ def _admit_columns(columns: int, what: str):
 
 
 def _ferrers_check_one(g: BipartiteGraph):
-    """(tau, invariant, equality on a staircase) for one graph; the
-    Schur-complement tau of every equality case and counterexample is
-    recomputed by the Laplacian cofactor."""
-    report = tree_report(g)
-    t, inv = report.tau, report.ferrers_invariant
-    if t >= inv:
+    """(tau*m*n, product of all degrees, equality on a staircase) for one
+    graph: the degree-product bound in integers.  The Schur-complement tau
+    of every equality case and counterexample is recomputed by the
+    Laplacian cofactor."""
+    t, lhs, rhs = degree_product_sides(g)
+    if lhs >= rhs:
         cofactor = tree_count(laplacian(g))
         if cofactor != t:
             raise InternalCheckError("tau of %r: Schur complement %d, cofactor %d"
                                      % (g, t, cofactor))
-    return t, inv, t == inv and is_ferrers(g)
+    return lhs, rhs, lhs == rhs and is_ferrers(g)
 
 
 def _pmap(fn, items, jobs):
@@ -507,7 +536,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     spec = ClassSpec.all_connected_bipartite(max_vertices)
     graphs = enumerate_class(spec)
     checked = list(zip(graphs, _pmap(_ferrers_check_one, graphs, jobs)))
-    equal = [(g, ferrers) for g, (t, inv, ferrers) in checked if t == inv]
+    equal = [(g, ferrers) for g, (lhs, rhs, ferrers) in checked if lhs == rhs]
     return SearchReport(
         spec=spec,
         examined=len(graphs),
@@ -519,7 +548,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                                      for g, ferrers in equal if not ferrers],
         },
         extremal_graphs=[g for g, _ in equal],
-        counterexample_graphs=[g for g, (t, inv, _) in checked if t > inv],
+        counterexample_graphs=[g for g, (lhs, rhs, _) in checked if lhs > rhs],
     )
 
 

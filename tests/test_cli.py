@@ -316,6 +316,30 @@ def test_verify_ferrers_bound_command(tmp_path, capsys):
         parse_graph_file(fh.read())
 
 
+def _emitted_digest(outdir):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(outdir)):
+        h.update(name.encode() + b"\0")
+        h.update((outdir / name).read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("argv, count, digest", [
+    (["verify-ferrers-bound", "--max-vertices", "8"], 71,
+     "cdd9ab7858faa7710750cdfbb3357afbda142f84ed7b56c34f4056b4deb9ef91"),
+    (["spectral-search", "--p", "4", "--q", "4", "--e", "9"], 2,
+     "ca5810bc6062b6402422cb2101b0c82efa15a91754b9e7e021cc15cc2ff216d3"),
+], ids=["verify-ferrers-bound-8", "spectral-search-4-4-9"])
+def test_emitted_graph_files_byte_identical(argv, count, digest, tmp_path, capsys):
+    # the graph files name one labeling of each class, so a change of which
+    # orientation of an equal-parts class is kept shows here; the reports
+    # themselves hold only canonical codes
+    outdir = tmp_path / "graphs"
+    run_cli(argv + ["--emit-graphs", str(outdir)], capsys)
+    assert len(os.listdir(outdir)) == count
+    assert _emitted_digest(outdir) == digest
+
+
 def test_verify_ferrers_bound_command_counterexample(tmp_path, capsys,
                                                      monkeypatch):
     # a class whose tau is inflated above the invariant is the one
@@ -548,14 +572,14 @@ def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
 
 
 def _schur_overcount(orig):
-    return lambda g: orig(g) + 1
+    return lambda g, du, dv: orig(g, du, dv) + 1
 
 
 def _schur_fake_equality(orig):
     # one class on 6 vertices has tau 15 below an integer invariant 16
-    def broken(g):
+    def broken(g, du, dv):
         inv = ferrers_invariant(g)
-        return int(inv) if inv.denominator == 1 else orig(g)
+        return int(inv) if inv.denominator == 1 else orig(g, du, dv)
     return broken
 
 

@@ -26,6 +26,8 @@ from ferrers_lab.search import (
     _code_rows,
     _Counter,
     _is_code,
+    _keeps_orientation,
+    _transpose_rows,
     _twin_masks,
 )
 
@@ -173,8 +175,37 @@ def test_is_code_matches_bounded_search(rng):
             n += 1
         code = _code_rows(rows, n)
         for cand in (rows, code, tuple(sorted(rows))):
-            assert _is_code(cand, n) == (_code_rows(cand, n, cand) == cand), cand
-        assert _is_code(code, n)
+            assert _is_code(cand, n, cand) == (_code_rows(cand, n, cand) == cand), cand
+        assert _is_code(code, n, code)
+        # against another matrix's code: no labeling of rows below it
+        least = _code_rows(_random_rows(rng, len(rows), n), n)
+        for bound in (least, code):
+            assert _is_code(rows, n, bound) == (_code_rows(rows, n, bound) == bound)
+
+
+def _random_square(rng, n, symmetric):
+    rows = list(_random_rows(rng, n, n))
+    if symmetric:  # equal to its transpose: a self-dual class
+        rows = [sum((rows[max(i, j)] >> min(i, j) & 1) << j for j in range(n))
+                for i in range(n)]
+    return tuple(rows)
+
+
+def test_part_swap_test_matches_bounded_search(rng):
+    # a square code is kept iff no labeling of its transpose is below it,
+    # which is what the bounded search over the transpose decides
+    outcomes = set()
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        code = _code_rows(_random_square(rng, n, rng.random() < 0.3), n)
+        transpose = BipartiteGraph(n, n, code).transpose().rows
+        assert _transpose_rows(code, n) == transpose
+        keeps = _keeps_orientation(code, n)
+        assert keeps == (_code_rows(transpose, n, code) == code), code
+        self_dual = _code_rows(transpose, n) == code
+        assert keeps or not self_dual
+        outcomes.add((keeps, self_dual))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_enumerate_kpqe_hand_case():
@@ -278,7 +309,9 @@ def naive_connected_bipartite_count(max_vertices):
 def _reference_level(m, n, keep=None, popcounts=None):
     """Unpruned growth: every mask (zero included) under every parent,
     deduped by the parts-fixed code of the partial (cross-validated
-    against brute force above); {code: first-seen rows}."""
+    against brute force above); {code: code} in first-seen order.  The
+    first-seen rows themselves are no code when a later row has fewer
+    ones, as in growth ordered by degree."""
     level = {(): ()}
     for depth in range(m):
         nxt = {}
@@ -292,7 +325,8 @@ def _reference_level(m, n, keep=None, popcounts=None):
                 cand = rows + (mask,)
                 if keep is not None and not keep(cand):
                     continue
-                nxt.setdefault(_code_rows(cand, n), cand)
+                code = _code_rows(cand, n)
+                nxt.setdefault(code, code)
         level = nxt
     return level
 
@@ -353,13 +387,16 @@ def _spec_id(spec):
 
 @pytest.mark.parametrize("spec", [
     ClassSpec.kpqe(2, 2, 3), ClassSpec.kpqe(2, 4, 5), ClassSpec.kpqe(3, 3, 5),
-    ClassSpec.kpqe(3, 4, 7), ClassSpec.kpqe(3, 4, 10), ClassSpec.kpqe(4, 4, 9),
-    ClassSpec.kpqe(4, 5, 10),
+    ClassSpec.kpqe(3, 4, 7), ClassSpec.kpqe(3, 4, 10), ClassSpec.kpqe(4, 4, 4),
+    ClassSpec.kpqe(4, 4, 7), ClassSpec.kpqe(4, 4, 8), ClassSpec.kpqe(4, 4, 9),
+    ClassSpec.kpqe(4, 4, 12), ClassSpec.kpqe(4, 4, 15), ClassSpec.kpqe(4, 5, 10),
     ClassSpec.degree_class(Partition((2, 1))),
+    ClassSpec.degree_class(Partition((2, 2, 1))),
     ClassSpec.degree_class(Partition((2, 2, 2))),
     ClassSpec.degree_class(Partition((3, 2, 1))),
     ClassSpec.degree_class(Partition((3, 3, 3))),
     ClassSpec.degree_class(Partition((3, 3, 2, 1))),
+    ClassSpec.degree_class(Partition((3, 3, 2, 2))),
     ClassSpec.degree_class(Partition((2, 2, 2, 2))),
     ClassSpec.all_connected_bipartite(2), ClassSpec.all_connected_bipartite(5),
     ClassSpec.all_connected_bipartite(9),
@@ -369,6 +406,20 @@ def test_enumeration_matches_reference_growth(spec):
     ours = [(g.m, g.n, g.rows) for g in enumerate_class(spec)]
     ref = [(g.m, g.n, g.rows) for g in _reference_enumerate(spec)]
     assert ours == ref
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec.all_connected_bipartite(8), ClassSpec.kpqe(4, 4, 8),
+], ids=_spec_id)
+def test_part_swap_needs_no_canonical_code(spec, monkeypatch):
+    # the classes closed under the part swap are deduped by the local test
+    # alone, without the full canonizer
+    calls = []
+    orig = search.canonical_code
+    monkeypatch.setattr(search, "canonical_code",
+                        lambda *args: calls.append(args) or orig(*args))
+    assert enumerate_class(spec)
+    assert calls == []
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])
