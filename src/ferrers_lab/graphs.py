@@ -86,11 +86,7 @@ class BipartiteGraph:
         return self.degrees_u() + self.degrees_v()
 
     def transpose(self) -> "BipartiteGraph":
-        cols = [
-            sum((self.rows[i] >> j & 1) << i for i in range(self.m))
-            for j in range(self.n)
-        ]
-        return BipartiteGraph(self.n, self.m, cols)
+        return BipartiteGraph(self.n, self.m, _transpose_rows(self.rows, self.n))
 
     def to_graph(self) -> "Graph":
         edges = [(i, self.m + j) for i, j in self.edges()]
@@ -163,6 +159,13 @@ def _reach(rows, seed):
             break
         pending = rest
     return seed
+
+
+def _transpose_rows(rows, n):
+    """The bit rows of the transpose of the matrix with bit rows ``rows``
+    over ``n`` columns."""
+    return tuple(sum((r >> j & 1) << i for i, r in enumerate(rows))
+                 for j in range(n))
 
 
 def _rows_connected(rows, full):

@@ -1,9 +1,7 @@
 """Floating-point spectral quantities and bound checks.
 
 Eigenvalues come from a cyclic Jacobi rotation solver (dimensions here
-stay around twenty, where Jacobi is simple, dependency-free and accurate);
-the functions that return eigenvalues alone skip accumulating the
-eigenvectors, which leaves the eigenvalues bit for bit the same.
+stay around twenty, where Jacobi is simple, dependency-free and accurate).
 Adjacency spectral radius is computed through the m x m Gram matrix B B'
 of the biadjacency matrix, halving the dimension and keeping the computed
 square nonnegative.  Verdicts that can be exact (density comparisons) use
@@ -43,20 +41,21 @@ def _ordered_sum(values) -> float:
     return total
 
 
-def _jacobi(matrix, vectors):
-    """The cyclic Jacobi rotations of ``jacobi_eigh``: the rotated float
-    matrix, diagonal to the threshold, and the product of the rotations
-    when ``vectors`` is set (else None).  The rotations of the matrix do
-    not read the eigenvectors, so its diagonal is the same either way."""
+def jacobi_eigh(matrix):
+    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
+    eigenvectors as a list of vectors aligned with them.  Sweeps rotate
+    every off-diagonal pair until the off-diagonal Frobenius norm falls
+    below 1e-13 relative to the input norm, capped at 100 sweeps.
+    """
     n = len(matrix)
     a = [[float(matrix[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if abs(a[i][j] - a[j][i]) > 1e-12 * (1.0 + abs(a[i][j])):
                 raise ValueError("matrix is not symmetric")
-    v = None
-    if vectors:
-        v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     norm = math.sqrt(_ordered_sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
     thresh = _JACOBI_EPS * max(1.0, norm)
     for _ in range(_JACOBI_SWEEPS):
@@ -83,36 +82,15 @@ def _jacobi(matrix, vectors):
                     apk, aqk = a[p][k], a[q][k]
                     a[p][k] = c * apk - s * aqk
                     a[q][k] = s * apk + c * aqk
-                if v is not None:
-                    for k in range(n):
-                        vkp, vkq = v[k][p], v[k][q]
-                        v[k][p] = c * vkp - s * vkq
-                        v[k][q] = s * vkp + c * vkq
-    return a, v
-
-
-def jacobi_eigh(matrix):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
-    eigenvectors as a list of vectors aligned with them.  Sweeps rotate
-    every off-diagonal pair until the off-diagonal Frobenius norm falls
-    below 1e-13 relative to the input norm, capped at 100 sweeps.
-    """
-    a, v = _jacobi(matrix, True)
-    n = len(a)
+                for k in range(n):
+                    vkp, vkq = v[k][p], v[k][q]
+                    v[k][p] = c * vkp - s * vkq
+                    v[k][q] = s * vkp + c * vkq
     pairs = sorted(
         ((a[i][i], [v[k][i] for k in range(n)]) for i in range(n)),
         key=lambda kv: -kv[0],
     )
     return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
-def _eigenvalues(matrix):
-    """The eigenvalues of ``jacobi_eigh``, bit for bit and in the same
-    order, without accumulating the eigenvectors."""
-    a, _ = _jacobi(matrix, False)
-    return sorted((a[i][i] for i in range(len(a))), key=lambda x: -x)
 
 
 def eigen_residual(matrix, value, vector) -> float:
@@ -159,19 +137,22 @@ def spectral_radius(G: BipartiteGraph) -> float:
     """Largest adjacency eigenvalue, as sqrt of the top Gram eigenvalue."""
     if G.edge_count() == 0:
         return 0.0
-    return math.sqrt(max(_eigenvalues(_gram(G))[0], 0.0))
+    values, _ = jacobi_eigh(_gram(G))
+    return math.sqrt(max(values[0], 0.0))
 
 
 def laplacian_spectrum(G) -> list:
     """Laplacian eigenvalues, nonincreasing."""
-    return _eigenvalues(laplacian(G))
+    values, _ = jacobi_eigh(laplacian(G))
+    return values
 
 
 def normalized_spectrum(G) -> list:
     """Normalized-Laplacian eigenvalues of a connected graph, nonincreasing."""
     if not G.is_connected():
         raise ValueError("normalized spectrum requires a connected graph")
-    return _eigenvalues(normalized_laplacian(G))
+    values, _ = jacobi_eigh(normalized_laplacian(G))
+    return values
 
 
 def spectrum_report(G: BipartiteGraph) -> SpectrumReport:

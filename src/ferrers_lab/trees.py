@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, det_int, tree_count
-from .graphs import BipartiteGraph, _rows_connected, laplacian
+from .graphs import BipartiteGraph, _rows_connected, ferrers_invariant, laplacian
 from .partitions import Partition, conjugate
 
 
@@ -131,18 +131,18 @@ def tau(G) -> int:
     Exact for any vertex count >= 1; disconnected graphs give 0.
     """
     if isinstance(G, BipartiteGraph):
-        return _schur_tau(G, G.degrees_u(), G.degrees_v())
+        return _schur_tau(G)
     if G.vcount < 1:
         raise ValueError("graph needs at least one vertex")
     return tree_count(laplacian(G))
 
 
-def _schur_tau(G: BipartiteGraph, du, dv) -> int:
-    """Tree count of a bipartite graph with row degrees ``du`` and column
-    degrees ``dv`` from the Schur complement of its column block, scaled to
-    integers by P, the lcm of the column degrees."""
+def _schur_tau(G: BipartiteGraph) -> int:
+    """Tree count of a bipartite graph from the Schur complement of its
+    column block, scaled to integers by P, the lcm of the column degrees."""
     if G.m > G.n:
-        G, du, dv = G.transpose(), dv, du
+        G = G.transpose()
+    du, dv = G.degrees_u(), G.degrees_v()
     if 0 in du or 0 in dv:
         return 0
     p = math.lcm(*dv)
@@ -261,16 +261,8 @@ def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> MultiPoly:
     return poly
 
 
-def degree_product_sides(G: BipartiteGraph):
-    """(tau, tau*m*n, product of all degrees): the degree-product bound
-    tau <= prod(deg)/(m*n) as two integers, the degrees computed once."""
-    du, dv = G.degrees_u(), G.degrees_v()
-    t = _schur_tau(G, du, dv)
-    return t, t * G.m * G.n, math.prod(du) * math.prod(dv)
-
-
 def tree_report(G: BipartiteGraph) -> TreeReport:
     """Bundle the exact tree count, degree-product invariant, and comparison."""
-    t, lhs, rhs = degree_product_sides(G)
-    return TreeReport(tau=t, ferrers_invariant=Fraction(rhs, G.m * G.n),
-                      ferrers_good=lhs <= rhs)
+    t = tau(G)
+    inv = ferrers_invariant(G)
+    return TreeReport(tau=t, ferrers_invariant=inv, ferrers_good=t <= inv)

@@ -14,7 +14,6 @@ from ferrers_lab import (
     conjugate,
     enumerate_spanning_trees,
     ferrers_from_partition,
-    ferrers_invariant,
     laplacian,
     sigma_bruteforce,
     sigma_formula,
@@ -69,21 +68,6 @@ def test_schur_tau_matches_cofactor_every_class():
                 g = BipartiteGraph(m, n, rows)
                 for h in (g, g.transpose()):
                     assert tau(h) == _cofactor_tau(h), h
-
-
-def test_degree_product_sides_every_class():
-    # the integer sides of the scan's bound against the cofactor tau and
-    # the rational invariant of graphs.ferrers_invariant
-    counter = _Counter(10 ** 6)
-    for n in range(1, 8):
-        for m in range(1, 9 - n):
-            for rows in _classes_mn(m, n, counter).values():
-                g = BipartiteGraph(m, n, rows)
-                for h in (g, g.transpose()):
-                    t, lhs, rhs = trees.degree_product_sides(h)
-                    assert t == _cofactor_tau(h), h
-                    assert lhs == t * h.m * h.n
-                    assert Fraction(rhs, h.m * h.n) == ferrers_invariant(h), h
 
 
 def test_schur_tau_matches_cofactor_more_rows(rng):
