@@ -31,12 +31,10 @@ from .graphs import (
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
 from .trees import (
     MultiPoly,
-    TreeReport,
     enumerate_spanning_trees,
     sigma_bruteforce,
     sigma_formula,
     tau,
-    tree_report,
 )
 from .spectral import (
     BoundReport,

@@ -37,6 +37,7 @@ from .graphs import (
     BipartiteGraph,
     GraphFormatError,
     ferrers_from_partition,
+    ferrers_invariant,
     format_graph,
     parse_graph_file,
 )
@@ -53,7 +54,7 @@ from .spectral import (
     spectrum_report,
     sqrt_edge_bound_check,
 )
-from .trees import enumerate_spanning_trees, sigma_bruteforce, tree_report
+from .trees import enumerate_spanning_trees, sigma_bruteforce, tau
 
 SCHEMA_VERSION = 1
 
@@ -165,17 +166,17 @@ def _cmd_gen(args):
 
 def _cmd_trees(args):
     graph = _require_bipartite(_load_graph(args.graph), "trees")
-    report = tree_report(graph)
+    t, inv = tau(graph), ferrers_invariant(graph)
     doc = {
-        "tau": str(report.tau),  # exact in any JSON reader, however large
-        "ferrers_invariant": report.ferrers_invariant,
-        "ferrers_good": report.ferrers_good,
+        "tau": str(t),  # exact in any JSON reader, however large
+        "ferrers_invariant": inv,
+        "ferrers_good": t <= inv,
     }
     if args.enumerate:
         trees = enumerate_spanning_trees(graph, budget=args.budget)
         doc["enumeration"] = {
             "count": len(trees),
-            "matches_tau": len(trees) == report.tau,
+            "matches_tau": len(trees) == t,
         }
     if args.sigma:
         poly = sigma_bruteforce(graph, budget=args.budget)
@@ -183,7 +184,7 @@ def _cmd_trees(args):
             {"coefficient": coeff, "exponents": exps}
             for exps, coeff in poly.sorted_terms()
         ]
-    return doc, 0 if report.ferrers_good else 1
+    return doc, 0 if doc["ferrers_good"] else 1
 
 
 def _cmd_spectral(args):

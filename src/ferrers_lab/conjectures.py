@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import BipartiteGraph
+from .graphs import BipartiteGraph, ferrers_invariant
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
 from .spectral import TOL, BoundReport, laplacian_spectrum
-from .trees import tau, tree_report
+from .trees import tau
 
 
 def _is_complete_bipartite(G: BipartiteGraph) -> bool:
@@ -178,8 +178,7 @@ def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
     produce a spurious counterexample.  Disconnected graphs hold
     trivially (tree count zero).
     """
-    report = tree_report(G)
-    t, rhs = report.tau, report.ferrers_invariant
+    t, rhs = tau(G), ferrers_invariant(G)
     return BoundReport(
         name="eq3",
         lhs=Fraction(t),

@@ -411,8 +411,11 @@ def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1,
     Covers all isomorphism classes with 4..max_n vertices and every
     admissible edge pair; returns counts and any disagreeing reports
     (expected none), their witness values as exact rationals.  ``max_n``
-    is capped at ``budget``, by default ``DEFAULT_THM71_VERTICES``.
+    is capped at ``budget``, by default ``DEFAULT_THM71_VERTICES``; below
+    4 there is no graph to check, and ``ValueError`` is raised.
     """
+    if max_n < 4:
+        raise ValueError("thm71 scan needs max_n >= 4, got %d" % max_n)
     admit(max_n, DEFAULT_THM71_VERTICES, budget, "thm71 scan of %d vertices")
     graphs = []
     for n in range(4, max_n + 1):

@@ -21,14 +21,16 @@ last level the class filters (connectivity, edge count, no empty column)
 run on the bit rows first.
 
 Growth holds the parts fixed, so a class with parts of equal size can be
-reached twice, once per orientation.  The connected scan and the kpqe
-classes with p = q are closed under the part swap; they keep a square
-class iff no labeling of its transpose is below its own code (the same
-early-stopping search, bounded by that code), so of the two orientations
-the one with the smaller code stays, and its code is already the full
-code.  A degree class fixes the row degrees only, so it is not closed
-under the swap, and its growth runs in degree order, not code order: it
-dedupes its square classes by the full code at the end.
+reached twice, once per orientation.  Every class kind keeps a square
+class whose transpose is in the class iff no labeling of the transpose
+is below its own code (the same early-stopping search, bounded by that
+code), so of the two orientations the one with the smaller code stays,
+and its code is already the full code.  The connected scan and the kpqe
+classes with p = q are closed under the part swap.  A degree class fixes
+the row degrees only: it holds a square member's transpose exactly when
+the member's column degrees, sorted, equal its own, and a member whose
+transpose it does not hold is kept and keyed by its full code.  Every
+level is in ascending code order.
 
 Searches shard their per-graph checks over a process pool when asked;
 results merge in enumeration order so reports are byte-identical
@@ -179,21 +181,16 @@ def _serialize(m, n, values) -> bytes:
     return bytes(out)
 
 
-def canonical_code(G: BipartiteGraph, parts_fixed: bytes | None = None) -> bytes:
+def canonical_code(G: BipartiteGraph) -> bytes:
     """Isomorphism-invariant byte code; equal codes mean isomorphic graphs.
 
     Parts are held fixed; when the two parts have the same size the code
     also minimizes over swapping them.  Limited to 12 rows/columns.
-    ``parts_fixed`` is G's code with parts held fixed when the caller has
-    it already (class enumeration does); only the part swap is then added.
     """
     if G.m > MAX_CODE_SIDE or G.n > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
-    if parts_fixed is None:
-        rows = _code_rows(G.rows, G.n)
-    else:
-        rows = graph_from_code(parts_fixed).rows
+    rows = _code_rows(G.rows, G.n)
     if G.m == G.n:
         rows = _code_rows(G.transpose().rows, G.m, rows)
     return _serialize(G.m, G.n, rows)
@@ -304,11 +301,11 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
     ``keep_partial(rows)`` may reject a partial matrix (filters that hold
     for every row prefix of a member, e.g. edge budgets); rejected partials
     are never extended.  ``degrees_left(rows)`` narrows the next row to
-    those degrees, tried by degree, then by value.  ``accept(rows)`` is a
-    class-invariant filter run before the code test at the last level
-    only.  ``counter`` counts every candidate examined and records where
-    growth is.  Without ``degrees_left`` each level is in ascending code
-    order, since parents come in that order and their masks ascend.
+    those degrees.  ``accept(rows)`` is a class-invariant filter run before
+    the code test at the last level only.  ``counter`` counts every
+    candidate examined and records where growth is.  Each level is in
+    ascending code order, since parents come in that order and their masks
+    ascend.
     """
     if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
@@ -324,8 +321,7 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
             masks = [x for x in _twin_masks(rows, n) if x >= floor]
             if degrees_left is not None:
                 allowed = degrees_left(rows)
-                masks = sorted((x for x in masks if x.bit_count() in allowed),
-                               key=int.bit_count)
+                masks = [x for x in masks if x.bit_count() in allowed]
             for mask in masks:
                 counter.bump()
                 cand = rows + (mask,)
@@ -353,26 +349,6 @@ def _covers(rows, full):
     for r in rows:
         cover |= r
     return cover == full
-
-
-def _dedupe_final(found):
-    """Dedupe the graphs of a degree class by canonical code (with part swap).
-
-    ``found`` holds (parts-fixed code, graph) pairs in enumeration order;
-    only equal-size parts need the part swap added.  A degree class is not
-    closed under the swap, and its levels are ordered by degree, not by
-    code, so the local test of ``_keeps_orientation`` does not apply.
-    Keeps the first-seen graph as the class representative: rebuilding
-    from the code could swap equal-size parts and lose a class constraint
-    such as "row degrees equal D".  Enumeration order is deterministic, so
-    representatives are too.
-    """
-    by_code = {}
-    for code, g in found:
-        if g.m == g.n:
-            code = canonical_code(g, code)
-        by_code.setdefault(code, g)
-    return [by_code[c] for c in sorted(by_code)]
 
 
 def enumerate_class(spec: ClassSpec) -> list:
@@ -418,14 +394,22 @@ def _enumerate_degree_class(spec, counter):
             remaining.remove(r.bit_count())
         return set(remaining)
 
-    out = []
+    found = []
     for ny in range(degs[0], total + 1):
         full = (1 << ny) - 1
         level = _classes_mn(m, ny, counter, degrees_left=degrees_left,
                             accept=lambda rows: _covers(rows, full))
-        out.extend((code, BipartiteGraph(m, ny, rows))
-                   for code, rows in level.items())
-    return _dedupe_final(out)
+        for code, rows in level.items():
+            g = BipartiteGraph(m, ny, rows)
+            if ny == m:
+                # the transpose is a member iff its row degrees are D too
+                if sorted(g.degrees_v(), reverse=True) != degs:
+                    code = canonical_code(g)
+                elif not _keeps_orientation(rows, m):
+                    continue
+            found.append((code, g))
+    found.sort(key=lambda item: item[0])
+    return [g for _, g in found]
 
 
 def _enumerate_connected(spec, counter):

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, det_int, tree_count
-from .graphs import BipartiteGraph, _rows_connected, ferrers_invariant, laplacian
+from .graphs import BipartiteGraph, _rows_connected, laplacian
 from .partitions import Partition, conjugate
 
 
@@ -113,15 +112,6 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(arity=%d, terms=%d)" % (self.arity, len(self.terms))
-
-
-@dataclass(frozen=True)
-class TreeReport:
-    """Spanning-tree count next to the degree-product invariant."""
-
-    tau: int
-    ferrers_invariant: Fraction
-    ferrers_good: bool
 
 
 def tau(G) -> int:
@@ -259,10 +249,3 @@ def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> MultiPoly:
     for q in range(1, n):
         poly = poly * MultiPoly.variable_sum(arity, list(range(lmbda_dual[q])))
     return poly
-
-
-def tree_report(G: BipartiteGraph) -> TreeReport:
-    """Bundle the exact tree count, degree-product invariant, and comparison."""
-    t = tau(G)
-    inv = ferrers_invariant(G)
-    return TreeReport(tau=t, ferrers_invariant=inv, ferrers_good=t <= inv)

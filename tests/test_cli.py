@@ -85,6 +85,13 @@ README_DIGESTS = [
 ]
 
 
+def _report_digest(out):
+    """sha256 of a rendered report with its elapsed line dropped."""
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.lstrip().startswith(('"elapsed":', "elapsed,"))]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("argv, json_sha, csv_sha",
                          [case[1:] for case in README_DIGESTS],
@@ -101,10 +108,7 @@ def test_readme_examples_byte_identical(argv, json_sha, csv_sha, fmt,
             monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
     code, out, _ = run_cli(argv + ["--format", fmt], capsys)
     assert code == 0
-    kept = [line for line in out.splitlines(keepends=True)
-            if not line.lstrip().startswith(('"elapsed":', "elapsed,"))]
-    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
-    assert digest == (json_sha if fmt == "json" else csv_sha)
+    assert _report_digest(out) == (json_sha if fmt == "json" else csv_sha)
 
 
 def test_gen_trees_round_trip(staircase_file, capsys):
@@ -281,6 +285,14 @@ def test_thm71_scan_command(capsys):
     assert doc["graphs_checked"] == 6
 
 
+@pytest.mark.parametrize("max_n", ["3", "0", "-3"])
+def test_thm71_scan_below_four_vertices_is_input_error(max_n, capsys):
+    # a scan with no graph to check must not report that all agree
+    code, out, err = run_cli(["thm71-scan", "--max-n", max_n], capsys)
+    assert code == 2 and out == ""
+    assert err == "ferrers-lab: thm71 scan needs max_n >= 4, got %s\n" % max_n
+
+
 def test_check_command_all(staircase_file, capsys):
     code, out, _ = run_cli(["check", "--graph", staircase_file, "--all"], capsys)
     assert code == 0
@@ -324,18 +336,29 @@ def _emitted_digest(outdir):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("argv, count, digest", [
-    (["verify-ferrers-bound", "--max-vertices", "8"], 71,
+@pytest.mark.parametrize("argv, report, count, digest", [
+    (["verify-ferrers-bound", "--max-vertices", "8"],
+     "bc078dfb036af3e68fb68fcf760150d777e2c9e6b53ba67fefe13214563d2049", 71,
      "cdd9ab7858faa7710750cdfbb3357afbda142f84ed7b56c34f4056b4deb9ef91"),
-    (["spectral-search", "--p", "4", "--q", "4", "--e", "9"], 2,
+    (["spectral-search", "--p", "4", "--q", "4", "--e", "9"],
+     "0cfdd6b7ef996bc004a8ff8cb858eb47ceb5f850390b474712432866b5074c17", 2,
      "ca5810bc6062b6402422cb2101b0c82efa15a91754b9e7e021cc15cc2ff216d3"),
-], ids=["verify-ferrers-bound-8", "spectral-search-4-4-9"])
-def test_emitted_graph_files_byte_identical(argv, count, digest, tmp_path, capsys):
+    (["degree-class", "--D", "4,3,2,2,1"],
+     "88a1a7641c945bac8ec682e8d3ed068873081d7cffa17765010f4ed0ca4228a4", 1,
+     "6ab1673c9909e95337fc66de750a55198f7579ceb5f5f36fc6e1d6156ee0d2df"),
+    (["degree-class", "--D", "3,2,2,1,1"],
+     "3e9e7f929e730a9ef1471deaead2892d1505d4a77367d8d3d4a12cc286f73836", 1,
+     "c6deafbc37c62b9c0387a15103d0c1074ee90a7f5109316a0232f8117d58eb30"),
+], ids=["verify-ferrers-bound-8", "spectral-search-4-4-9",
+        "degree-class-4.3.2.2.1", "degree-class-3.2.2.1.1"])
+def test_emitted_graph_files_byte_identical(argv, report, count, digest,
+                                            tmp_path, capsys):
     # the graph files name one labeling of each class, so a change of which
     # orientation of an equal-parts class is kept shows here; the reports
     # themselves hold only canonical codes
     outdir = tmp_path / "graphs"
-    run_cli(argv + ["--emit-graphs", str(outdir)], capsys)
+    _, out, _ = run_cli(argv + ["--emit-graphs", str(outdir)], capsys)
+    assert _report_digest(out) == report
     assert len(os.listdir(outdir)) == count
     assert _emitted_digest(outdir) == digest
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,13 @@ from ferrers_lab import (
     ferrers_bound_check,
     graph_majorization_instance,
     grone_merris_check,
+    laplacian,
     laplacian_spectrum,
     majorization_chain_check,
     majorizes,
-    tree_report,
     venkataramana_check,
 )
+from ferrers_lab.exactla import tree_count
 from ferrers_lab.search import ClassSpec, enumerate_class
 
 from conftest import bipartite_cycle, complete_bipartite, example_staircase
@@ -132,13 +134,17 @@ def test_ferrers_bound_check_values():
 
 
 def test_ferrers_bound_check_disconnected_trivial():
+    # an empty column makes both sides 0
     g = BipartiteGraph(2, 2, [0b01, 0b01])
     rep = ferrers_bound_check(g)
-    assert rep.lhs == 0
-    assert rep.holds
+    assert rep.lhs == 0 and rep.rhs == 0
+    assert rep.holds and rep.equality
 
 
-def test_ferrers_bound_rhs_matches_tree_report():
+def test_ferrers_bound_check_matches_cofactor_and_degree_product():
+    # both sides against independent routes: the Laplacian cofactor, and
+    # the degree product over |X||Y|
     for g in enumerate_class(ClassSpec.all_connected_bipartite(6)):
         rep = ferrers_bound_check(g)
-        assert rep.rhs == tree_report(g).ferrers_invariant
+        assert rep.lhs == tree_count(laplacian(g))
+        assert rep.rhs == Fraction(math.prod(g.degrees()), g.m * g.n)

@@ -309,9 +309,8 @@ def naive_connected_bipartite_count(max_vertices):
 def _reference_level(m, n, keep=None, popcounts=None):
     """Unpruned growth: every mask (zero included) under every parent,
     deduped by the parts-fixed code of the partial (cross-validated
-    against brute force above); {code: code} in first-seen order.  The
-    first-seen rows themselves are no code when a later row has fewer
-    ones, as in growth ordered by degree."""
+    against brute force above); {code: code} in first-seen order, masks
+    tried by value."""
     level = {(): ()}
     for depth in range(m):
         nxt = {}
@@ -319,8 +318,7 @@ def _reference_level(m, n, keep=None, popcounts=None):
             masks = range(1 << n)
             if popcounts is not None:
                 allowed = popcounts(rows)
-                masks = sorted((x for x in masks if x.bit_count() in allowed),
-                               key=int.bit_count)
+                masks = [x for x in masks if x.bit_count() in allowed]
             for mask in masks:
                 cand = rows + (mask,)
                 if keep is not None and not keep(cand):
@@ -332,9 +330,13 @@ def _reference_level(m, n, keep=None, popcounts=None):
 
 
 def _reference_dedupe(graphs):
+    """One graph per canonical code, the one with the least rows, sorted
+    by canonical code."""
     by_code = {}
     for g in graphs:
-        by_code.setdefault(canonical_code(g), g)
+        code = canonical_code(g)
+        if code not in by_code or g.rows < by_code[code].rows:
+            by_code[code] = g
     return [by_code[c] for c in sorted(by_code)]
 
 
@@ -398,6 +400,8 @@ def _spec_id(spec):
     ClassSpec.degree_class(Partition((3, 3, 2, 1))),
     ClassSpec.degree_class(Partition((3, 3, 2, 2))),
     ClassSpec.degree_class(Partition((2, 2, 2, 2))),
+    ClassSpec.degree_class(Partition((3, 2, 2, 1, 1))),
+    ClassSpec.degree_class(Partition((4, 3, 2, 2, 1))),
     ClassSpec.all_connected_bipartite(2), ClassSpec.all_connected_bipartite(5),
     ClassSpec.all_connected_bipartite(9),
 ], ids=_spec_id)

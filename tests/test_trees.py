@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -18,14 +17,12 @@ from ferrers_lab import (
     sigma_bruteforce,
     sigma_formula,
     tau,
-    tree_report,
 )
 from ferrers_lab import trees
 from ferrers_lab.exactla import tree_count
 from ferrers_lab.search import _classes_mn, _Counter
 
 from conftest import (
-    bipartite_cycle,
     complete_bipartite,
     components,
     connected_ferrers_partitions,
@@ -197,20 +194,6 @@ def test_sigma_formula_matches_bruteforce_small_staircases():
             continue
         graph = ferrers_from_partition(lam, lam[0])
         assert sigma_formula(lam, conjugate(lam)) == sigma_bruteforce(graph)
-
-
-def test_tree_report_values():
-    rep = tree_report(example_staircase())
-    assert (rep.tau, rep.ferrers_invariant, rep.ferrers_good) == (36, 36, True)
-    c6 = bipartite_cycle(3)
-    rep = tree_report(c6)
-    assert rep.tau == 6
-    assert rep.ferrers_invariant == Fraction(64, 9)
-    assert rep.ferrers_good
-    disconnected = BipartiteGraph(2, 2, [0b01, 0b01])
-    rep = tree_report(disconnected)
-    assert rep.tau == 0
-    assert rep.ferrers_good
 
 
 def test_edge_deletion_monotone_in_tau(rng):
