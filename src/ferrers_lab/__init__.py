@@ -30,7 +30,6 @@ from .graphs import (
 )
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
 from .trees import (
-    MultiPoly,
     enumerate_spanning_trees,
     sigma_bruteforce,
     sigma_formula,

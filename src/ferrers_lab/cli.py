@@ -182,7 +182,7 @@ def _cmd_trees(args):
         poly = sigma_bruteforce(graph, budget=args.budget)
         doc["sigma"] = [
             {"coefficient": coeff, "exponents": exps}
-            for exps, coeff in poly.sorted_terms()
+            for exps, coeff in sorted(poly.items())
         ]
     return doc, 0 if doc["ferrers_good"] else 1
 

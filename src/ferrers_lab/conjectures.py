@@ -1,10 +1,11 @@
 """Per-graph bound checkers tying the exact and spectral machinery together.
 
-Every verdict that can be exact is exact: tree counts come from Laplacian
-cofactors, degree products and densities stay rational, and the one
-irrational bound (a square root) is decided by squaring both sides.  Only
-genuinely floating data (Laplacian spectra) is compared with a tolerance,
-and the tolerance is recorded in the report.
+Every verdict that can be exact is exact: tree counts come from
+``trees.tau`` (the Schur complement of a bipartite graph's column block),
+degree products and densities stay rational, and the one irrational bound
+(a square root) is decided by squaring both sides.  Only genuinely
+floating data (Laplacian spectra) is compared with a tolerance, and the
+tolerance is recorded in the report.
 """
 
 from __future__ import annotations

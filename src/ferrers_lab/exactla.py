@@ -15,8 +15,8 @@ kernel's determinant against the cofactor tree count, and certifies the
 result with an exact integer identity; a failed check raises
 ``InternalCheckError``.  Every matrix the runtime computes with is a list
 of integer rows, and a rational result is integer rows over one
-denominator; ``RatMatrix`` is left only for the tests.  All matrices are
-sized for desk scale.
+denominator; ``RatMatrix`` is left for the tests and the benchmark
+tracer.  All matrices are sized for desk scale.
 """
 
 from __future__ import annotations

@@ -332,6 +332,8 @@ def parse_graph_file(text: str):
         return build(*sizes, edges)
     except ValueError as exc:
         raise GraphFormatError("graph body: %s" % exc) from None
+    except OverflowError:
+        raise GraphFormatError("line %d: %s too large" % (ln, sizes_name)) from None
 
 
 def format_graph(G) -> str:

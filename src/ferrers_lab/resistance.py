@@ -20,8 +20,8 @@ tau(G\\e) * tau(G\\f) = tau(G) * tau(G\\{e,f}).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 from .budget import DEFAULT_THM71_VERTICES, admit
@@ -48,9 +48,7 @@ class _GraphCtx:
 
     def __init__(self, graph):
         self.graph = graph
-        self._mp = None
         self._bordered = {}
-        self._tau = None
         self._without = {}
 
     def without(self, edge) -> "_GraphCtx":
@@ -59,26 +57,23 @@ class _GraphCtx:
             self._without[edge] = _GraphCtx(self.graph.delete_edge(edge))
         return self._without[edge]
 
-    @cached_property
+    @functools.cached_property
     def lap_int(self) -> list:
         # lazy: a deletion built only for its connectivity needs none
         return laplacian(self.graph)
 
-    @property
+    @functools.cached_property
     def mp(self) -> GInverse:
-        if self._mp is None:
-            self._mp = moore_penrose_laplacian(self.lap_int)
-        return self._mp
+        return moore_penrose_laplacian(self.lap_int)
 
     def bordered(self, pivot: int) -> GInverse:
         if pivot not in self._bordered:
             self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot)
         return self._bordered[pivot]
 
+    @functools.cached_property
     def tau(self) -> int:
-        if self._tau is None:
-            self._tau = tree_count(self.lap_int)
-        return self._tau
+        return tree_count(self.lap_int)
 
     def minor_det(self, drop) -> int:
         drop = set(k - 1 for k in drop)
@@ -96,7 +91,7 @@ class _GraphCtx:
         a, b = i - 1, j - 1
         via_mp = Fraction(plus[a][a] + plus[b][b] - 2 * plus[a][b], mp.denominator)
         # minor_det([i]) is tau by the matrix-tree theorem, cached already
-        via_det = Fraction(self.minor_det([i, j]), self.tau())
+        via_det = Fraction(self.minor_det([i, j]), self.tau)
         if via_mp != via_det:
             raise InternalCheckError(
                 "resistance routes disagree: %s vs %s" % (via_mp, via_det)
@@ -182,7 +177,7 @@ def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
 
     conditions["i"] = ctx.resistance(i, j) == ctx_f.resistance(i, j)
     conditions["ii"] = ctx.resistance(k, l) == ctx_e.resistance(k, l)
-    conditions["iii"] = ctx_e.tau() * ctx_f.tau() == ctx.tau() * ctx_e.without(f).tau()
+    conditions["iii"] = ctx_e.tau * ctx_f.tau == ctx.tau * ctx_e.without(f).tau
 
     def ginv_condition(name, ginvs_ctx, edge, a, b):
         entries = []
@@ -335,13 +330,9 @@ def _incidence_code(n, adj):
     return _code_rows(rows, col)
 
 
-_GRAPH_REPS_CACHE = {}
-
-
+@functools.cache
 def _graph_reps(n):
     """All graphs on n vertices up to isomorphism, as adjacency-mask tuples."""
-    if n in _GRAPH_REPS_CACHE:
-        return _GRAPH_REPS_CACHE[n]
     if n == 1:
         reps = [(0,)]
     else:
@@ -355,7 +346,6 @@ def _graph_reps(n):
                 if key not in seen:
                     seen.add(key)
                     reps.append(tuple(adj))
-    _GRAPH_REPS_CACHE[n] = reps
     return reps
 
 

@@ -604,8 +604,10 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
     start = time.monotonic()
     graphs = enumerate_class(spec)
     top, maxima = _maximizers(graphs, jobs)
-    staircase = canonical_code(ferrers_from_partition(degrees, degrees[0]))
-    attains = staircase in map(canonical_code, maxima)
+    # the staircase is the one Ferrers member of its degree class
+    attains = any(is_ferrers(g) for g in maxima)
+    beaten = [] if attains else [
+        graph_from_code(canonical_code(ferrers_from_partition(degrees, degrees[0])))]
     return SearchReport(
         spec=spec,
         examined=len(graphs),
@@ -613,5 +615,5 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
         checked_property="staircase_attains_spectral_max",
         details={"lambda_max": top, "staircase_attains_max": attains},
         extremal_graphs=maxima,
-        counterexample_graphs=[] if attains else [graph_from_code(staircase)],
+        counterexample_graphs=beaten,
     )

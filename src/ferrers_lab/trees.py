@@ -18,100 +18,19 @@ components of the chosen forest (one vertex mask per component), and
 skipped only while those masks and the remaining edges, as bit rows,
 still connect the graph: the bit-row reach of ``graphs``.  The weighted
 polynomial assigns each spanning tree the monomial
-prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)} and is available both
-brute-force and in product form for staircase graphs.
+prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}; it is a plain
+{exponent tuple: coefficient} dict, computed brute-force for any graph and
+in product form for staircase graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, det_int, tree_count
 from .graphs import BipartiteGraph, _rows_connected, laplacian
 from .partitions import Partition, conjugate
-
-
-@dataclass(frozen=True, slots=True)
-class MultiPoly:
-    """Multivariate polynomial with integer coefficients.
-
-    Terms map fixed-arity exponent tuples to nonzero coefficients; iteration
-    and serialization follow sorted exponent order, so equal polynomials
-    have identical renderings.
-    """
-
-    arity: int
-    terms: dict = None
-
-    def __post_init__(self):
-        clean = {}
-        for exps, coeff in (self.terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.arity:
-                raise ValueError("exponent vector has arity %d, expected %d"
-                                 % (len(exps), self.arity))
-            coeff = int(coeff)
-            if coeff:
-                clean[exps] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def monomial(cls, arity: int, exps, coeff: int = 1) -> "MultiPoly":
-        return cls(arity, {tuple(exps): coeff})
-
-    @classmethod
-    def variable_sum(cls, arity: int, indices) -> "MultiPoly":
-        """Sum of single variables, e.g. x_a + x_b + ... (0-based slots)."""
-        terms = {}
-        for idx in indices:
-            exps = [0] * arity
-            exps[idx] = 1
-            terms[tuple(exps)] = 1
-        return cls(arity, terms)
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(self.arity, terms)
-
-    def __mul__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly(self.arity, terms)
-
-    def evaluate(self, values):
-        """Evaluate at a full assignment (one value per slot)."""
-        if len(values) != self.arity:
-            raise ValueError("need %d values" % self.arity)
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                term *= v ** e
-            total += term
-        return total
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
-
-    def __hash__(self):
-        return hash((self.arity, tuple(self.sorted_terms())))
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return "MultiPoly(arity=%d, terms=%d)" % (self.arity, len(self.terms))
 
 
 def tau(G) -> int:
@@ -205,8 +124,8 @@ def enumerate_spanning_trees(G, budget: int | None = None) -> list:
     return trees
 
 
-def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> MultiPoly:
-    """Weighted tree polynomial by direct enumeration.
+def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> dict:
+    """Weighted tree polynomial by direct enumeration, as a term dict.
 
     Slot i (0-based) is x_{i+1} for i < m, and y_{i-m+1} after that.
     """
@@ -220,10 +139,10 @@ def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> MultiPoly:
             exps[b - 1] += 1
         key = tuple(exps)
         terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(arity, terms)
+    return terms
 
 
-def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> MultiPoly:
+def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> dict:
     """Weighted tree polynomial of a connected staircase graph, in closed form.
 
     With row degrees lambda and column degrees lambda' (the conjugate), the
@@ -233,19 +152,24 @@ def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> MultiPoly:
         * prod_{p=2..m} (y_1 + ... + y_{lambda_p})
         * prod_{q=2..n} (x_1 + ... + x_{lambda'_q}),
 
-    verified coefficient-for-coefficient against ``sigma_bruteforce``.
-    The graph must be connected: lambda_1 = len(lambda') and
-    lambda'_1 = len(lambda).
+    expanded here into the term dict of ``sigma_bruteforce``, against which
+    it is verified coefficient for coefficient.  The graph must be
+    connected: lambda_1 = len(lambda') and lambda'_1 = len(lambda).
     """
     if conjugate(lmbda) != lmbda_dual:
         raise ValueError("second argument must be the conjugate of the first")
     m, n = len(lmbda), len(lmbda_dual)
     if not m or lmbda[0] != n or lmbda_dual[0] != m:
         raise ValueError("partition does not describe a connected staircase graph")
-    arity = m + n
-    poly = MultiPoly.monomial(arity, [1] * arity)
-    for p in range(1, m):
-        poly = poly * MultiPoly.variable_sum(arity, [m + j for j in range(lmbda[p])])
-    for q in range(1, n):
-        poly = poly * MultiPoly.variable_sum(arity, list(range(lmbda_dual[q])))
+    # each linear factor is the range of variable slots it sums
+    factors = [range(m, m + lmbda[p]) for p in range(1, m)]
+    factors += [range(lmbda_dual[q]) for q in range(1, n)]
+    poly = {(1,) * (m + n): 1}
+    for slots in factors:
+        product = {}
+        for exps, coeff in poly.items():
+            for i in slots:
+                key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                product[key] = product.get(key, 0) + coeff
+        poly = product
     return poly

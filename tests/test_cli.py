@@ -55,6 +55,9 @@ README_DIGESTS = [
     ("trees-stdin", ["trees", "--graph", "-"],
      "3dc1ae61206943733ad71bc9cae1703f8f88987fd139867670f8dfcbac9e7520",
      "609e7fecefa50331d89583c5a75f85c60423c54dbd69737a44efab8e39dc1599"),
+    ("trees-sigma", ["trees", "--graph", "EX", "--enumerate", "--sigma"],
+     "83fdda40142ead9f97b0ad1fef1097ab1206a8c396437391cf982ea7747524fc",
+     "edb05d33b0f6061e90bf371a67b10371e39cb84a2ec176e7c6bdf6c4064944bc"),
     ("spectral", ["spectral", "--graph", "EX"],
      "2db131b7d7838ae84aa18e8a7f1ae854c3e0cc70633483aa488d1b852c5411ac",
      "51ebdb9792517348ce0be4b7399c01d176f236e62b6618a542cb5804d96d6e83"),
@@ -433,6 +436,14 @@ def test_exit_code_input_error(tmp_path, capsys):
     code, _, err = run_cli(["trees", "--graph", str(bad)], capsys)
     assert code == 2
     assert "line 1" in err
+
+
+def test_oversized_header_is_input_error(tmp_path, capsys):
+    # the row count overflows an index before any row is allocated
+    big = tmp_path / "big.graph"
+    big.write_text("bipartite 99999999999999999999 2\n")
+    code, out, err = run_cli(["trees", "--graph", str(big)], capsys)
+    assert (code, out, err) == (2, "", "ferrers-lab: line 1: part sizes too large\n")
 
 
 def test_exit_code_budget(capsys):

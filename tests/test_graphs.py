@@ -10,7 +10,6 @@ from ferrers_lab import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    MultiPoly,
     Partition,
     bridge_join,
     conjugate,
@@ -336,10 +335,7 @@ def test_degree_sequences_pass_gale_ryser(rng):
      "BipartiteGraph(m=2, n=3, rows=(1, 7))"),
     (Graph(3, [(1, 2), (2, 3)]), Graph(3, [(3, 2), (2, 1)]),
      "Graph(vcount=3, edges=2)"),
-    (MultiPoly(2, {(1, 0): 2, (0, 1): 1}),
-     MultiPoly(2, {(0, 1): 1, (1, 0): 2, (1, 1): 0}),
-     "MultiPoly(arity=2, terms=2)"),
-], ids=["Partition", "BipartiteGraph", "Graph", "MultiPoly"])
+], ids=["Partition", "BipartiteGraph", "Graph"])
 def test_value_type_contract(value, same, text):
     # immutable, slotted, picklable and hashable by value; repr unchanged
     for f in dataclasses.fields(value):
