@@ -141,10 +141,10 @@ def _search_doc(args, report):
     if args.emit_graphs:
         os.makedirs(args.emit_graphs, exist_ok=True)
         for label, graphs in (
-            ("extremal", report.extremal_graphs),
-            ("counterexample", report.counterexample_graphs),
+            ("extremal", report.extremal),
+            ("counterexample", report.counterexamples),
         ):
-            for idx, g in enumerate(graphs):
+            for idx, g in enumerate(graphs.values()):
                 path = os.path.join(args.emit_graphs, "%s_%03d.graph" % (label, idx))
                 with open(path, "w") as fh:
                     fh.write(format_graph(g))

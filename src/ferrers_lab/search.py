@@ -29,8 +29,9 @@ and its code is already the full code.  The connected scan and the kpqe
 classes with p = q are closed under the part swap.  A degree class fixes
 the row degrees only: it holds a square member's transpose exactly when
 the member's column degrees, sorted, equal its own, and a member whose
-transpose it does not hold is kept and keyed by its full code.  Every
-level is in ascending code order.
+transpose it does not hold is kept and keyed by ``canonical_code``, its
+one call on a search's path.  Every level is in ascending code order;
+each class is handed out keyed by its code, and search reports carry it.
 
 Searches shard their per-graph checks over a process pool when asked;
 results merge in enumeration order so reports are byte-identical
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .budget import (
     CANDIDATE_GUARD,
@@ -63,7 +64,6 @@ from .graphs import (
     BipartiteGraph,
     _rows_connected,
     _transpose_rows,
-    ferrers_from_partition,
     is_ferrers,
     laplacian,
 )
@@ -351,8 +351,9 @@ def _covers(rows, full):
     return cover == full
 
 
-def enumerate_class(spec: ClassSpec) -> list:
-    """One representative per isomorphism class, sorted by canonical code.
+def enumerate_class(spec: ClassSpec) -> dict:
+    """{canonical code: representative graph}, one entry per isomorphism
+    class, in ascending code order.
 
     Every class kind excludes isolated vertices.  At most
     ``CANDIDATE_GUARD`` candidates are examined.
@@ -380,8 +381,8 @@ def _enumerate_kpqe(spec, counter):
         return sum(r.bit_count() for r in rows) == e and _covers(rows, full)
 
     level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
-    return [BipartiteGraph(p, q, rows) for rows in level.values()
-            if p < q or _keeps_orientation(rows, q)]
+    return {code: BipartiteGraph(p, q, rows) for code, rows in level.items()
+            if p < q or _keeps_orientation(rows, q)}
 
 
 def _enumerate_degree_class(spec, counter):
@@ -408,8 +409,7 @@ def _enumerate_degree_class(spec, counter):
                 elif not _keeps_orientation(rows, m):
                     continue
             found.append((code, g))
-    found.sort(key=lambda item: item[0])
-    return [g for _, g in found]
+    return dict(sorted(found, key=lambda item: item[0]))
 
 
 def _enumerate_connected(spec, counter):
@@ -427,16 +427,15 @@ def _enumerate_connected(spec, counter):
                 # graph-level test is what the traced benchmark counts
                 if m == depth or g.is_connected():
                     found.append((code, g))
-    found.sort(key=lambda item: item[0])
-    return [g for _, g in found]
+    return dict(sorted(found, key=lambda item: item[0]))
 
 
 @dataclass
 class SearchReport:
     """Outcome record of one exhaustive enumeration run.
 
-    ``extremal`` and ``counterexamples`` are the canonical codes of the
-    extremal and counterexample graphs, in the same order.
+    ``extremal`` and ``counterexamples`` map canonical codes to graphs, in
+    enumeration order; the codes are the keys of ``enumerate_class``.
     """
 
     spec: ClassSpec
@@ -444,21 +443,15 @@ class SearchReport:
     elapsed: float
     checked_property: str
     details: dict
-    extremal_graphs: list
-    counterexample_graphs: list
-    extremal: list = field(init=False)
-    counterexamples: list = field(init=False)
-
-    def __post_init__(self):
-        self.extremal = [canonical_code(g) for g in self.extremal_graphs]
-        self.counterexamples = [canonical_code(g) for g in self.counterexample_graphs]
+    extremal: dict
+    counterexamples: dict
 
     def as_dict(self) -> dict:
         return {
             "class": self.spec.as_dict(),
             "examined": self.examined,
-            "extremal": self.extremal,
-            "counterexamples": self.counterexamples,
+            "extremal": list(self.extremal),
+            "counterexamples": list(self.counterexamples),
             "elapsed": self.elapsed,
             "checked_property": self.checked_property,
             "details": self.details,
@@ -498,12 +491,13 @@ def _pmap(fn, items, jobs):
     return [fn(item) for item in items]
 
 
-def _maximizers(graphs, jobs):
-    """The top spectral radius of ``graphs`` (None when there are none) and
-    the graphs within ``SPECTRAL_TIE_TOL`` of it, in enumeration order."""
-    values = _pmap(spectral_radius, graphs, jobs)
+def _maximizers(classes, jobs):
+    """The top spectral radius of the {code: graph} map ``classes`` (None if
+    it is empty), and the map of those within ``SPECTRAL_TIE_TOL`` of it."""
+    values = _pmap(spectral_radius, list(classes.values()), jobs)
     top = max(values, default=None)
-    return top, [g for g, v in zip(graphs, values) if v >= top - SPECTRAL_TIE_TOL]
+    return top, {code: g for (code, g), v in zip(classes.items(), values)
+                 if v >= top - SPECTRAL_TIE_TOL}
 
 
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
@@ -519,21 +513,22 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     _admit_columns(max_vertices - 1, "scan columns range up to max_vertices-1=%d")
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
-    graphs = enumerate_class(spec)
-    checked = list(zip(graphs, _pmap(_ferrers_check_one, graphs, jobs)))
-    equal = [(g, ferrers) for g, (lhs, rhs, ferrers) in checked if lhs == rhs]
+    classes = enumerate_class(spec)
+    checked = dict(zip(classes, _pmap(_ferrers_check_one, list(classes.values()), jobs)))
+    equal = {code: ferrers for code, (lhs, rhs, ferrers) in checked.items() if lhs == rhs}
     return SearchReport(
         spec=spec,
-        examined=len(graphs),
+        examined=len(classes),
         elapsed=time.monotonic() - start,
         checked_property="tree_count_le_degree_product",
         details={
-            "equality_ferrers": sum(ferrers for _, ferrers in equal),
-            "equality_non_ferrers": [canonical_code(g).hex()
-                                     for g, ferrers in equal if not ferrers],
+            "equality_ferrers": sum(equal.values()),
+            "equality_non_ferrers": [code.hex() for code, ferrers in equal.items()
+                                     if not ferrers],
         },
-        extremal_graphs=[g for g, _ in equal],
-        counterexample_graphs=[g for g, (lhs, rhs, _) in checked if lhs > rhs],
+        extremal={code: classes[code] for code in equal},
+        counterexamples={code: classes[code]
+                         for code, (lhs, rhs, _) in checked.items() if lhs > rhs},
     )
 
 
@@ -571,21 +566,22 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
     admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")
     _admit_columns(q, "spectral search needs q=%d columns")
     start = time.monotonic()
-    graphs = enumerate_class(spec)
-    top, maxima = _maximizers(graphs, jobs)
+    classes = enumerate_class(spec)
+    top, maxima = _maximizers(classes, jobs)
     return SearchReport(
         spec=spec,
-        examined=len(graphs),
+        examined=len(classes),
         elapsed=time.monotonic() - start,
         checked_property="spectral_radius_maximizer_is_staircase",
         details={
             "lambda_max": top,
             "maximizer_count": len(maxima),
-            "one_vertex_extension_shape": [_is_complete_minus_vertex(g) for g in maxima],
-            "maximizer_connected": [g.is_connected() for g in maxima],
+            "one_vertex_extension_shape": [_is_complete_minus_vertex(g)
+                                           for g in maxima.values()],
+            "maximizer_connected": [g.is_connected() for g in maxima.values()],
         },
-        extremal_graphs=maxima,
-        counterexample_graphs=[g for g in maxima if not is_ferrers(g)],
+        extremal=maxima,
+        counterexamples={code: g for code, g in maxima.items() if not is_ferrers(g)},
     )
 
 
@@ -594,7 +590,8 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
     """Maximize the spectral radius over graphs with fixed row degrees.
 
     The staircase graph with those row degrees must be among the
-    maximizers; if it is not, it is recorded as a counterexample.
+    maximizers; if it is not, it is recorded as a counterexample.  A class
+    without exactly one staircase member raises ``InternalCheckError``.
     """
     degrees = Partition(degrees)
     spec = ClassSpec.degree_class(degrees)
@@ -602,18 +599,19 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
           "degree class m*d1=%d")
     _admit_columns(sum(degrees), "degree class columns range up to sum(D)=%d")
     start = time.monotonic()
-    graphs = enumerate_class(spec)
-    top, maxima = _maximizers(graphs, jobs)
-    # the staircase is the one Ferrers member of its degree class
-    attains = any(is_ferrers(g) for g in maxima)
-    beaten = [] if attains else [
-        graph_from_code(canonical_code(ferrers_from_partition(degrees, degrees[0])))]
+    classes = enumerate_class(spec)
+    top, maxima = _maximizers(classes, jobs)
+    staircase = {code: g for code, g in classes.items() if is_ferrers(g)}
+    if len(staircase) != 1:
+        raise InternalCheckError("degree class %s has %d staircase members, not 1"
+                                 % (degrees, len(staircase)))
+    attains = staircase.keys() <= maxima.keys()
     return SearchReport(
         spec=spec,
-        examined=len(graphs),
+        examined=len(classes),
         elapsed=time.monotonic() - start,
         checked_property="staircase_attains_spectral_max",
         details={"lambda_max": top, "staircase_attains_max": attains},
-        extremal_graphs=maxima,
-        counterexample_graphs=beaten,
+        extremal=maxima,
+        counterexamples={} if attains else staircase,
     )

@@ -630,6 +630,16 @@ def test_exit_code_internal_check_schur_tau(capsys, monkeypatch, breaker):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_exit_code_internal_check_staircase_count(capsys, monkeypatch):
+    # a degree class without exactly one staircase member is a defect
+    # (exit 4), never a beaten staircase (exit 1)
+    monkeypatch.setattr(search, "is_ferrers", lambda g: False)
+    code, out, err = run_cli(["degree-class", "--D", "3,2,2"], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("ferrers-lab: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_budget_flag_override(staircase_file, capsys):
     code, _, err = run_cli(
         ["trees", "--graph", staircase_file, "--enumerate", "--budget", "5"], capsys

@@ -39,7 +39,7 @@ def test_bozkurt_strict_on_staircase():
 
 
 def test_bozkurt_iff_over_small_classes():
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         rep = bozkurt_check(g)
         assert rep.holds
         assert rep.equality == rep.notes["complete_bipartite"]
@@ -61,7 +61,7 @@ def test_venkataramana_single_edge():
 
 
 def test_venkataramana_over_small_classes():
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         assert venkataramana_check(g).holds
 
 
@@ -113,12 +113,12 @@ def test_grone_merris_star():
 
 def test_grone_merris_single_edge_and_small_classes():
     assert grone_merris_check(complete_bipartite(1, 1)).holds
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         assert grone_merris_check(g).holds
 
 
 def test_hermitian_majorization_small_classes():
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         degrees = sorted(g.degrees(), reverse=True)
         assert majorizes(degrees, laplacian_spectrum(g))
 
@@ -144,7 +144,7 @@ def test_ferrers_bound_check_disconnected_trivial():
 def test_ferrers_bound_check_matches_cofactor_and_degree_product():
     # both sides against independent routes: the Laplacian cofactor, and
     # the degree product over |X||Y|
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(6)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(6)).values():
         rep = ferrers_bound_check(g)
         assert rep.lhs == tree_count(laplacian(g))
         assert rep.rhs == Fraction(math.prod(g.degrees()), g.m * g.n)

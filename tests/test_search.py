@@ -72,7 +72,7 @@ def test_canonical_code_separates_same_degree_sequence():
     specs = ClassSpec.all_connected_bipartite(8)
     by_degrees = {}
     witness = None
-    for g in enumerate_class(specs):
+    for g in enumerate_class(specs).values():
         key = (tuple(sorted(g.degrees_u())), tuple(sorted(g.degrees_v())), g.m, g.n)
         other = by_degrees.setdefault(key, g)
         if other is not g and tau(other) != tau(g):
@@ -211,7 +211,8 @@ def test_part_swap_test_matches_bounded_search(rng):
 def test_enumerate_kpqe_hand_case():
     classes = enumerate_class(ClassSpec.kpqe(2, 2, 3))
     assert len(classes) == 1
-    assert tau(classes[0]) == 1  # the 4-vertex path
+    [path] = classes.values()
+    assert tau(path) == 1  # the 4-vertex path
 
 
 def test_enumerate_all_connected_bipartite_4():
@@ -223,12 +224,12 @@ def test_enumerate_all_connected_bipartite_4():
         canonical_code(complete_bipartite(2, 2)),  # C4
         canonical_code(BipartiteGraph(2, 2, [0b11, 0b01])),  # P4
     }
-    assert {canonical_code(g) for g in classes} == expected
+    assert set(classes) == expected
 
 
 def test_enumerate_codes_strictly_increasing():
     classes = enumerate_class(ClassSpec.all_connected_bipartite(6))
-    codes = [canonical_code(g) for g in classes]
+    codes = list(classes)
     assert codes == sorted(codes)
     assert len(set(codes)) == len(codes)
 
@@ -236,8 +237,8 @@ def test_enumerate_codes_strictly_increasing():
 def test_enumerate_degree_class_contains_staircase():
     classes = enumerate_class(ClassSpec.degree_class(Partition((3, 3, 2, 1))))
     target = canonical_code(example_staircase())
-    assert target in {canonical_code(g) for g in classes}
-    for g in classes:
+    assert target in classes
+    for g in classes.values():
         assert sorted(g.degrees_u()) == [1, 2, 3, 3]
         assert all(d >= 1 for d in g.degrees_v())
 
@@ -407,7 +408,7 @@ def _spec_id(spec):
 ], ids=_spec_id)
 def test_enumeration_matches_reference_growth(spec):
     # same representatives, row for row, in the same order
-    ours = [(g.m, g.n, g.rows) for g in enumerate_class(spec)]
+    ours = [(g.m, g.n, g.rows) for g in enumerate_class(spec).values()]
     ref = [(g.m, g.n, g.rows) for g in _reference_enumerate(spec)]
     assert ours == ref
 
@@ -417,13 +418,32 @@ def test_enumeration_matches_reference_growth(spec):
 ], ids=_spec_id)
 def test_part_swap_needs_no_canonical_code(spec, monkeypatch):
     # the classes closed under the part swap are deduped by the local test
-    # alone, without the full canonizer
+    # alone, without the full canonizer, and their searches report the
+    # codes the enumeration carries
     calls = []
     orig = search.canonical_code
     monkeypatch.setattr(search, "canonical_code",
                         lambda *args: calls.append(args) or orig(*args))
     assert enumerate_class(spec)
+    if spec.kind == "kpqe":
+        assert spectral_search(spec.p, spec.q, spec.e).extremal
+    else:
+        assert verify_ferrers_bound(spec.max_vertices).extremal
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec.all_connected_bipartite(8),
+    *[ClassSpec.kpqe(p, p, e) for p in range(2, 5) for e in range(2, p * p)],
+    ClassSpec.degree_class(Partition((2, 2, 1))),
+    ClassSpec.degree_class(Partition((3, 2, 2))),
+    ClassSpec.degree_class(Partition((3, 3, 2, 1))),
+], ids=_spec_id)
+def test_carried_codes_are_canonical_codes(spec):
+    # the keys the enumeration hands out, against the full canonizer
+    classes = enumerate_class(spec)
+    assert list(classes) == [canonical_code(g) for g in classes.values()] \
+        == sorted(classes)
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])
@@ -444,7 +464,7 @@ def test_representatives_are_their_own_codes(spec):
     # growth keeps a candidate only in canonical form (parts fixed)
     graphs = enumerate_class(spec)
     assert graphs
-    for g in graphs:
+    for g in graphs.values():
         assert _code_rows(g.rows, g.n) == g.rows
 
 
@@ -480,7 +500,7 @@ def test_rows_connected_matches_graph_connectivity():
 def test_connected_bipartite_counts_match_oeis_a005142():
     # connected bipartite graphs on 2..10 vertices, OEIS A005142
     per_order = {}
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(10)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(10)).values():
         per_order[g.m + g.n] = per_order.get(g.m + g.n, 0) + 1
     assert [per_order[v] for v in range(2, 11)] == \
         [1, 1, 3, 5, 17, 44, 182, 730, 4032]
@@ -505,13 +525,13 @@ def test_enumeration_matches_naive_oracle():
 
 def test_verify_ferrers_bound_small():
     report = verify_ferrers_bound(7)
-    assert report.counterexamples == []
+    assert report.counterexamples == {}
     assert report.examined == 27 + 44
     assert report.details["equality_non_ferrers"] == []
     assert report.details["equality_ferrers"] == 35
     assert report.checked_property == "tree_count_le_degree_product"
     report = verify_ferrers_bound(8)
-    assert report.counterexamples == []
+    assert report.counterexamples == {}
     assert report.details == {"equality_ferrers": 71, "equality_non_ferrers": []}
 
 
@@ -531,16 +551,16 @@ def test_verify_ferrers_bound_budget():
 def test_spectral_search_worked_example():
     report = spectral_search(3, 4, 10)
     assert len(report.extremal) == 1
-    assert report.counterexamples == []
+    assert report.counterexamples == {}
     g2 = BipartiteGraph(3, 4, [0b1111, 0b0111, 0b0111])
-    assert report.extremal[0] == canonical_code(g2)
+    assert list(report.extremal) == [canonical_code(g2)]
     assert abs(report.details["lambda_max"] - 3.0592) <= 5e-4
     assert report.details["one_vertex_extension_shape"] == [True]
 
 
 def test_spectral_search_runner_up_value_present():
     values = sorted(
-        spectral_radius(g) for g in enumerate_class(ClassSpec.kpqe(3, 4, 10))
+        spectral_radius(g) for g in enumerate_class(ClassSpec.kpqe(3, 4, 10)).values()
     )
     assert any(abs(v - 3.0204) <= 5e-4 for v in values)
     assert any(abs(v - 3.0592) <= 5e-4 for v in values)
@@ -557,15 +577,15 @@ def test_spectral_search_small_grid():
                 if report.examined == 0:
                     assert e < q  # too few edges to cover every column
                     continue
-                for g, connected in zip(report.extremal_graphs,
+                for g, connected in zip(report.extremal.values(),
                                         report.details["maximizer_connected"]):
                     if connected:
                         assert is_ferrers(g), (p, q, e)
                     # strict inequality: class excludes complete bipartite
                     assert spectral_radius(g) < math.sqrt(e) - 1e-9
-                assert report.counterexamples == [
-                    canonical_code(g)
-                    for g in report.extremal_graphs
+                assert list(report.counterexamples) == [
+                    code
+                    for code, g in report.extremal.items()
                     if not is_ferrers(g)
                 ]
 
@@ -582,7 +602,7 @@ def test_spectral_search_disconnected_corner():
 def test_spectral_search_empty_class():
     report = spectral_search(2, 4, 3)  # 3 edges cannot cover 4 columns
     assert report.examined == 0
-    assert report.extremal == [] and report.counterexamples == []
+    assert report.extremal == {} and report.counterexamples == {}
     assert report.details["lambda_max"] is None
 
 
@@ -597,7 +617,7 @@ def test_spectral_search_validates_and_budgets():
 
 def test_degree_class_max_staircase_attains():
     report = degree_class_max(Partition((3, 3, 2, 1)))
-    assert report.counterexamples == []
+    assert report.counterexamples == {}
     assert report.details["staircase_attains_max"]
 
 
@@ -625,8 +645,8 @@ def test_verify_ferrers_bound_reports_the_counterexample(monkeypatch):
     assert cycle not in plain.extremal
     monkeypatch.setattr(search, "_ferrers_check_one", inflate_tau_of(cycle))
     report = verify_ferrers_bound(6, jobs=1)
-    assert report.counterexamples == [cycle]
-    assert [canonical_code(g) for g in report.counterexample_graphs] == [cycle]
+    assert list(report.counterexamples) == [cycle]
+    assert [canonical_code(g) for g in report.counterexamples.values()] == [cycle]
     assert report.extremal == plain.extremal
     assert report.details == plain.details
 
@@ -645,28 +665,48 @@ def test_verify_ferrers_bound_surfaces_non_ferrers_equality(monkeypatch):
         "equality_non_ferrers": [k33.hex()],
     }
     assert report.extremal == plain.extremal
-    assert report.counterexamples == []
+    assert report.counterexamples == {}
 
 
-def test_degree_class_max_reports_a_beaten_staircase(monkeypatch):
-    degrees = Partition((3, 3, 2, 1))
-    staircase = canonical_code(ferrers_from_partition(degrees, 3))
+def _beat_staircase(monkeypatch, degrees):
+    """Lower the spectral radius of the staircase with row degrees
+    ``degrees`` by 1; returns its canonical code."""
+    staircase = canonical_code(ferrers_from_partition(degrees, degrees[0]))
     orig = search.spectral_radius
     monkeypatch.setattr(
         search, "spectral_radius",
         lambda g: orig(g) - 1 if canonical_code(g) == staircase else orig(g))
+    return staircase
+
+
+def test_degree_class_max_reports_a_beaten_staircase(monkeypatch):
+    degrees = Partition((3, 3, 2, 1))
+    staircase = _beat_staircase(monkeypatch, degrees)
     report = degree_class_max(degrees, jobs=1)
     assert report.details["staircase_attains_max"] is False
     assert staircase not in report.extremal
-    assert report.counterexamples == [staircase]
-    assert report.counterexample_graphs == [graph_from_code(staircase)]
-    assert report.extremal == [canonical_code(g) for g in report.extremal_graphs]
+    assert list(report.counterexamples) == [staircase]
+    assert list(report.counterexamples.values()) == [graph_from_code(staircase)]
+    assert list(report.extremal) == [canonical_code(g) for g in report.extremal.values()]
+
+
+def test_degree_class_max_beaten_square_staircase_is_a_member(monkeypatch):
+    # the staircase of a square class whose D is not self-conjugate is
+    # reported as the class holds it, with row degrees D, under its full
+    # code (the transpose, with rows 1, 7, 7, is not in the class)
+    degrees = Partition((3, 2, 2))
+    staircase = _beat_staircase(monkeypatch, degrees)
+    report = degree_class_max(degrees, jobs=1)
+    assert [code.hex() for code in report.counterexamples] == ["0303000100070007"]
+    [g] = report.counterexamples.values()
+    assert sorted(g.degrees_u(), reverse=True) == [3, 2, 2]
+    assert canonical_code(g) == staircase and is_ferrers(g)
 
 
 def test_spectral_search_empty_class_details():
     report = spectral_search(2, 4, 3, jobs=1)
     assert report.examined == 0
-    assert report.extremal_graphs == [] and report.counterexample_graphs == []
+    assert report.extremal == {} and report.counterexamples == {}
     assert report.details == {
         "lambda_max": None,
         "maximizer_count": 0,

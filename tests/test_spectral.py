@@ -195,7 +195,7 @@ def test_normalized_product_check():
 def test_normalized_product_exhaustive_small():
     from ferrers_lab.search import ClassSpec, enumerate_class
 
-    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)):
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         if g.m + g.n >= 3:
             assert _normalized_product(g).holds
 
