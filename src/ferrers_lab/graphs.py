@@ -14,9 +14,11 @@ neighbourhoods, are joined from a seed row until nothing more meets it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .budget import GRAPH_FILE_VERTICES, BudgetExceeded
 from .partitions import Partition
 
 
@@ -33,13 +35,12 @@ class BipartiteGraph:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         if self.m < 1 or self.n < 1:
             raise ValueError("both parts must be nonempty")
         if len(rows) != self.m:
             raise ValueError("expected %d rows, got %d" % (self.m, len(rows)))
-        full = (1 << self.n) - 1
-        if any(r < 0 or r > full for r in rows):
+        if min(rows) < 0 or max(rows) > (1 << self.n) - 1:
             raise ValueError("row mask out of range for %d columns" % self.n)
         object.__setattr__(self, "rows", rows)
 
@@ -164,8 +165,14 @@ def _reach(rows, seed):
 def _transpose_rows(rows, n):
     """The bit rows of the transpose of the matrix with bit rows ``rows``
     over ``n`` columns."""
-    return tuple(sum((r >> j & 1) << i for i, r in enumerate(rows))
-                 for j in range(n))
+    cols = [0] * n
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return tuple(cols)
 
 
 def _rows_connected(rows, full):
@@ -296,7 +303,9 @@ def parse_graph_file(text: str):
     """Parse the one-graph text format.
 
     Line 1 is "bipartite m n" or "general n"; later nonblank lines are
-    edges: "e i j" (u_i ~ v_j) for bipartite, "i j" for general.
+    edges: "e i j" (u_i ~ v_j) for bipartite, "i j" for general.  A header
+    over ``GRAPH_FILE_VERTICES`` vertices raises ``BudgetExceeded`` before
+    anything is built.
     """
     lines = text.splitlines()
     header = None
@@ -316,6 +325,11 @@ def parse_graph_file(text: str):
         sizes = [int(tok) for tok in header[1:]]
     except ValueError:
         raise GraphFormatError("line %d: bad %s" % (ln, sizes_name)) from None
+    if max(sizes) > sys.maxsize:  # no list of that length could be built
+        raise GraphFormatError("line %d: %s too large" % (ln, sizes_name))
+    if sum(sizes) > GRAPH_FILE_VERTICES:
+        raise BudgetExceeded("graph file of %d vertices exceeds the cap of %d"
+                             % (sum(sizes), GRAPH_FILE_VERTICES))
     prefix = edge_form.split()[:-2]
     edges = []
     for off, line in enumerate(lines[ln:], start=ln + 1):
@@ -332,8 +346,6 @@ def parse_graph_file(text: str):
         return build(*sizes, edges)
     except ValueError as exc:
         raise GraphFormatError("graph body: %s" % exc) from None
-    except OverflowError:
-        raise GraphFormatError("line %d: %s too large" % (ln, sizes_name)) from None
 
 
 def format_graph(G) -> str:

@@ -10,15 +10,19 @@ only canonizer: ``resistance`` keys general graphs by the code of their
 vertex-edge incidence matrix (vertices as rows, edges as columns).
 
 Classes are generated row by row, once per column count, by orderly
-generation (Read 1978): a candidate is kept only when it is its own code,
-tested by the same search descending only while its prefix equals the
-candidate and stopping at the first smaller prefix.  The code is
-nondecreasing, its first k values are the code of those k rows, and each
-value fills the low end of the twin-column groups of the values above
-it; so each kept matrix is extended by those fills no less than its last
-row, and every class with parts fixed is reached exactly once.  At the
-last level the class filters (connectivity, edge count, no empty column)
-run on the bit rows first.
+generation (Read 1978): a candidate is kept only when it is its own code.
+The code is nondecreasing, its first k values are the code of those k
+rows, and each value fills the low end of the twin-column groups of the
+values above it; so each kept matrix is extended by those fills no less
+than its last row, and every class with parts fixed is reached exactly
+once.  One walk of a parent's search tree decides all its candidates at
+once.  The parent is a code, so wherever that walk goes its own rows are
+at or above the target, and only the new row's value there matters: below
+the target it rejects the candidate, and equal to it the same search runs
+below placing the new row, descending only while the prefix equals the
+candidate and stopping at the first smaller one.  At the last level the
+class filters (connectivity, edge count, no empty column) run on the bit
+rows first.
 
 Growth holds the parts fixed, so a class with parts of equal size can be
 reached twice, once per orientation.  Every class kind keeps a square
@@ -142,29 +146,64 @@ def _code_rows(rows, n, bound=None):
     return best
 
 
+def _descend(remaining, cells, least):
+    """True iff no labeling that completes the node (``remaining`` rows
+    still to place under the column ``cells``) is below ``least``.
+
+    Descends only while the prefix equals ``least``, and returns False at
+    the first row value below it, since every leaf under a smaller prefix
+    is a smaller code.
+    """
+    target = least[len(least) - len(remaining)]
+    vals = _row_values(remaining, cells, target)
+    if vals is None:
+        return False
+    if len(remaining) == 1:
+        return True
+    for r, v in vals.items():
+        if v == target and not _descend(*_split(remaining, cells, r), least):
+            return False
+    return True
+
+
 def _is_code(rows, n, least):
     """True iff no labeling of ``rows`` is below ``least``:
-    ``_code_rows(rows, n, least) == least``.
+    ``_code_rows(rows, n, least) == least``.  With ``least`` = ``rows`` it
+    decides whether ``rows`` is its own code."""
+    return _descend(list(rows), [((1 << n) - 1, n)], least)
 
-    The same search, descending only while its prefix equals ``least``; it
-    returns False at the first row value below ``least``, since every leaf
-    under a smaller prefix is a smaller code.  With ``least`` = ``rows`` it
-    decides whether ``rows`` is its own code.
+
+def _code_masks(rows, n, masks):
+    """The masks x of ``masks``, in the order given, for which
+    ``rows + (x,)`` is its own code; ``rows`` must be a code.
+
+    One walk of the search of ``rows`` decides them all.  Since ``rows`` is
+    a code, at every node reached by placing its rows only, those rows
+    are at or above the target, so a child's verdict there rests on x
+    alone: x below the target rejects it, and x equal to it must survive
+    the search below placing x.  Past the last row of ``rows`` x is the
+    target itself.
     """
+    m = len(rows)
 
-    def rec(remaining, cells):
-        target = least[len(least) - len(remaining)]
-        vals = _row_values(remaining, cells, target)
-        if vals is None:
-            return False
-        if len(remaining) == 1:
-            return True
-        for r, v in vals.items():
-            if v == target and not rec(*_split(remaining, cells, r)):
-                return False
-        return True
+    def walk(remaining, cells, alive):
+        vals = _row_values(alive, cells)
+        if not remaining:
+            return [x for x in alive if vals[x] >= x]
+        target = rows[m - len(remaining)]
+        parent = _row_values(remaining, cells)
+        # x equal to a row of ``rows`` still to place ties in that row's
+        # branch, which the walk takes below
+        alive = [x for x in alive if vals[x] > target or vals[x] == target and (
+            x in parent or _descend(*_split(remaining + [x], cells, x), rows + (x,)))]
+        for r, v in parent.items():
+            if alive and v == target:
+                alive = walk(*_split(remaining, cells, r), alive)
+        return alive
 
-    return rec(list(rows), [((1 << n) - 1, n)])
+    if not masks:
+        return []
+    return walk(list(rows), [((1 << n) - 1, n)], list(masks))
 
 
 def _keeps_orientation(rows, n):
@@ -197,7 +236,17 @@ def canonical_code(G: BipartiteGraph) -> bytes:
 
 
 def graph_from_code(code: bytes) -> BipartiteGraph:
+    """The graph whose biadjacency rows a canonical code lists.  A code
+    whose length is not 2 + 2m for its m rows, or whose part sizes are
+    outside 1..12, raises ``ValueError``."""
+    if len(code) < 2 or not (1 <= code[0] <= MAX_CODE_SIDE
+                             and 1 <= code[1] <= MAX_CODE_SIDE):
+        raise ValueError("code %r: part sizes must be 1..%d"
+                         % (code.hex(), MAX_CODE_SIDE))
     m, n = code[0], code[1]
+    if len(code) != 2 + 2 * m:
+        raise ValueError("code %r: %d bytes, %d rows need %d"
+                         % (code.hex(), len(code), m, 2 + 2 * m))
     rows = [
         int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big") for i in range(m)
     ]
@@ -322,6 +371,7 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
             if degrees_left is not None:
                 allowed = degrees_left(rows)
                 masks = [x for x in masks if x.bit_count() in allowed]
+            kept = []
             for mask in masks:
                 counter.bump()
                 cand = rows + (mask,)
@@ -329,8 +379,10 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
                     continue
                 if last and accept is not None and not accept(cand):
                     continue
-                if _is_code(cand, n, cand):
-                    nxt[_serialize(m, n, cand)] = cand
+                kept.append(mask)
+            for mask in _code_masks(rows, n, kept):
+                cand = rows + (mask,)
+                nxt[_serialize(m, n, cand)] = cand
         level = nxt
         yield m, level
 

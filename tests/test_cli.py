@@ -16,6 +16,7 @@ from ferrers_lab import (
     cli,
     exactla,
     ferrers_invariant,
+    graphs,
     parse_graph_file,
     search,
     spectral,
@@ -444,6 +445,35 @@ def test_oversized_header_is_input_error(tmp_path, capsys):
     big.write_text("bipartite 99999999999999999999 2\n")
     code, out, err = run_cli(["trees", "--graph", str(big)], capsys)
     assert (code, out, err) == (2, "", "ferrers-lab: line 1: part sizes too large\n")
+
+
+@pytest.mark.parametrize("header", ["general 6", "bipartite 2 4", "bipartite 5 1"])
+def test_graph_file_over_the_vertex_cap_is_budget(header, tmp_path, capsys,
+                                                  monkeypatch):
+    # refused on the header, before any graph is built; the cap is
+    # lowered here, so no test header ever allocates
+    monkeypatch.setattr(graphs, "GRAPH_FILE_VERTICES", 5)
+    built = []
+    monkeypatch.setattr(graphs.Graph, "__post_init__", built.append)
+    monkeypatch.setattr(graphs.BipartiteGraph, "__post_init__", built.append)
+    path = tmp_path / "big.graph"
+    path.write_text(header + "\n1 2\n")
+    for command in ("trees", "spectral", "check", "resistance"):
+        argv = [command, "--graph", str(path)]
+        argv += {"check": ["--all"], "resistance": ["--pair", "1,2"]}.get(command, [])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, ""), command
+        assert err == ("ferrers-lab: budget exceeded: graph file of 6 vertices"
+                       " exceeds the cap of 5\n")
+    assert built == []
+
+
+def test_graph_file_at_the_vertex_cap_is_admitted(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "GRAPH_FILE_VERTICES", 5)
+    path = tmp_path / "cap.graph"
+    path.write_text("bipartite 2 3\ne 1 1\ne 1 2\ne 2 2\ne 2 3\n")
+    code, out, _ = run_cli(["trees", "--graph", str(path)], capsys)
+    assert code == 0 and '"tau": "1"' in out
 
 
 def test_exit_code_budget(capsys):

@@ -25,6 +25,7 @@ from ferrers_lab.search import (
     _classes_mn,
     _code_rows,
     _Counter,
+    _code_masks,
     _is_code,
     _keeps_orientation,
     _twin_masks,
@@ -86,6 +87,32 @@ def test_canonical_code_separates_same_degree_sequence():
 def test_canonical_code_size_limit():
     with pytest.raises(ValueError):
         canonical_code(BipartiteGraph(1, 13, [0]))
+
+
+@pytest.mark.parametrize("code, message", [
+    ("", "part sizes"),
+    ("03", "part sizes"),
+    ("0003", "part sizes"),
+    ("0300", "part sizes"),
+    ("0d01" + "0001" * 13, "part sizes"),
+    ("010d0001", "part sizes"),
+    ("0303", "2 bytes"),
+    ("030300010003", "6 bytes"),
+    ("0202000100030000", "8 bytes"),
+    ("02020001000f", "out of range"),
+])
+def test_graph_from_code_rejects_malformed_codes(code, message):
+    # a short code must not decode its missing rows as 0, nor a long one
+    # drop its trailing bytes
+    with pytest.raises(ValueError, match=message):
+        graph_from_code(bytes.fromhex(code))
+
+
+def test_graph_from_code_accepts_both_extreme_sizes():
+    side = search.MAX_CODE_SIDE
+    for g in (BipartiteGraph(1, 1, [1]),
+              BipartiteGraph(side, side, [(1 << side) - 1] * side)):
+        assert graph_from_code(canonical_code(g)) == g
 
 
 def _bruteforce_key(g, swap):
@@ -180,6 +207,41 @@ def test_is_code_matches_bounded_search(rng):
         least = _code_rows(_random_rows(rng, len(rows), n), n)
         for bound in (least, code):
             assert _is_code(rows, n, bound) == (_code_rows(rows, n, bound) == bound)
+
+
+def test_code_masks_match_the_orderly_test_per_child(rng):
+    # one walk of the parent's search decides every child; each child is
+    # also decided alone by the orderly test.  Parents are random codes,
+    # square or not, often with duplicate rows; the masks are every twin
+    # fill at or above the floor (a duplicate of the last row among them),
+    # or such a list filtered by degree or edge count as growth does
+    shapes = set()
+    for _ in range(500):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        if rng.random() < 0.25:
+            n = max(1, m + 1)
+        rows = _random_rows(rng, m, n)
+        if m and rng.random() < 0.5:
+            twins = rng.randrange(m)
+            rows = rows[:-1] + rows[twins:twins + 1]
+        rows = tuple(r for r in rows if r)
+        rows = _code_rows(rows, n) if rows else ()
+        floor = rows[-1] if rows else 0
+        masks = [x for x in _twin_masks(rows, n) if x >= floor]
+        kind = rng.choice(("all", "degree", "edges"))
+        if kind == "degree":
+            allowed = {rng.randint(1, n) for _ in range(2)}
+            masks = [x for x in masks if x.bit_count() in allowed]
+        elif kind == "edges":
+            used = sum(r.bit_count() for r in rows)
+            e = used + rng.randint(1, n)
+            masks = [x for x in masks if used + x.bit_count() <= e]
+        expected = [x for x in masks if _is_code(rows + (x,), n, rows + (x,))]
+        assert _code_masks(rows, n, masks) == expected, (rows, n, masks)
+        shapes.add((len(rows) + 1 == n, floor in masks, kind,
+                    0 < len(expected) < len(masks)))
+    assert {(True, True, "all", True), (False, True, "all", True),
+            (False, False, "degree", True), (False, False, "edges", True)} <= shapes
 
 
 def _random_square(rng, n, symmetric):
