@@ -23,9 +23,9 @@ from ferrers_lab.graphs import _rows_connected, _transpose_rows
 from ferrers_lab.search import (
     ClassSpec,
     _classes_mn,
+    _code_masks,
     _code_rows,
     _Counter,
-    _code_masks,
     _is_code,
     _keeps_orientation,
     _twin_masks,
