@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .budget import DEFAULT_THM71_VERTICES, BudgetExceeded
+from .budget import DEFAULT_THM71_VERTICES, GRAPH_FILE_VERTICES, BudgetExceeded
 from .conjectures import (
     bozkurt_check,
     ferrers_bound_check,
@@ -37,7 +37,6 @@ from .graphs import (
     BipartiteGraph,
     GraphFormatError,
     ferrers_from_partition,
-    ferrers_invariant,
     format_graph,
     parse_graph_file,
 )
@@ -54,7 +53,7 @@ from .spectral import (
     spectrum_report,
     sqrt_edge_bound_check,
 )
-from .trees import enumerate_spanning_trees, sigma_bruteforce, tau
+from .trees import enumerate_spanning_trees, sigma_bruteforce
 
 SCHEMA_VERSION = 1
 
@@ -161,22 +160,26 @@ def _cmd_gen(args):
     cols = args.cols
     if cols is None:
         cols = lmbda[0] if len(lmbda) else 0
+    # the file must read back, so refuse it before any row is built
+    if len(lmbda) + cols > GRAPH_FILE_VERTICES:
+        raise BudgetExceeded("graph file of %d vertices exceeds the cap of %d"
+                             % (len(lmbda) + cols, GRAPH_FILE_VERTICES))
     return format_graph(ferrers_from_partition(lmbda, cols)), 0
 
 
 def _cmd_trees(args):
     graph = _require_bipartite(_load_graph(args.graph), "trees")
-    t, inv = tau(graph), ferrers_invariant(graph)
+    check = ferrers_bound_check(graph)
     doc = {
-        "tau": str(t),  # exact in any JSON reader, however large
-        "ferrers_invariant": inv,
-        "ferrers_good": t <= inv,
+        "tau": str(check.lhs),  # exact in any JSON reader, however large
+        "ferrers_invariant": check.rhs,
+        "ferrers_good": check.holds,
     }
     if args.enumerate:
         trees = enumerate_spanning_trees(graph, budget=args.budget)
         doc["enumeration"] = {
             "count": len(trees),
-            "matches_tau": len(trees) == t,
+            "matches_tau": len(trees) == check.lhs,
         }
     if args.sigma:
         poly = sigma_bruteforce(graph, budget=args.budget)

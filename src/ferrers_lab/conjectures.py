@@ -4,8 +4,12 @@ Every verdict that can be exact is exact: tree counts come from
 ``trees.tau`` (the Schur complement of a bipartite graph's column block),
 degree products and densities stay rational, and the one irrational bound
 (a square root) is decided by squaring both sides.  Only genuinely
-floating data (Laplacian spectra) is compared with a tolerance, and the
-tolerance is recorded in the report.
+floating data (Laplacian spectra) is compared with a tolerance, the
+package's one ``TOL``, and the tolerance is recorded in the report.
+
+``BoundReport.exact`` and ``BoundReport.within`` decide the lhs <= rhs
+checks; ``venkataramana`` (squares), ``grone-merris`` (a majorization) and
+a withheld ``majorization_chain`` build ``BoundReport`` directly.
 """
 
 from __future__ import annotations
@@ -30,23 +34,10 @@ def bozkurt_check(G: BipartiteGraph) -> BoundReport:
     Equality holds exactly for complete bipartite graphs; the structural
     test is recorded alongside the arithmetic one.
     """
-    if G.m + G.n < 2:
-        raise ValueError("need at least 2 vertices")
-    t = tau(G)
     e = G.edge_count()
-    if e == 0:
-        rhs = Fraction(0)
-    else:
-        rhs = Fraction(math.prod(G.degrees()), e)
-    return BoundReport(
-        name="bozkurt",
-        lhs=Fraction(t),
-        rhs=rhs,
-        holds=t <= rhs,
-        equality=t == rhs,
-        mode="exact",
-        notes={"complete_bipartite": _is_complete_bipartite(G)},
-    )
+    rhs = Fraction(math.prod(G.degrees()), e) if e else Fraction(0)
+    return BoundReport.exact("bozkurt", Fraction(tau(G)), rhs,
+                             {"complete_bipartite": _is_complete_bipartite(G)})
 
 
 def venkataramana_check(G: BipartiteGraph) -> BoundReport:
@@ -120,17 +111,8 @@ def majorization_chain_check(d: Partition, spectrum, a: Partition,
     lhs = 1.0 / n
     for x in spectrum:
         lhs *= x
-    rhs = float(rhs_exact)
-    return BoundReport(
-        name="majorization_chain",
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + TOL,
-        equality=abs(lhs - rhs) <= TOL,
-        mode="tolerance",
-        tol=TOL,
-        notes={"rhs_exact": rhs_exact, **hypotheses},
-    )
+    return BoundReport.within("majorization_chain", lhs, float(rhs_exact),
+                              notes={"rhs_exact": rhs_exact, **hypotheses})
 
 
 def graph_majorization_instance(G: BipartiteGraph):
@@ -179,13 +161,5 @@ def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
     produce a spurious counterexample.  Disconnected graphs hold
     trivially (tree count zero).
     """
-    t, rhs = tau(G), ferrers_invariant(G)
-    return BoundReport(
-        name="eq3",
-        lhs=Fraction(t),
-        rhs=rhs,
-        holds=t <= rhs,
-        equality=t == rhs,
-        mode="exact",
-        notes={"p": G.m, "q": G.n},
-    )
+    return BoundReport.exact("eq3", Fraction(tau(G)), ferrers_invariant(G),
+                             {"p": G.m, "q": G.n})

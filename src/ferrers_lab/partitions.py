@@ -2,6 +2,9 @@
 
 Partitions are immutable value types.  Majorization accepts arbitrary real
 sequences (graph spectra are floats); everything else is integer-exact.
+
+``TOL`` is the package's one float tolerance; it lives here, in the lowest
+module that compares floats, and ``spectral`` re-exports it.
 """
 
 from __future__ import annotations
@@ -9,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: absolute tolerance for prefix-sum comparisons on floating sequences
-MAJORIZATION_TOL = 1e-9
+#: absolute tolerance of every floating comparison in the package
+TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,8 +87,7 @@ def majorizes(a, b) -> bool:
     Every prefix sum of the nonincreasing rearrangement of ``a`` must be at
     most the corresponding prefix sum of ``b``, with equality for the full
     sum.  Sequences of unequal length are zero-padded to the longer one.
-    Comparison is exact for int/Fraction entries, within
-    ``MAJORIZATION_TOL`` otherwise.
+    Comparison is exact for int/Fraction entries, within ``TOL`` otherwise.
     """
     a = sorted(a, reverse=True)
     b = sorted(b, reverse=True)
@@ -100,11 +102,11 @@ def majorizes(a, b) -> bool:
         if exact:
             if sa > sb:
                 return False
-        elif sa > sb + MAJORIZATION_TOL:
+        elif sa > sb + TOL:
             return False
     if exact:
         return sa == sb
-    return abs(sa - sb) <= MAJORIZATION_TOL
+    return abs(sa - sb) <= TOL
 
 
 def gale_ryser(a: Partition, b: Partition) -> bool:

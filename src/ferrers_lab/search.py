@@ -71,14 +71,11 @@ from .graphs import (
     is_ferrers,
     laplacian,
 )
-from .partitions import Partition
+from .partitions import TOL, Partition
 from .spectral import spectral_radius
 from .trees import tau
 
 MAX_CODE_SIDE = 12
-
-#: spectral maxima within this distance of the top value tie for extremal
-SPECTRAL_TIE_TOL = 1e-9
 
 
 def _row_values(remaining, cells, floor=0):
@@ -545,11 +542,11 @@ def _pmap(fn, items, jobs):
 
 def _maximizers(classes, jobs):
     """The top spectral radius of the {code: graph} map ``classes`` (None if
-    it is empty), and the map of those within ``SPECTRAL_TIE_TOL`` of it."""
+    it is empty), and the map of those within ``TOL`` of it."""
     values = _pmap(spectral_radius, list(classes.values()), jobs)
     top = max(values, default=None)
     return top, {code: g for (code, g), v in zip(classes.items(), values)
-                 if v >= top - SPECTRAL_TIE_TOL}
+                 if v >= top - TOL}
 
 
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,

@@ -9,7 +9,10 @@ rationals; everything floating carries an explicit tolerance.
 
 ``BoundReport`` is the one bound-comparison record of the package: the
 checks here return it with mode "tolerance", and ``conjectures`` returns it
-for its exact and tolerance checks alike.
+for its exact and tolerance checks alike.  Every lhs <= rhs check decides
+its verdict through one of two constructors: ``BoundReport.exact`` compares
+exactly, ``BoundReport.within`` up to a tolerance, by default ``TOL``, the
+package's one float tolerance (defined in ``partitions``).
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from fractions import Fraction
 
 from .exactla import InternalCheckError
 from .graphs import BipartiteGraph, _closed_rows, _reach, laplacian, normalized_laplacian
-
-#: default absolute tolerance for floating comparisons in reports
-TOL = 1e-9
+from .partitions import TOL
 
 _JACOBI_SWEEPS = 100
 _JACOBI_EPS = 1e-13
@@ -197,6 +198,18 @@ class BoundReport:
     tol: float = 0.0
     notes: dict = field(default_factory=dict)
 
+    @classmethod
+    def exact(cls, name, lhs, rhs, notes=None) -> "BoundReport":
+        """lhs <= rhs decided exactly."""
+        return cls(name, lhs, rhs, lhs <= rhs, lhs == rhs, "exact",
+                   notes=notes or {})
+
+    @classmethod
+    def within(cls, name, lhs, rhs, tol=TOL, notes=None) -> "BoundReport":
+        """lhs <= rhs decided up to the absolute tolerance ``tol``."""
+        return cls(name, lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol,
+                   "tolerance", tol, notes or {})
+
     def as_dict(self) -> dict:
         out = {
             "name": self.name,
@@ -219,21 +232,12 @@ def sqrt_edge_bound_check(G: BipartiteGraph, lhs: float) -> BoundReport:
     The bound always holds; it is tight exactly on complete bipartite
     graphs (possibly with isolated vertices).
     """
-    rhs = math.sqrt(G.edge_count())
-    tol = 1e-8
-    if lhs > rhs + tol:
+    report = BoundReport.within("sqrt_edge_bound", lhs, math.sqrt(G.edge_count()), 1e-8)
+    if not report.holds:
         raise InternalCheckError(
-            "spectral radius %.12g exceeds sqrt(e) %.12g" % (lhs, rhs)
+            "spectral radius %.12g exceeds sqrt(e) %.12g" % (lhs, report.rhs)
         )
-    return BoundReport(
-        name="sqrt_edge_bound",
-        lhs=lhs,
-        rhs=rhs,
-        holds=True,
-        equality=abs(lhs - rhs) <= tol,
-        mode="tolerance",
-        tol=tol,
-    )
+    return report
 
 
 def normalized_product_check(G: BipartiteGraph, mu: list) -> BoundReport:
@@ -255,16 +259,8 @@ def normalized_product_check(G: BipartiteGraph, mu: list) -> BoundReport:
     for x in mu[1: total - 1]:
         product *= x
     rho = _density(G)
-    return BoundReport(
-        name="normalized_product",
-        lhs=product,
-        rhs=float(rho),
-        holds=product <= float(rho) + TOL,
-        equality=abs(product - float(rho)) <= TOL,
-        mode="tolerance",
-        tol=TOL,
-        notes={"rho": rho},
-    )
+    return BoundReport.within("normalized_product", product, float(rho),
+                              notes={"rho": rho})
 
 
 def reflected_product_check(G: BipartiteGraph, k: int) -> BoundReport:
@@ -285,16 +281,8 @@ def reflected_product_check(G: BipartiteGraph, k: int) -> BoundReport:
     for x in mu[:k]:
         product *= x * (2.0 - x)
     rho = _density(G)
-    return BoundReport(
-        name="reflected_product",
-        lhs=product,
-        rhs=float(rho),
-        holds=product <= float(rho) + TOL,
-        equality=abs(product - float(rho)) <= TOL,
-        mode="tolerance",
-        tol=TOL,
-        notes={"rho": rho, "k": k},
-    )
+    return BoundReport.within("reflected_product", product, float(rho),
+                              notes={"rho": rho, "k": k})
 
 
 def dense_cut_vertex_hypothesis(G: BipartiteGraph) -> bool:

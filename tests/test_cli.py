@@ -137,6 +137,60 @@ def test_gen_default_cols(capsys):
     assert out.splitlines()[0] == "bipartite 2 2"
 
 
+def test_gen_at_the_vertex_cap_reads_back(tmp_path, capsys):
+    # a star on 100 vertices: one row, 99 columns
+    path = tmp_path / "star.graph"
+    assert run_cli(["gen", "--partition", "99", "--out", str(path)], capsys)[0] == 0
+    code, out, _ = run_cli(["trees", "--graph", str(path)], capsys)
+    assert code == 0 and json.loads(out)["tau"] == "1"
+
+
+@pytest.mark.parametrize("argv, vertices", [
+    (["--partition", "100"], 101),
+    (["--partition", "1", "--cols", str(10 ** 20)], 10 ** 20 + 1),
+    (["--partition", str(10 ** 20)], 10 ** 20 + 1),
+])
+def test_gen_over_the_vertex_cap_is_budget(argv, vertices, capsys, monkeypatch):
+    # refused before any row is built
+    monkeypatch.setattr(cli, "ferrers_from_partition", None)
+    code, out, err = run_cli(["gen"] + argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == ("ferrers-lab: budget exceeded: graph file of %d vertices"
+                   " exceeds the cap of 100\n" % vertices)
+
+
+def test_gen_follows_a_lowered_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GRAPH_FILE_VERTICES", 5)
+    monkeypatch.setattr(graphs, "GRAPH_FILE_VERTICES", 5)
+    path = tmp_path / "cap.graph"
+    code, _, _ = run_cli(["gen", "--partition", "2,1", "--cols", "3",
+                          "--out", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["trees", "--graph", str(path)], capsys)
+    assert code == 0 and json.loads(out)["tau"] == "0"
+    code, out, err = run_cli(["gen", "--partition", "2,2,1", "--cols", "3"], capsys)
+    assert (code, out) == (3, "")
+    assert err.endswith("graph file of 6 vertices exceeds the cap of 5\n")
+
+
+@pytest.mark.parametrize("text", [
+    "bipartite 3 3\ne 1 1\ne 1 2\ne 1 3\ne 2 1\ne 2 2\ne 3 1\n",  # staircase
+    "bipartite 3 3\ne 1 1\ne 1 2\ne 2 2\ne 2 3\ne 3 3\ne 3 1\n",  # 6-cycle
+    "bipartite 2 2\ne 1 1\ne 2 2\n",  # two components
+    "bipartite 2 3\ne 1 1\ne 1 2\ne 2 1\n",  # isolated column
+], ids=["staircase", "non-ferrers", "disconnected", "isolated-vertex"])
+def test_trees_verdict_matches_eq3(text, tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(text)
+    code, out, _ = run_cli(["check", "--graph", str(path), "--bound", "eq3"], capsys)
+    eq3 = json.loads(out)["reports"][0]
+    trees_code, out, _ = run_cli(["trees", "--graph", str(path)], capsys)
+    doc = json.loads(out)
+    assert (doc["tau"], doc["ferrers_invariant"], doc["ferrers_good"]) == (
+        eq3["lhs"], eq3["rhs"], eq3["holds"])
+    assert trees_code == code
+
+
 def test_trees_enumerate_and_sigma(staircase_file, capsys):
     code, out, _ = run_cli(
         ["trees", "--graph", staircase_file, "--enumerate", "--sigma"], capsys

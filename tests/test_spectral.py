@@ -7,11 +7,13 @@ import pytest
 
 from ferrers_lab import (
     BipartiteGraph,
+    BoundReport,
     Graph,
     dense_cut_vertex_hypothesis,
     jacobi_eigh,
     laplacian,
     laplacian_spectrum,
+    majorizes,
     normalized_product_check,
     normalized_spectrum,
     reflected_product_check,
@@ -20,6 +22,8 @@ from ferrers_lab import (
     sqrt_edge_bound_check,
     tau,
 )
+from ferrers_lab.exactla import InternalCheckError
+from ferrers_lab.partitions import TOL
 from ferrers_lab.spectral import eigen_residual
 
 from conftest import (
@@ -115,6 +119,48 @@ def test_sqrt_edge_bound():
     check = _sqrt_edge(c6)
     assert not check.equality
     assert abs(check.lhs - 2.0) <= 1e-9  # cycle spectral radius
+
+
+def test_sqrt_edge_bound_keeps_its_own_tolerance():
+    # lambda_max above sqrt(e) by more than 1e-8 is a defect, not a verdict
+    k22 = complete_bipartite(2, 2)
+    check = sqrt_edge_bound_check(k22, 2.0 + 5e-9)
+    assert (check.holds, check.equality, check.tol) == (True, True, 1e-8)
+    with pytest.raises(InternalCheckError):
+        sqrt_edge_bound_check(k22, 2.0 + 2e-8)
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-8])
+@pytest.mark.parametrize("offset, holds, equality", [
+    (-2.0, True, False),
+    (-0.5, True, True),
+    (0.0, True, True),
+    (0.5, True, True),
+    (2.0, False, False),
+])
+def test_bound_report_within(tol, offset, holds, equality):
+    kwargs = {} if tol == TOL else {"tol": tol}
+    report = BoundReport.within("b", 1.0 + offset * tol, 1.0, notes={"k": 1}, **kwargs)
+    assert (report.holds, report.equality) == (holds, equality)
+    assert (report.mode, report.tol, report.notes) == ("tolerance", tol, {"k": 1})
+    assert report.as_dict()["tol"] == tol
+
+
+@pytest.mark.parametrize("lhs, holds, equality", [
+    (Fraction(35, 3), True, False),
+    (Fraction(36), True, True),
+    (Fraction(109, 3), False, False),
+])
+def test_bound_report_exact(lhs, holds, equality):
+    report = BoundReport.exact("b", lhs, Fraction(72, 2))
+    assert (report.holds, report.equality, report.mode) == (holds, equality, "exact")
+    assert report.notes == {} and "tol" not in report.as_dict()
+
+
+def test_majorizes_full_sums_within_tol():
+    # every prefix clears the bound; only the full sums decide
+    assert majorizes([1.0, 1.0 - TOL / 2], [1.0, 1.0])
+    assert not majorizes([1.0, 1.0 - 2 * TOL], [1.0, 1.0])
 
 
 def test_sqrt_edge_bound_random(rng):
