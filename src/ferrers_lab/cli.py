@@ -25,7 +25,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .budget import DEFAULT_THM71_VERTICES, GRAPH_FILE_VERTICES, BudgetExceeded
+from .budget import DEFAULT_THM71_VERTICES, BudgetExceeded
 from .conjectures import (
     bozkurt_check,
     ferrers_bound_check,
@@ -36,6 +36,7 @@ from .exactla import InternalCheckError
 from .graphs import (
     BipartiteGraph,
     GraphFormatError,
+    _admit_file,
     ferrers_from_partition,
     format_graph,
     parse_graph_file,
@@ -161,9 +162,7 @@ def _cmd_gen(args):
     if cols is None:
         cols = lmbda[0] if len(lmbda) else 0
     # the file must read back, so refuse it before any row is built
-    if len(lmbda) + cols > GRAPH_FILE_VERTICES:
-        raise BudgetExceeded("graph file of %d vertices exceeds the cap of %d"
-                             % (len(lmbda) + cols, GRAPH_FILE_VERTICES))
+    _admit_file(len(lmbda) + cols)
     return format_graph(ferrers_from_partition(lmbda, cols)), 0
 
 

@@ -69,25 +69,23 @@ def venkataramana_check(G: BipartiteGraph) -> BoundReport:
     )
 
 
-def majorization_chain_check(d: Partition, spectrum, a: Partition,
-                             b: Partition) -> BoundReport:
+def majorization_chain_check(spectrum, a: Partition, b: Partition) -> BoundReport:
     """Majorization-hypothesis product inequality on explicit sequences.
 
-    Given a degree partition d split as the concatenation of a and b, and
-    a positive nonincreasing real sequence one shorter than d: when a is
-    majorized by the conjugate of b and d is majorized by the sequence,
-    which is majorized by the conjugate of d, the scaled product of the
-    sequence must not exceed the scaled product of the degrees.  Failed
-    hypotheses withhold the verdict instead of reporting one.
+    Given part degree partitions a and b, with d their sorted concatenation,
+    and a positive nonincreasing real sequence one shorter than d: when a
+    is majorized by the conjugate of b and d by the sequence, which is
+    majorized by the conjugate of d, the scaled product of the sequence
+    must not exceed that of the degrees.  Failed hypotheses withhold the
+    verdict instead of reporting one.
     """
+    d = Partition(sorted(concat(a, b), reverse=True))
     n = len(d)
     spectrum = list(spectrum)
     if len(spectrum) != n - 1:
         raise ValueError(
             "sequence has %d entries, expected %d" % (len(spectrum), n - 1)
         )
-    if sorted(concat(a, b), reverse=True) != list(d.parts):
-        raise ValueError("d must be the sorted concatenation of a and b")
     hypotheses = {
         "gale_ryser": gale_ryser(a, b),
         "degrees_below_sequence": majorizes(list(d.parts), spectrum),
@@ -116,19 +114,16 @@ def majorization_chain_check(d: Partition, spectrum, a: Partition,
 
 
 def graph_majorization_instance(G: BipartiteGraph):
-    """The (d, spectrum, a, b) tuple of a connected bipartite graph.
+    """The (spectrum, a, b) tuple of a connected bipartite graph.
 
-    d is the full degree partition, the sequence is the Laplacian spectrum
-    with the trailing zero eigenvalue dropped, and a, b are the two part
-    degree sequences.
+    The sequence is the Laplacian spectrum with the trailing zero
+    eigenvalue dropped, and a, b are the two part degree partitions.
     """
     if not G.is_connected():
         raise ValueError("graph must be connected")
     a = Partition(sorted(G.degrees_u(), reverse=True))
     b = Partition(sorted(G.degrees_v(), reverse=True))
-    d = Partition(sorted(G.degrees(), reverse=True))
-    spectrum = laplacian_spectrum(G)[:-1]
-    return d, spectrum, a, b
+    return laplacian_spectrum(G)[:-1], a, b
 
 
 def grone_merris_check(G) -> BoundReport:

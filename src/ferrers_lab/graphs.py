@@ -14,7 +14,6 @@ neighbourhoods, are joined from a seed row until nothing more meets it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -299,6 +298,13 @@ _FILE_KINDS = {
 }
 
 
+def _admit_file(vertices: int):
+    """Refuse a graph file over ``GRAPH_FILE_VERTICES`` vertices, however many."""
+    if vertices > GRAPH_FILE_VERTICES:
+        raise BudgetExceeded("graph file of %d vertices exceeds the cap of %d"
+                             % (vertices, GRAPH_FILE_VERTICES))
+
+
 def parse_graph_file(text: str):
     """Parse the one-graph text format.
 
@@ -325,11 +331,8 @@ def parse_graph_file(text: str):
         sizes = [int(tok) for tok in header[1:]]
     except ValueError:
         raise GraphFormatError("line %d: bad %s" % (ln, sizes_name)) from None
-    if max(sizes) > sys.maxsize:  # no list of that length could be built
-        raise GraphFormatError("line %d: %s too large" % (ln, sizes_name))
-    if sum(sizes) > GRAPH_FILE_VERTICES:
-        raise BudgetExceeded("graph file of %d vertices exceeds the cap of %d"
-                             % (sum(sizes), GRAPH_FILE_VERTICES))
+    # a negative size, refused once built, may not offset a huge one
+    _admit_file(sum(max(size, 0) for size in sizes))
     prefix = edge_form.split()[:-2]
     edges = []
     for off, line in enumerate(lines[ln:], start=ln + 1):

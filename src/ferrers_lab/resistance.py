@@ -217,12 +217,10 @@ def edge_deletion_monotonicity(G: Graph, f, i: int, j: int) -> bool:
     """
     if isinstance(G, BipartiteGraph):
         G = G.to_graph()
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
+    before = resistance(G, i, j)  # refuses a disconnected G
     g_f = G.delete_edge(f)
     if not g_f.is_connected():
         raise ValueError("f is a cut edge")
-    before = resistance(G, i, j)
     after = resistance(g_f, i, j)
     if after < before:
         raise InternalCheckError(
@@ -237,11 +235,24 @@ class CertificateReport:
     resistance_equal: bool
 
 
-def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateReport:
+def _staircase_pair(lmbda: Partition):
+    """The staircase of ``lmbda`` as a general graph, with m, n, p (the
+    number of full rows) and k = lambda_{p+1}: the edge pair of the paper
+    is e = {u_{p+1}, v_k}, f = {u_p, v_n}, which needs a row that is not full."""
+    m = len(lmbda)
+    n = lmbda[0] if m else 0
+    G = ferrers_from_partition(lmbda, n).to_graph()
+    p = sum(1 for part in lmbda if part == n)
+    if p == m:
+        raise ValueError("complete bipartite graph: no admissible edge pair")
+    return G, m, n, p, lmbda[p]
+
+
+def ferrers_edge_invariance(lmbda: Partition) -> CertificateReport:
     """Verify the explicit-certificate identities on a staircase graph.
 
-    The graph has row degrees ``lmbda`` with the first ``p`` rows full
-    (degree n = lmbda_1) and row p+1 of degree ``k`` < n.  The vector
+    The graph has row degrees ``lmbda``, whose first p rows are full
+    (degree n = lmbda_1) and row p+1 of degree k < n.  The vector
 
         w = (1/p) * [-1/n ... -1/n, (p-1)/n, 0 ... 0, -1]
 
@@ -252,20 +263,7 @@ def ferrers_edge_invariance(lmbda: Partition, p: int, k: int) -> CertificateRepo
     isolates v_n (p = 1), the resistance after deletion is taken on the
     other m + n - 1 vertices.
     """
-    m = len(lmbda)
-    n = lmbda[0] if m else 0
-    if m < 2:
-        raise ValueError("need at least two rows")
-    if not 1 <= p <= m - 1:
-        raise ValueError("p=%d out of range 1..%d" % (p, m - 1))
-    if any(lmbda[i] != n for i in range(p)):
-        raise ValueError("rows 1..p must have full degree %d" % n)
-    if lmbda[p] != k:
-        raise ValueError("row p+1 has degree %d, expected k=%d" % (lmbda[p], k))
-    if k >= n:
-        raise ValueError("k must be smaller than the column count %d" % n)
-
-    G = ferrers_from_partition(lmbda, n).to_graph()
+    G, m, n, p, k = _staircase_pair(lmbda)
     total = m + n
     f_edge = (p, total)
     pn_w = [-1] * (p - 1) + [p - 1] + [0] * (total - p - 1) + [-n]
@@ -291,18 +289,9 @@ def ferrers_tree_identity(lmbda: Partition) -> bool:
     degenerately (0 = 0) when a deletion disconnects the graph.  Uses four
     independent Laplacian-cofactor computations.
     """
-    m = len(lmbda)
-    n = lmbda[0] if m else 0
-    p = sum(1 for part in lmbda if part == n)
-    if p >= m:
-        raise ValueError("complete bipartite graph: no admissible edge pair")
-    k = lmbda[p]
-    G = ferrers_from_partition(lmbda, n).to_graph()
-    e = (p + 1, m + k)
+    G, m, n, p, k = _staircase_pair(lmbda)
     f = (p, m + n)
-    if e not in G.edges or f not in G.edges:
-        raise ValueError("expected edges %r and %r are absent" % (e, f))
-    g_e = G.delete_edge(e)
+    g_e = G.delete_edge((p + 1, m + k))
     return tau(g_e) * tau(G.delete_edge(f)) == tau(G) * tau(g_e.delete_edge(f))
 
 

@@ -79,12 +79,11 @@ def enumerate_spanning_trees(G, budget: int | None = None) -> list:
 
     Walks the sorted edge list deciding include/contract versus
     delete/skip, pruning branches that cannot stay spanning or would close
-    a cycle.  Refuses up front when the tree count exceeds ``budget``.
+    a cycle; with no spanning tree (tau = 0) no skip is allowed and the
+    result is ``[]``.  Refuses up front when the tree count exceeds ``budget``.
     """
     if isinstance(G, BipartiteGraph):
         G = G.to_graph()
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
     if budget is None:
         budget = DEFAULT_TREE_BUDGET
     count = tau(G)
@@ -142,10 +141,10 @@ def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> dict:
     return terms
 
 
-def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> dict:
-    """Weighted tree polynomial of a connected staircase graph, in closed form.
+def sigma_formula(lmbda: Partition) -> dict:
+    """Weighted tree polynomial of a staircase graph, in closed form.
 
-    With row degrees lambda and column degrees lambda' (the conjugate), the
+    With row degrees lambda and column degrees lambda' (its conjugate), the
     polynomial factors as
 
         (x_1...x_m)(y_1...y_n)
@@ -153,14 +152,13 @@ def sigma_formula(lmbda: Partition, lmbda_dual: Partition) -> dict:
         * prod_{q=2..n} (x_1 + ... + x_{lambda'_q}),
 
     expanded here into the term dict of ``sigma_bruteforce``, against which
-    it is verified coefficient for coefficient.  The graph must be
-    connected: lambda_1 = len(lambda') and lambda'_1 = len(lambda).
+    it is verified coefficient for coefficient.  Any nonempty lambda gives
+    a connected graph: lambda_1 = len(lambda') and lambda'_1 = len(lambda).
     """
-    if conjugate(lmbda) != lmbda_dual:
-        raise ValueError("second argument must be the conjugate of the first")
-    m, n = len(lmbda), len(lmbda_dual)
-    if not m or lmbda[0] != n or lmbda_dual[0] != m:
+    if not len(lmbda):
         raise ValueError("partition does not describe a connected staircase graph")
+    lmbda_dual = conjugate(lmbda)
+    m, n = len(lmbda), len(lmbda_dual)
     # each linear factor is the range of variable slots it sums
     factors = [range(m, m + lmbda[p]) for p in range(1, m)]
     factors += [range(lmbda_dual[q]) for q in range(1, n)]

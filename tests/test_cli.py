@@ -160,7 +160,6 @@ def test_gen_over_the_vertex_cap_is_budget(argv, vertices, capsys, monkeypatch):
 
 
 def test_gen_follows_a_lowered_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "GRAPH_FILE_VERTICES", 5)
     monkeypatch.setattr(graphs, "GRAPH_FILE_VERTICES", 5)
     path = tmp_path / "cap.graph"
     code, _, _ = run_cli(["gen", "--partition", "2,1", "--cols", "3",
@@ -199,6 +198,20 @@ def test_trees_enumerate_and_sigma(staircase_file, capsys):
     doc = json.loads(out)
     assert doc["enumeration"] == {"count": 36, "matches_tau": True}
     assert sum(term["coefficient"] for term in doc["sigma"]) == 36
+
+
+def test_trees_enumerate_without_a_spanning_tree(tmp_path, capsys):
+    # the two-edge matching: no spanning tree, an empty polynomial
+    path = tmp_path / "m2.graph"
+    path.write_text("bipartite 2 2\ne 1 1\ne 2 2\n")
+    code, out, _ = run_cli(["trees", "--graph", str(path), "--enumerate", "--sigma"],
+                           capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "schema_version": 1, "tau": "0", "ferrers_invariant": "1/4",
+        "ferrers_good": True, "enumeration": {"count": 0, "matches_tau": True},
+        "sigma": [],
+    }
 
 
 def test_trees_stdin(monkeypatch, capsys):
@@ -493,12 +506,21 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_oversized_header_is_input_error(tmp_path, capsys):
-    # the row count overflows an index before any row is allocated
+def test_oversized_header_is_budget_exit(tmp_path, capsys):
+    # however large, the header is refused by the cap before any row is
+    # allocated, as gen refuses the same size
     big = tmp_path / "big.graph"
     big.write_text("bipartite 99999999999999999999 2\n")
     code, out, err = run_cli(["trees", "--graph", str(big)], capsys)
-    assert (code, out, err) == (2, "", "ferrers-lab: line 1: part sizes too large\n")
+    assert (code, out) == (3, "")
+    assert err == ("ferrers-lab: budget exceeded: graph file of %d vertices"
+                   " exceeds the cap of 100\n" % (10 ** 20 + 1))
+    # a negative size may not offset a huge one under the cap
+    big.write_text("bipartite %d %d\n" % (10 ** 20, 3 - 10 ** 20))
+    code, out, err = run_cli(["trees", "--graph", str(big)], capsys)
+    assert (code, out) == (3, "")
+    assert err.endswith("graph file of %d vertices exceeds the cap of 100\n"
+                        % 10 ** 20)
 
 
 @pytest.mark.parametrize("header", ["general 6", "bipartite 2 4", "bipartite 5 1"])

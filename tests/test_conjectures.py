@@ -66,10 +66,10 @@ def test_venkataramana_over_small_classes():
 
 
 def test_majorization_chain_staircase_instance():
-    d, spectrum, a, b = graph_majorization_instance(example_staircase())
+    spectrum, a, b = graph_majorization_instance(example_staircase())
     assert a == Partition((3, 3, 2, 1))
     assert b == Partition((4, 3, 2))
-    rep = majorization_chain_check(d, spectrum, a, b)
+    rep = majorization_chain_check(spectrum, a, b)
     assert rep.holds
     assert rep.equality  # tau = invariant = 36 for this graph
     assert rep.notes["rhs_exact"] == 36
@@ -77,16 +77,32 @@ def test_majorization_chain_staircase_instance():
 
 
 def test_majorization_chain_cycle_equality_witness():
-    d, spectrum, a, b = graph_majorization_instance(complete_bipartite(2, 2))
+    spectrum, a, b = graph_majorization_instance(complete_bipartite(2, 2))
     assert sorted(spectrum, reverse=True) == pytest.approx([4.0, 2.0, 2.0])
-    rep = majorization_chain_check(d, spectrum, a, b)
+    rep = majorization_chain_check(spectrum, a, b)
     assert rep.holds and rep.equality
     assert rep.notes["rhs_exact"] == 4
 
 
+def test_majorization_chain_graph_route_over_classes():
+    # every connected bipartite class on 2..9 vertices meets the
+    # hypotheses; the spectral product over n is tau by the matrix-tree
+    # theorem, and the float verdict is the exact Ferrers bound's
+    checked = equalities = 0
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(9)).values():
+        rep = majorization_chain_check(*graph_majorization_instance(g))
+        exact = ferrers_bound_check(g)
+        assert rep.holds is not None, g
+        assert abs(rep.lhs - exact.lhs) <= 1e-9 * exact.lhs, g
+        assert (rep.holds, rep.equality) == (exact.holds, exact.equality), g
+        checked += 1
+        equalities += rep.equality
+    assert (checked, equalities) == (983, 135)
+
+
 def test_majorization_chain_withholds_verdict():
-    d = Partition((3, 2, 2, 1))
-    rep = majorization_chain_check(d, [4.0, 2.0, 2.0], Partition((3, 1)),
+    # d = (3, 2, 2, 1)
+    rep = majorization_chain_check([4.0, 2.0, 2.0], Partition((3, 1)),
                                    Partition((2, 2)))
     assert rep.holds is None
     assert rep.notes["status"] == "hypotheses not met"
@@ -94,12 +110,9 @@ def test_majorization_chain_withholds_verdict():
 
 
 def test_majorization_chain_validates_shape():
+    # d = (2, 2, 2) needs two entries
     with pytest.raises(ValueError, match="entries"):
-        majorization_chain_check(Partition((2, 2, 2)), [2.0], Partition((2, 2)),
-                                 Partition((2,)))
-    with pytest.raises(ValueError, match="concatenation"):
-        majorization_chain_check(Partition((2, 2, 1)), [2.0, 2.0],
-                                 Partition((2,)), Partition((2,)))
+        majorization_chain_check([2.0], Partition((2, 2)), Partition((2,)))
 
 
 def test_grone_merris_star():

@@ -138,6 +138,8 @@ def test_edge_deletion_monotonicity_rejects_cut_edge():
     path = Graph(3, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         edge_deletion_monotonicity(path, (1, 2), 1, 3)
+    with pytest.raises(ValueError, match="connected graph"):
+        edge_deletion_monotonicity(Graph(4, [(1, 2), (3, 4)]), (1, 2), 1, 2)
 
 
 def test_edge_deletion_monotonicity_failure_is_internal(monkeypatch):
@@ -269,38 +271,33 @@ def test_edge_deletion_never_decreases_resistance_exhaustive():
 
 
 def test_certificate_vector_worked_example():
-    report = ferrers_edge_invariance(Partition((3, 3, 2, 1)), 2, 2)
+    report = ferrers_edge_invariance(Partition((3, 3, 2, 1)))
     assert report.w_is_solution
     assert report.resistance_equal
 
 
 def test_certificate_vector_pendant_case():
     # p = 1: deleting the full-row edge isolates the last column vertex
-    report = ferrers_edge_invariance(Partition((3, 2)), 1, 2)
+    report = ferrers_edge_invariance(Partition((3, 2)))
     assert report.w_is_solution
     assert report.resistance_equal
 
 
 def test_certificate_vector_hypothesis_errors():
-    with pytest.raises(ValueError, match="p="):
-        ferrers_edge_invariance(Partition((3, 3, 3)), 3, 3)
-    with pytest.raises(ValueError, match="full degree"):
-        ferrers_edge_invariance(Partition((3, 2, 1)), 2, 1)
-    with pytest.raises(ValueError, match="expected k"):
-        ferrers_edge_invariance(Partition((3, 3, 2)), 2, 1)
-    with pytest.raises(ValueError, match="smaller"):
-        ferrers_edge_invariance(Partition((3, 3)), 1, 3)
+    # p and k are read off lambda; only a complete bipartite graph (one
+    # row included) has no admissible pair
+    for parts in [(3, 3, 3), (3,)]:
+        with pytest.raises(ValueError, match="complete"):
+            ferrers_edge_invariance(Partition(parts))
+    with pytest.raises(ValueError, match="nonempty"):
+        ferrers_edge_invariance(Partition(()))
 
 
 def test_certificate_vector_sweep():
     for lam in connected_ferrers_partitions(8):
-        m, n = len(lam), lam[0]
-        if m < 2:
-            continue
-        p = sum(1 for part in lam if part == n)
-        if p >= m:
-            continue
-        report = ferrers_edge_invariance(lam, p, lam[p])
+        if len(set(lam)) == 1:
+            continue  # complete bipartite: no admissible pair
+        report = ferrers_edge_invariance(lam)
         assert report.w_is_solution and report.resistance_equal, lam
 
 
@@ -310,8 +307,8 @@ def test_runtime_builds_no_rational_matrix(monkeypatch):
     staircase = ferrers_from_partition(Partition((3, 3, 2, 1)), 3).to_graph()
     lap = laplacian(staircase)
     calls = [
-        lambda: ferrers_edge_invariance(Partition((3, 2)), 1, 2),
-        lambda: ferrers_edge_invariance(Partition((3, 3, 2, 1)), 2, 2),
+        lambda: ferrers_edge_invariance(Partition((3, 2))),
+        lambda: ferrers_edge_invariance(Partition((3, 3, 2, 1))),
         lambda: edge_deletion_equivalence(staircase, (3, 6), (2, 7)),
         lambda: resistance(staircase, 4, 7),
         lambda: moore_penrose_laplacian(lap),
