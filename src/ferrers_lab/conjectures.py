@@ -5,7 +5,9 @@ Every verdict that can be exact is exact: tree counts come from
 degree products and densities stay rational, and the one irrational bound
 (a square root) is decided by squaring both sides.  Only genuinely
 floating data (Laplacian spectra) is compared with a tolerance, the
-package's one ``TOL``, and the tolerance is recorded in the report.
+package's one ``TOL`` (scaled by the rhs for the majorization chain's
+product, which grows with the graph), and the tolerance is recorded in the
+report.
 
 ``BoundReport.exact`` and ``BoundReport.within`` decide the lhs <= rhs
 checks; ``venkataramana`` (squares), ``grone-merris`` (a majorization) and
@@ -76,8 +78,8 @@ def majorization_chain_check(spectrum, a: Partition, b: Partition) -> BoundRepor
     and a positive nonincreasing real sequence one shorter than d: when a
     is majorized by the conjugate of b and d by the sequence, which is
     majorized by the conjugate of d, the scaled product of the sequence
-    must not exceed that of the degrees.  Failed hypotheses withhold the
-    verdict instead of reporting one.
+    must not exceed that of the degrees, up to ``TOL`` relative to the
+    rhs.  Failed hypotheses withhold the verdict instead of reporting one.
     """
     d = Partition(sorted(concat(a, b), reverse=True))
     n = len(d)
@@ -109,7 +111,11 @@ def majorization_chain_check(spectrum, a: Partition, b: Partition) -> BoundRepor
     lhs = 1.0 / n
     for x in spectrum:
         lhs *= x
-    return BoundReport.within("majorization_chain", lhs, float(rhs_exact),
+    rhs = float(rhs_exact)
+    # the product grows with the graph (it is tau on a graph's spectrum),
+    # so its rounding is bounded relative to the rhs, not absolutely
+    return BoundReport.within("majorization_chain", lhs, rhs,
+                              TOL * max(1.0, abs(rhs)),
                               notes={"rhs_exact": rhs_exact, **hypotheses})
 
 

@@ -1,7 +1,11 @@
 """Floating-point spectral quantities and bound checks.
 
-Eigenvalues come from a cyclic Jacobi rotation solver (dimensions here
-stay around twenty, where Jacobi is simple, dependency-free and accurate).
+Eigenvalues come from one cyclic Jacobi rotation kernel, ``_jacobi``
+(dimensions here stay around twenty, where Jacobi is simple,
+dependency-free and accurate).  It builds eigenvectors only when asked:
+``jacobi_eigh`` asks, for the residual of ``spectrum_report``, while the
+spectral radius and the Laplacian and normalized spectra read eigenvalues
+only and skip a third of every rotation.  Both routes give the same floats.
 Adjacency spectral radius is computed through the m x m Gram matrix B B'
 of the biadjacency matrix, halving the dimension and keeping the computed
 square nonnegative.  Verdicts that can be exact (density comparisons) use
@@ -29,77 +33,95 @@ _JACOBI_SWEEPS = 100
 _JACOBI_EPS = 1e-13
 
 
-def _ordered_sum(values) -> float:
-    """Sum floats strictly left to right.
+def _jacobi(matrix, vt):
+    """Diagonal of a float copy of ``matrix`` after cyclic Jacobi sweeps.
 
-    Python 3.12 made ``sum()`` of floats compensated, which moves the last
-    digits of reported residuals; plain order keeps reports byte-identical
-    on every supported version.
+    Each rotation updates columns p and q of every row, then rows p and q,
+    and, when ``vt`` is a list of rows (the identity on entry), rows p and q
+    of ``vt`` too, so that ``vt[i]`` ends as the eigenvector of diagonal
+    entry i.  With ``vt`` None no vectors are built.  Sweeps stop once the
+    off-diagonal Frobenius norm falls below 1e-13 relative to the input
+    norm, capped at 100 sweeps.  Every sum runs strictly left to right
+    (``sum()`` of floats is compensated from Python 3.12 on), so the floats
+    are the same on every supported version.
     """
-    total = 0.0
-    for x in values:
-        total += x
-    return total
+    n = len(matrix)
+    a = [[float(x) for x in row] for row in matrix]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(a[i][j] - a[j][i]) > 1e-12 * (1.0 + abs(a[i][j])):
+                raise ValueError("matrix is not symmetric")
+    sqrt = math.sqrt
+    norm = 0.0
+    for row in a:
+        for x in row:
+            norm += x ** 2
+    thresh = _JACOBI_EPS * max(1.0, sqrt(norm))
+    for _ in range(_JACOBI_SWEEPS):
+        off = 0.0
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if i != j:
+                    off += x ** 2
+        if sqrt(off) <= thresh:
+            break
+        for p in range(n - 1):
+            rp = a[p]
+            for q in range(p + 1, n):
+                apq = rp[q]
+                if apq == 0.0:
+                    continue
+                rq = a[q]
+                theta = (rq[q] - rp[p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                for k in range(n):
+                    x, y = rp[k], rq[k]
+                    rp[k] = c * x - s * y
+                    rq[k] = s * x + c * y
+                if vt is not None:
+                    vp, vq = vt[p], vt[q]
+                    for k in range(n):
+                        x, y = vp[k], vq[k]
+                        vp[k] = c * x - s * y
+                        vq[k] = s * x + c * y
+    return [a[i][i] for i in range(n)]
+
+
+def _eigenvalues(matrix) -> list:
+    """Eigenvalues of a symmetric matrix, nonincreasing, without vectors."""
+    return sorted(_jacobi(matrix, None), key=lambda w: -w)
 
 
 def jacobi_eigh(matrix):
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues nonincreasing and
-    eigenvectors as a list of vectors aligned with them.  Sweeps rotate
-    every off-diagonal pair until the off-diagonal Frobenius norm falls
-    below 1e-13 relative to the input norm, capped at 100 sweeps.
+    eigenvectors as a list of vectors aligned with them.
     """
     n = len(matrix)
-    a = [[float(matrix[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > 1e-12 * (1.0 + abs(a[i][j])):
-                raise ValueError("matrix is not symmetric")
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    norm = math.sqrt(_ordered_sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
-    thresh = _JACOBI_EPS * max(1.0, norm)
-    for _ in range(_JACOBI_SWEEPS):
-        off = math.sqrt(_ordered_sum(
-            a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    pairs = sorted(
-        ((a[i][i], [v[k][i] for k in range(n)]) for i in range(n)),
-        key=lambda kv: -kv[0],
-    )
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    vt = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    diag = _jacobi(matrix, vt)
+    order = sorted(range(n), key=lambda i: -diag[i])
+    return [diag[i] for i in order], [vt[i] for i in order]
 
 
 def eigen_residual(matrix, value, vector) -> float:
-    """Euclidean norm of A x - lambda x for one reported eigenpair."""
-    n = len(matrix)
+    """Euclidean norm of A x - lambda x for one reported eigenpair, summed
+    strictly left to right."""
     res = 0.0
-    for i in range(n):
-        r = _ordered_sum(matrix[i][j] * vector[j] for j in range(n)) - value * vector[i]
+    for row, xi in zip(matrix, vector):
+        r = 0.0
+        for aij, xj in zip(row, vector):
+            r += aij * xj
+        r -= value * xi
         res += r * r
     return math.sqrt(res)
 
@@ -138,22 +160,19 @@ def spectral_radius(G: BipartiteGraph) -> float:
     """Largest adjacency eigenvalue, as sqrt of the top Gram eigenvalue."""
     if G.edge_count() == 0:
         return 0.0
-    values, _ = jacobi_eigh(_gram(G))
-    return math.sqrt(max(values[0], 0.0))
+    return math.sqrt(max(_eigenvalues(_gram(G))[0], 0.0))
 
 
 def laplacian_spectrum(G) -> list:
     """Laplacian eigenvalues, nonincreasing."""
-    values, _ = jacobi_eigh(laplacian(G))
-    return values
+    return _eigenvalues(laplacian(G))
 
 
 def normalized_spectrum(G) -> list:
     """Normalized-Laplacian eigenvalues of a connected graph, nonincreasing."""
     if not G.is_connected():
         raise ValueError("normalized spectrum requires a connected graph")
-    values, _ = jacobi_eigh(normalized_laplacian(G))
-    return values
+    return _eigenvalues(normalized_laplacian(G))
 
 
 def spectrum_report(G: BipartiteGraph) -> SpectrumReport:

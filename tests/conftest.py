@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -236,3 +237,63 @@ def as_matrix(ginv) -> RatMatrix:
     """A ``GInverse`` (integer rows over one denominator) as a ``RatMatrix``."""
     d = ginv.denominator
     return RatMatrix([[Fraction(x, d) for x in row] for row in ginv.numerators])
+
+
+# ---------------------------------------------------------------------------
+# Jacobi oracle: a frozen copy of the eigensolver every pinned spectrum was
+# computed with (column-indexed rotations, eigenvectors always built).  The
+# runtime solver must reproduce its floats bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _ordered_sum(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def jacobi_eigh_oracle(matrix):
+    """(eigenvalues nonincreasing, aligned eigenvectors) by cyclic Jacobi."""
+    n = len(matrix)
+    a = [[float(matrix[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(a[i][j] - a[j][i]) > 1e-12 * (1.0 + abs(a[i][j])):
+                raise ValueError("matrix is not symmetric")
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    norm = math.sqrt(_ordered_sum(a[i][j] ** 2 for i in range(n) for j in range(n)))
+    thresh = 1e-13 * max(1.0, norm)
+    for _ in range(100):
+        off = math.sqrt(_ordered_sum(
+            a[i][j] ** 2 for i in range(n) for j in range(n) if i != j))
+        if off <= thresh:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                for k in range(n):
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(n):
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+                for k in range(n):
+                    vkp, vkq = v[k][p], v[k][q]
+                    v[k][p] = c * vkp - s * vkq
+                    v[k][q] = s * vkp + c * vkq
+    pairs = sorted(
+        ((a[i][i], [v[k][i] for k in range(n)]) for i in range(n)),
+        key=lambda kv: -kv[0],
+    )
+    return [p[0] for p in pairs], [p[1] for p in pairs]

@@ -288,6 +288,26 @@ def test_spectral_command_computes_each_spectrum_once(staircase_file, capsys,
     assert sorted(calls) == [4, 7, 7]
 
 
+def test_only_the_spectral_command_builds_eigenvectors(staircase_file, capsys,
+                                                      monkeypatch):
+    # the residual of `spectral` reads eigenvectors; the Laplacian spectrum
+    # of `check --all` (grone-merris) reads eigenvalues only
+    eigh_calls, kernel_calls = [], []
+    orig_eigh, orig_kernel = spectral.jacobi_eigh, spectral._jacobi
+    monkeypatch.setattr(spectral, "jacobi_eigh",
+                        lambda a: eigh_calls.append(len(a)) or orig_eigh(a))
+    monkeypatch.setattr(spectral, "_jacobi", lambda a, vt: kernel_calls.append(
+        (len(a), vt is not None)) or orig_kernel(a, vt))
+    code, _, _ = run_cli(["check", "--graph", staircase_file, "--all"], capsys)
+    assert code == 0
+    assert (eigh_calls, kernel_calls) == ([], [(7, False)])
+    kernel_calls.clear()
+    code, _, _ = run_cli(["spectral", "--graph", staircase_file], capsys)
+    assert code == 0
+    assert eigh_calls == [4, 7, 7]  # Gram (m = 4), Laplacian, normalized
+    assert kernel_calls == [(4, True), (7, True), (7, True)]
+
+
 def test_spectral_command_disconnected_skips_normalized_product(tmp_path, capsys):
     path = tmp_path / "matching.graph"
     path.write_text("bipartite 2 2\ne 1 1\ne 2 2\n")

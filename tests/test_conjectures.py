@@ -7,6 +7,7 @@ from ferrers_lab import (
     BipartiteGraph,
     Partition,
     bozkurt_check,
+    conjectures,
     ferrers_bound_check,
     graph_majorization_instance,
     grone_merris_check,
@@ -17,6 +18,7 @@ from ferrers_lab import (
     venkataramana_check,
 )
 from ferrers_lab.exactla import tree_count
+from ferrers_lab.partitions import TOL
 from ferrers_lab.search import ClassSpec, enumerate_class
 
 from conftest import bipartite_cycle, complete_bipartite, example_staircase
@@ -98,6 +100,29 @@ def test_majorization_chain_graph_route_over_classes():
         checked += 1
         equalities += rep.equality
     assert (checked, equalities) == (983, 135)
+
+
+@pytest.mark.parametrize("m, n", [(5, 6), (6, 6), (6, 7), (7, 7)])
+def test_majorization_chain_tolerance_scales_with_the_rhs(m, n):
+    # tau = 4,050,000 on K_{5,6}: the float product's rounding (1.7e-8
+    # there) passes an absolute 1e-9, yet the verdict is the exact bound's
+    g = complete_bipartite(m, n)
+    rep = majorization_chain_check(*graph_majorization_instance(g))
+    exact = ferrers_bound_check(g)
+    assert (rep.holds, rep.equality) == (exact.holds, exact.equality) == (True, True)
+    assert rep.tol == TOL * rep.rhs
+
+
+def test_majorization_chain_scaled_spectrum_still_fails(monkeypatch):
+    spectrum, a, b = graph_majorization_instance(complete_bipartite(5, 6))
+    scaled = [x * (1 + 1e-6) for x in spectrum]
+    # its sum is no longer the degree sum, so the hypotheses withhold a verdict
+    assert majorization_chain_check(scaled, a, b).holds is None
+    # granted them, the product is (1 + 1e-6)^10 times the rhs: far outside
+    # a tolerance of 1e-9 relative to the rhs
+    monkeypatch.setattr(conjectures, "majorizes", lambda x, y: True)
+    rep = majorization_chain_check(scaled, a, b)
+    assert (rep.holds, rep.equality) == (False, False)
 
 
 def test_majorization_chain_withholds_verdict():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -23,14 +24,16 @@ from ferrers_lab import (
     tau,
 )
 from ferrers_lab.exactla import InternalCheckError
+from ferrers_lab.graphs import normalized_laplacian
 from ferrers_lab.partitions import TOL
-from ferrers_lab.spectral import eigen_residual
+from ferrers_lab.spectral import _gram, eigen_residual
 
 from conftest import (
     bipartite_cycle,
     complete_bipartite,
     components,
     example_staircase,
+    jacobi_eigh_oracle,
     random_connected_bipartite,
 )
 
@@ -58,6 +61,56 @@ def test_eigen_residual_sums_left_to_right():
     # here; the plain left-to-right order every report was pinned on reads 0
     a = [[1e16, 1.0, -1e16], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     assert eigen_residual(a, 0.0, [1, 1, 1]) == 0.0
+
+
+def _bits(values):
+    """Floats as hex strings: equal lists are equal bit for bit, signed
+    zeros included."""
+    return [x.hex() for x in values]
+
+
+def _oracle_matrix(rng, n, kind):
+    """A seeded symmetric n x n matrix of one kind: integer or float
+    entries with many zero pivots, heavy ties, or a diagonal."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "int":
+                x = rng.choice([0, 0, rng.randint(-3, 3)])
+            elif kind == "float":
+                x = rng.choice([0.0, rng.uniform(-5.0, 5.0)])
+            elif kind == "ties":
+                # a multiple of the all-ones matrix plus a multiple of the
+                # identity: one simple eigenvalue and an (n-1)-fold one
+                x = 2 if i == j else 1
+            else:
+                x = rng.randint(-4, 4) if i == j else 0
+            a[i][j] = a[j][i] = x
+    return a
+
+
+@pytest.mark.parametrize("kind", ["int", "float", "ties", "diagonal"])
+def test_jacobi_bit_identical_to_oracle(kind):
+    rng = random.Random(20261020)
+    for n in range(25):
+        a = _oracle_matrix(rng, n, kind)
+        values, vectors = jacobi_eigh(a)
+        ov, ovecs = jacobi_eigh_oracle(a)
+        assert values == ov and vectors == ovecs, (kind, n)
+        assert _bits(values) == _bits(ov), (kind, n)
+        assert [_bits(x) for x in vectors] == [_bits(x) for x in ovecs], (kind, n)
+
+
+def test_eigenvalue_only_spectra_bit_identical_to_oracle(rng):
+    graphs = [example_staircase(), complete_bipartite(3, 5), bipartite_cycle(4)]
+    graphs += [random_connected_bipartite(rng, 6, 7) for _ in range(12)]
+    for g in graphs:
+        ov, _ = jacobi_eigh_oracle(_gram(g))
+        assert spectral_radius(g).hex() == math.sqrt(max(ov[0], 0.0)).hex(), g
+        ov, _ = jacobi_eigh_oracle(laplacian(g))
+        assert _bits(laplacian_spectrum(g)) == _bits(ov), g
+        ov, _ = jacobi_eigh_oracle(normalized_laplacian(g))
+        assert _bits(normalized_spectrum(g)) == _bits(ov), g
 
 
 def test_jacobi_rejects_asymmetric():
