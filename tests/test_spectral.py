@@ -96,7 +96,6 @@ def test_jacobi_bit_identical_to_oracle(kind):
         a = _oracle_matrix(rng, n, kind)
         values, vectors = jacobi_eigh(a)
         ov, ovecs = jacobi_eigh_oracle(a)
-        assert values == ov and vectors == ovecs, (kind, n)
         assert _bits(values) == _bits(ov), (kind, n)
         assert [_bits(x) for x in vectors] == [_bits(x) for x in ovecs], (kind, n)
 
