@@ -22,7 +22,7 @@ from fractions import Fraction
 from .graphs import BipartiteGraph, ferrers_invariant
 from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
 from .spectral import TOL, BoundReport, laplacian_spectrum
-from .trees import tau
+from .trees import _degree_product, tau
 
 
 def _is_complete_bipartite(G: BipartiteGraph) -> bool:
@@ -159,8 +159,11 @@ def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
 
     The floating spectral product that would appear on the left is
     replaced by the exact tree count they equal, so no rounding can
-    produce a spurious counterexample.  Disconnected graphs hold
-    trivially (tree count zero).
+    produce a spurious counterexample, and ``trees._degree_product``
+    recounts that tree count by the Laplacian cofactor wherever the bound
+    is tight or fails.  Disconnected graphs hold trivially (tree count
+    zero).
     """
-    return BoundReport.exact("eq3", Fraction(tau(G)), ferrers_invariant(G),
+    t, _, _ = _degree_product(G)
+    return BoundReport.exact("eq3", Fraction(t), ferrers_invariant(G),
                              {"p": G.m, "q": G.n})

@@ -1,10 +1,11 @@
 """Exact linear algebra on one fraction-free integer kernel.
 
-The kernel is Bareiss elimination over Python integers (Bareiss 1968):
-``det_int`` gives determinants and ``det_adj_int``, its Gauss-Jordan form,
-gives the determinant and the adjugate together.  Both g-inverses of a
-connected-graph Laplacian L with tree count tau are integer matrices over
-one denominator:
+The kernel is one Bareiss elimination over Python integers (Bareiss 1968),
+``_bareiss``, with two public views: ``det_int`` eliminates below each
+pivot for the determinant, and ``det_adj_int`` runs its Gauss-Jordan form
+on ``[A | I]`` for the determinant and the adjugate together.  Both
+g-inverses of a connected-graph Laplacian L with tree count tau are
+integer matrices over one denominator:
 
 * Moore-Penrose: n^2 tau L^+ = adj(L + J) - tau J, with J all ones;
 * bordered at vertex i: the inverse of L_i (row and column i removed) is
@@ -75,81 +76,62 @@ class RatMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
 
 
-def det_int(rows) -> int:
-    """Exact determinant of an integer matrix by Bareiss elimination.
+def _bareiss(rows, jordan):
+    """Fraction-free elimination of a square integer matrix (Bareiss 1968).
 
-    Pivots on the first nonzero entry in column order; the empty matrix has
-    determinant 1.
-    """
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            ai, ak = a[i], a[k]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pivot - aik * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1] if n else 1
-
-
-def det_adj_int(rows):
-    """Determinant and adjugate of a nonsingular integer matrix.
-
-    Fraction-free Gauss-Jordan elimination of ``[A | I]`` (Bareiss 1968):
-    every division is exact, and after the last pivot ``d`` the left block
-    is ``d * I`` and the right block ``d * A^{-1}``, with ``d`` the
-    determinant up to the sign of the row swaps.  Columns left of the pivot
-    are never touched again, since they stay zero off the diagonal.  Returns
-    ``(det, adj)`` with ``adj`` a list of integer rows; raises ValueError for
-    a singular matrix.
+    Pivots on the first nonzero entry at or below the diagonal, each row
+    swap flipping the sign; every division is exact.  Without ``jordan`` it
+    eliminates below each pivot only and returns ``(det, None)``.  With
+    ``jordan`` it carries ``[A | I]`` and eliminates above and below each
+    pivot, so after the last pivot ``d`` the left block is ``d * I`` and the
+    right block ``d * A^{-1}``, and it returns ``(det, adj)``; columns left
+    of the pivot are never touched again, since they stay zero off the
+    diagonal.  A singular matrix gives ``(0, None)``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [list(map(int, row)) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(rows)]
-    sign = 1
-    prev = 1
+    m = [list(map(int, row)) for row in rows]
+    if jordan:
+        for i, row in enumerate(m):
+            row += [int(i == j) for j in range(n)]
+    width = 2 * n if jordan else n
+    sign = prev = 1
     for k in range(n):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                raise ValueError("matrix is singular")
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0, None
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
         mk = m[k]
         pivot = mk[k]
-        tail = mk[k + 1:]
-        for i in range(n):
-            if i == k:
-                continue
-            mi = m[i]
+        for mi in m[:k] + m[k + 1:] if jordan else m[k + 1:]:
             f = mi[k]
-            if f:
-                mi[k + 1:] = [(pivot * x - f * y) // prev
-                              for x, y in zip(mi[k + 1:], tail)]
-            else:
-                mi[k + 1:] = [pivot * x // prev for x in mi[k + 1:]]
+            for j in range(k + 1, width):
+                mi[j] = (mi[j] * pivot - f * mk[j]) // prev
             mi[k] = 0
         prev = pivot
-    return sign * prev, [[sign * x for x in row[n:]] for row in m]
+    return sign * prev, [[sign * x for x in row[n:]] for row in m] if jordan else None
+
+
+def det_int(rows) -> int:
+    """Exact determinant of an integer matrix by Bareiss elimination; 0 for
+    a singular matrix, 1 for the empty one."""
+    return _bareiss(rows, False)[0]
+
+
+def det_adj_int(rows):
+    """Determinant and adjugate of a nonsingular integer matrix, by the
+    Gauss-Jordan form of the Bareiss elimination.
+
+    Returns ``(det, adj)`` with ``adj`` a list of integer rows; raises
+    ValueError for a singular matrix.
+    """
+    d, adj = _bareiss(rows, True)
+    if not d:
+        raise ValueError("matrix is singular")
+    return d, adj
 
 
 def tree_count(lap) -> int:

@@ -39,9 +39,10 @@ each class is handed out keyed by its code, and search reports carry it.
 
 Searches shard their per-graph checks over a process pool when asked;
 results merge in enumeration order so reports are byte-identical
-regardless of worker count.  The degree-product scan compares
-tau*m*n with the product of the degrees, both integers, and recomputes
-the Schur-complement tree count of ``trees`` by the Laplacian cofactor on
+regardless of worker count.  The pool never has more workers than CPUs
+or items.  The degree-product scan compares tau*m*n with the product of
+the degrees, both integers, through ``trees._degree_product``, which
+recomputes the Schur-complement tree count by the Laplacian cofactor on
 every equality case and counterexample; a disagreement raises
 ``InternalCheckError``.
 
@@ -52,7 +53,7 @@ complete graph; reports record both facts as the ``no_isolated`` and
 
 from __future__ import annotations
 
-import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -63,17 +64,16 @@ from .budget import (
     BudgetExceeded,
     admit,
 )
-from .exactla import InternalCheckError, tree_count
+from .exactla import InternalCheckError
 from .graphs import (
     BipartiteGraph,
     _rows_connected,
     _transpose_rows,
     is_ferrers,
-    laplacian,
 )
 from .partitions import TOL, Partition
 from .spectral import spectral_radius
-from .trees import tau
+from .trees import _degree_product
 
 MAX_CODE_SIDE = 12
 
@@ -518,25 +518,21 @@ def _admit_columns(columns: int, what: str):
 
 def _ferrers_check_one(g: BipartiteGraph):
     """(tau*m*n, product of all degrees, equality on a staircase) for one
-    graph: the degree-product bound in integers.  The Schur-complement tau
-    of every equality case and counterexample is recomputed by the
-    Laplacian cofactor."""
-    t = tau(g)
-    lhs, rhs = t * g.m * g.n, math.prod(g.degrees())
-    if lhs >= rhs:
-        cofactor = tree_count(laplacian(g))
-        if cofactor != t:
-            raise InternalCheckError("tau of %r: Schur complement %d, cofactor %d"
-                                     % (g, t, cofactor))
+    graph, from ``trees._degree_product``."""
+    _, lhs, rhs = _degree_product(g)
     return lhs, rhs, lhs == rhs and is_ferrers(g)
 
 
 def _pmap(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
+    """``[fn(x) for x in items]``, over a pool of at most ``jobs`` worker
+    processes, and never more than there are CPUs or items; serial when
+    that leaves one."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(fn, items, chunksize=max(1, len(items) // (jobs * 8)))
+        with multiprocessing.Pool(workers) as pool:
+            return pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
     return [fn(item) for item in items]
 
 

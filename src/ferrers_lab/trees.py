@@ -8,9 +8,11 @@ degrees d_v, P the lcm of the d_v and ' dropping the last row vertex,
     tau = prod(d_v) * det(P D_U' - B' diag(P / d_v) B'^T) / P^(m-1),
 
 an integer (m-1)-square determinant in place of an (m+n-1)-square one.
-The division must be exact, or ``InternalCheckError`` is raised; the
-degree-product scan of ``search`` checks this count against the cofactor
-on every equality case and counterexample.
+The division must be exact, or ``InternalCheckError`` is raised.
+``_degree_product`` checks this count against the cofactor on every
+equality case and counterexample of the degree-product bound; the scan of
+``search``, the ``eq3`` bound of ``conjectures`` and so the ``trees`` and
+``check`` commands all decide that bound through it.
 
 Enumeration is a deletion/contraction backtrack over the sorted edge
 list, guarded by a budget.  An edge is included when it joins two
@@ -72,6 +74,22 @@ def _schur_tau(G: BipartiteGraph) -> int:
         raise InternalCheckError("Schur-complement tree count is not an integer:"
                                  " remainder %d of %d" % (rem, p ** len(rows)))
     return t
+
+
+def _degree_product(G: BipartiteGraph):
+    """(tau, tau*m*n, product of all degrees) of a bipartite graph: the
+    degree-product bound in integers.  Where tau*m*n reaches the product,
+    an equality case or a counterexample, the Schur-complement tau is
+    recounted by the Laplacian cofactor, and a disagreement raises
+    ``InternalCheckError``."""
+    t = tau(G)
+    lhs, rhs = t * G.m * G.n, math.prod(G.degrees())
+    if lhs >= rhs:
+        cofactor = tree_count(laplacian(G))
+        if cofactor != t:
+            raise InternalCheckError("tau of %r: Schur complement %d, cofactor %d"
+                                     % (G, t, cofactor))
+    return t, lhs, rhs
 
 
 def enumerate_spanning_trees(G, budget: int | None = None) -> list:

@@ -756,6 +756,35 @@ def test_exit_code_internal_check_schur_tau(capsys, monkeypatch, breaker):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_TAU_15_BELOW_16 = "bipartite 3 3\ne 1 1\ne 1 2\ne 2 1\ne 2 3\ne 3 1\ne 3 2\ne 3 3\n"
+
+
+@pytest.mark.parametrize("argv", [["trees"], ["check", "--bound", "eq3"],
+                                  ["check", "--all"]],
+                         ids=["trees", "check-eq3", "check-all"])
+@pytest.mark.parametrize("breaker, graph", [
+    (_schur_overcount, "EX"),               # tau 37 above the invariant 36
+    (_schur_overcount, _TAU_15_BELOW_16),   # tau 16 on the invariant 16
+    (_schur_fake_equality, _TAU_15_BELOW_16),
+], ids=["overcount-failing", "overcount-tight", "fake-equality-tight"])
+def test_exit_code_internal_check_schur_tau_per_graph(staircase_file, tmp_path, capsys,
+                                                      monkeypatch, argv, breaker, graph):
+    # the per-graph commands decide the degree-product bound through the
+    # same cofactor cross-check as the scan: a wrong Schur-complement tau
+    # that makes the bound tight or fail is a defect (exit 4), never a
+    # counterexample (exit 1)
+    if graph == "EX":
+        path = staircase_file
+    else:
+        path = tmp_path / "tau15.graph"
+        path.write_text(graph)
+    monkeypatch.setattr(trees, "_schur_tau", breaker(trees._schur_tau))
+    code, out, err = run_cli([argv[0], "--graph", str(path)] + argv[1:], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("ferrers-lab: internal check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_code_internal_check_staircase_count(capsys, monkeypatch):
     # a degree class without exactly one staircase member is a defect
     # (exit 4), never a beaten staircase (exit 1)

@@ -228,6 +228,51 @@ def test_det_adj_int_identity():
         assert RatMatrix(rows) @ RatMatrix(adj) == identity(n, d)
 
 
+def _shifted_triangular(rng, n, zero_at=None):
+    """The rows of a random upper triangular 0/±1 matrix U with a ±1
+    diagonal, shifted up by one (row i is row i + 1 of U, the last is row 0).
+
+    Every elimination step but the last finds a zero on the diagonal: at
+    step k the only nonzero of column k at or below the diagonal is row k
+    of U, which the previous swap left last.  With ``zero_at`` = j, U[j][j] = 0, so the
+    matrix is singular, found only at step j, after j swaps.
+    """
+    u = [[0] * i + [rng.choice((-1, 1))]
+         + [rng.choice((-1, 0, 0, 1)) for _ in range(n - i - 1)] for i in range(n)]
+    if zero_at is not None:
+        u[zero_at][zero_at] = 0
+    return u[1:] + u[:1]
+
+
+def test_kernels_on_sparse_matrices_with_row_swaps():
+    # sparse 0/±1 matrices of side 0..12: random ones, many of them
+    # singular, and shifted triangular ones that swap at every step or turn
+    # singular only after swaps; both views of the elimination against the
+    # Fraction oracle
+    rng = random.Random(23)
+    cases = []
+    for n in range(13):
+        for _ in range(12):
+            density = rng.choice((0.15, 0.3, 0.5))
+            cases.append([[rng.choice((-1, 1)) if rng.random() < density else 0
+                           for _ in range(n)] for _ in range(n)])
+        cases.append(_shifted_triangular(rng, n))
+        cases += [_shifted_triangular(rng, n, j) for j in range(1, n)]
+    singular = 0
+    for rows in cases:
+        d = det_int(rows)
+        assert d == det(RatMatrix(rows))
+        if d == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                exactla.det_adj_int(rows)
+            continue
+        got, adj = exactla.det_adj_int(rows)
+        assert got == d
+        assert RatMatrix(rows) @ RatMatrix(adj) == identity(len(rows), d)
+    assert 0 < singular < len(cases)
+
+
 @pytest.mark.parametrize("build", [moore_penrose_laplacian,
                                    lambda lap: bordered_ginverse(lap, 3)])
 @pytest.mark.parametrize("corrupt", ["adjugate", "determinant"])

@@ -605,6 +605,35 @@ def test_verify_ferrers_bound_deterministic_across_jobs():
     assert a.examined == b.examined
 
 
+@pytest.mark.parametrize("cpus, items, size", [
+    (4, 3, 3), (4, 100, 4), (1, 100, None), (None, 100, None), (4, 1, None),
+])
+def test_pmap_caps_workers_at_cpus_and_items(monkeypatch, cpus, items, size):
+    # a huge --jobs asks the pool for no more workers than CPUs or items,
+    # and runs serially when that leaves one; the fake pool starts nothing
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seq, chunksize=1):
+            return [fn(x) for x in seq]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert search._pmap(abs, list(range(-items, 0)), 10 ** 6) == list(range(items, 0, -1))
+    assert sizes == ([] if size is None else [size])
+
+
 def test_verify_ferrers_bound_budget():
     with pytest.raises(BudgetExceeded):
         verify_ferrers_bound(11)
