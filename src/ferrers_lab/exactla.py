@@ -1,18 +1,22 @@
 """Exact linear algebra on one fraction-free integer kernel.
 
 The kernel is one Bareiss elimination over Python integers (Bareiss 1968),
-``_bareiss``, with two public views: ``det_int`` eliminates below each
-pivot for the determinant, and ``det_adj_int`` runs its Gauss-Jordan form
-on ``[A | I]`` for the determinant and the adjugate together.  Both
-g-inverses of a connected-graph Laplacian L with tree count tau are
-integer matrices over one denominator:
+``_bareiss``, which may carry a right-hand block B.  It has three public
+views: ``det_int`` carries none and eliminates below each pivot for the
+determinant; ``solve_int`` runs the Gauss-Jordan form on ``[A | B]`` for
+det(A) and adj(A) B, for example one adjugate column with B a unit column;
+and ``det_adj_int`` is the solve with B = I, the determinant and the
+adjugate together.  Every view refuses an entry that is not an integer
+value.  Both g-inverses of a connected-graph Laplacian L with tree count
+tau are integer matrices over one denominator:
 
 * Moore-Penrose: n^2 tau L^+ = adj(L + J) - tau J, with J all ones;
 * bordered at vertex i: the inverse of L_i (row and column i removed) is
   adj(L_i) / tau.
 
 Each build checks its input (integer, symmetric, zero row sums), checks the
-kernel's determinant against the cofactor tree count, and certifies the
+kernel's determinant against the cofactor tree count (the caller's, when it
+passes one), and certifies the
 result with an exact integer identity; a failed check raises
 ``InternalCheckError``.  Every matrix the runtime computes with is a list
 of integer rows, and a rational result is integer rows over one
@@ -76,26 +80,41 @@ class RatMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.rows]
 
 
-def _bareiss(rows, jordan):
+def _int_rows(rows) -> list:
+    """``rows`` as lists of ints; ValueError when an entry is not an integer
+    value (2.0, ``Fraction(2, 1)`` and ``True`` are)."""
+    m = [list(map(int, row)) for row in rows]
+    # rows that are integer lists already pass the first, cheap comparison
+    if m != rows and m != [list(row) for row in rows]:
+        raise ValueError("matrix entries must be integers")
+    return m
+
+
+def _bareiss(rows, right=None):
     """Fraction-free elimination of a square integer matrix (Bareiss 1968).
 
     Pivots on the first nonzero entry at or below the diagonal, each row
-    swap flipping the sign; every division is exact.  Without ``jordan`` it
-    eliminates below each pivot only and returns ``(det, None)``.  With
-    ``jordan`` it carries ``[A | I]`` and eliminates above and below each
-    pivot, so after the last pivot ``d`` the left block is ``d * I`` and the
-    right block ``d * A^{-1}``, and it returns ``(det, adj)``; columns left
-    of the pivot are never touched again, since they stay zero off the
+    swap flipping the sign; every division is exact.  Without ``right`` it
+    eliminates below each pivot only and returns ``(det, None)``.  With a
+    right-hand block B (integer rows, one per row of A) it carries
+    ``[A | B]`` and eliminates above and below each pivot, so after the
+    last pivot ``d`` the left block is ``d * I`` and the right block
+    ``d * A^{-1} B``, and it returns ``(det, adj(A) B)``; columns left of
+    the pivot are never touched again, since they stay zero off the
     diagonal.  A singular matrix gives ``(0, None)``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    m = [list(map(int, row)) for row in rows]
+    m = _int_rows(rows)
+    jordan = right is not None
     if jordan:
-        for i, row in enumerate(m):
-            row += [int(i == j) for j in range(n)]
-    width = 2 * n if jordan else n
+        right = _int_rows(right)
+        if len(right) != n or any(len(r) != len(right[0]) for r in right):
+            raise ValueError("right-hand block does not match the matrix")
+        for row, extra in zip(m, right):
+            row += extra
+    width = len(m[0]) if m else 0
     sign = prev = 1
     for k in range(n):
         if m[k][k] == 0:
@@ -118,20 +137,32 @@ def _bareiss(rows, jordan):
 def det_int(rows) -> int:
     """Exact determinant of an integer matrix by Bareiss elimination; 0 for
     a singular matrix, 1 for the empty one."""
-    return _bareiss(rows, False)[0]
+    return _bareiss(rows)[0]
+
+
+def solve_int(rows, right):
+    """Determinant of a nonsingular integer matrix A and ``adj(A) right``,
+    by the Gauss-Jordan form of the Bareiss elimination on ``[A | right]``.
+
+    ``right`` is integer rows, one per row of A; the result solves
+    ``A y = det(A) right`` in integers.  Raises ValueError for a singular
+    matrix.
+    """
+    d, out = _bareiss(rows, right)
+    if not d:
+        raise ValueError("matrix is singular")
+    return d, out
 
 
 def det_adj_int(rows):
-    """Determinant and adjugate of a nonsingular integer matrix, by the
-    Gauss-Jordan form of the Bareiss elimination.
+    """Determinant and adjugate of a nonsingular integer matrix: the solve
+    view with the identity as right-hand block.
 
     Returns ``(det, adj)`` with ``adj`` a list of integer rows; raises
     ValueError for a singular matrix.
     """
-    d, adj = _bareiss(rows, True)
-    if not d:
-        raise ValueError("matrix is singular")
-    return d, adj
+    n = len(rows)
+    return solve_int(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def tree_count(lap) -> int:
@@ -165,9 +196,7 @@ def _integer_laplacian(rows) -> list:
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("need a nonempty square matrix")
-    lap = [[int(x) for x in row] for row in rows]
-    if lap != [list(row) for row in rows]:
-        raise ValueError("Laplacian entries must be integers")
+    lap = _int_rows(rows)
     if any(lap[i][j] != lap[j][i] for i in range(n) for j in range(i)):
         raise ValueError("Laplacian is not symmetric")
     if any(sum(row) for row in lap):
@@ -187,7 +216,7 @@ def _sparse_matmul(a, b) -> list:
     return out
 
 
-def moore_penrose_laplacian(laplacian) -> GInverse:
+def moore_penrose_laplacian(laplacian, tau: int | None = None) -> GInverse:
     """Exact Moore-Penrose inverse of a connected-graph Laplacian.
 
     ``laplacian`` is a sequence of rows with integer entries.
@@ -196,10 +225,13 @@ def moore_penrose_laplacian(laplacian) -> GInverse:
     is certified exactly: L M = d I - n tau J with d = n^2 tau, M symmetric
     and M 1 = 0, which with L symmetric and L 1 = 0 give all four Penrose
     conditions for M / d.  A disconnected graph (tau = 0) raises ValueError.
+    A caller that holds tau already passes it, and it is checked against
+    det(L + J) all the same.
     """
     lap = _integer_laplacian(laplacian)
     n = len(lap)
-    tau = tree_count(lap)
+    if tau is None:
+        tau = tree_count(lap)
     if tau == 0:
         raise ValueError("Laplacian of a disconnected graph has no Moore-Penrose"
                          " inverse by the rank-correction identity")
@@ -216,21 +248,23 @@ def moore_penrose_laplacian(laplacian) -> GInverse:
     return GInverse(tuple(map(tuple, m)), d, "moore_penrose")
 
 
-def bordered_ginverse(laplacian, i: int) -> GInverse:
+def bordered_ginverse(laplacian, i: int, tau: int | None = None) -> GInverse:
     """G-inverse of a connected-graph Laplacian with row/column ``i`` zeroed.
 
     ``laplacian`` is a sequence of rows with integer entries.
     The principal submatrix L_i with vertex ``i`` (1-based) removed has
     determinant tau and inverse adj(L_i) / tau, embedded back with zeros;
     the result H satisfies L @ H @ L == L.  It is certified exactly by
-    L_i adj(L_i) = tau I.
+    L_i adj(L_i) = tau I.  A caller that holds tau already passes it, and it
+    is checked against det(L_i) all the same.
     """
     lap = _integer_laplacian(laplacian)
     n = len(lap)
     if not 1 <= i <= n:
         raise ValueError("pivot vertex out of range")
     k = i - 1
-    tau = tree_count(lap)
+    if tau is None:
+        tau = tree_count(lap)
     if tau == 0:
         raise ValueError("principal submatrix is singular (graph disconnected?)")
     sub = [row[:k] + row[i:] for r, row in enumerate(lap) if r != k]

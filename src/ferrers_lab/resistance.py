@@ -1,9 +1,15 @@
 """Exact resistance distance and edge-deletion invariance checks.
 
-Resistance between two vertices is computed two independent ways on every
-call: from the Moore-Penrose inverse of the Laplacian (diagonal-plus-cross
-term formula) and as a ratio of Laplacian minors.  The two must agree
-exactly or the call raises ``InternalCheckError``.
+Resistance between two vertices is computed two independent ways, and the
+two must agree exactly or the call raises ``InternalCheckError``.  The
+second route is always the ratio of Laplacian minors,
+R(i, j) = det L_{ij} / tau.  The first depends on the caller: a one-off
+``resistance(G, i, j)`` grounds vertex j and solves L_j y = det(L_j) e_i
+for one adjugate column, certified by its exact residual and by
+det(L_j) = tau, and reads R = y_i / tau (Klein and Randic 1993); the
+equivalence checks, which build the Moore-Penrose inverse anyway, read it
+off that inverse with the diagonal-plus-cross term formula, once per
+unordered pair.
 
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
@@ -28,9 +34,11 @@ from .budget import DEFAULT_THM71_VERTICES, admit
 from .exactla import (
     GInverse,
     InternalCheckError,
+    _sparse_matmul,
     bordered_ginverse,
     det_int,
     moore_penrose_laplacian,
+    solve_int,
     tree_count,
 )
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
@@ -40,7 +48,8 @@ from .trees import tau
 
 
 class _GraphCtx:
-    """Per-graph cache of the exact objects the equivalence checks reuse.
+    """Per-graph cache of the exact objects the equivalence checks reuse;
+    a one-off resistance takes its tau and minor ratio from one too.
 
     Resistance reads only the Laplacian, so a ``BipartiteGraph`` serves
     there; edge deletion needs a ``Graph``.
@@ -50,6 +59,7 @@ class _GraphCtx:
         self.graph = graph
         self._bordered = {}
         self._without = {}
+        self._resistance = {}
 
     def without(self, edge) -> "_GraphCtx":
         """The context of the graph with ``edge`` deleted, built once."""
@@ -64,11 +74,11 @@ class _GraphCtx:
 
     @functools.cached_property
     def mp(self) -> GInverse:
-        return moore_penrose_laplacian(self.lap_int)
+        return moore_penrose_laplacian(self.lap_int, self.tau)
 
     def bordered(self, pivot: int) -> GInverse:
         if pivot not in self._bordered:
-            self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot)
+            self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot, self.tau)
         return self._bordered[pivot]
 
     @functools.cached_property
@@ -85,29 +95,52 @@ class _GraphCtx:
             ]
         )
 
-    def resistance(self, i: int, j: int) -> Fraction:
-        mp = self.mp
-        plus = mp.numerators
-        a, b = i - 1, j - 1
-        via_mp = Fraction(plus[a][a] + plus[b][b] - 2 * plus[a][b], mp.denominator)
+    def checked(self, i: int, j: int, value: Fraction) -> Fraction:
+        """``value``, a first route's R(i, j), once the minor ratio agrees."""
         # minor_det([i]) is tau by the matrix-tree theorem, cached already
         via_det = Fraction(self.minor_det([i, j]), self.tau)
-        if via_mp != via_det:
+        if value != via_det:
             raise InternalCheckError(
-                "resistance routes disagree: %s vs %s" % (via_mp, via_det)
+                "resistance routes disagree: %s vs %s" % (value, via_det)
             )
-        return via_mp
+        return value
+
+    def resistance(self, i: int, j: int) -> Fraction:
+        """R(i, j) off the Moore-Penrose inverse, once per unordered pair."""
+        key = (i, j) if i < j else (j, i)
+        if key not in self._resistance:
+            mp = self.mp
+            plus = mp.numerators
+            a, b = i - 1, j - 1
+            via_mp = Fraction(plus[a][a] + plus[b][b] - 2 * plus[a][b], mp.denominator)
+            self._resistance[key] = self.checked(i, j, via_mp)
+        return self._resistance[key]
 
 
 def resistance(G, i: int, j: int) -> Fraction:
-    """Exact resistance distance between distinct vertices of a connected graph."""
+    """Exact resistance distance between distinct vertices of a connected graph.
+
+    Grounds vertex j and solves for one adjugate column of L_j, with no
+    g-inverse built; the minor ratio checks the result.
+    """
     if i == j:
         raise ValueError("resistance needs two distinct vertices")
     if not (1 <= i <= G.vcount and 1 <= j <= G.vcount):
         raise ValueError("vertex out of range")
     if not G.is_connected():
         raise ValueError("resistance requires a connected graph")
-    return _GraphCtx(G).resistance(i, j)
+    ctx = _GraphCtx(G)
+    b = j - 1
+    grounded = [row[:b] + row[j:] for r, row in enumerate(ctx.lap_int) if r != b]
+    a = i - 1 if i < j else i - 2
+    d, y = solve_int(grounded, [[int(r == a)] for r in range(len(grounded))])
+    if d != ctx.tau:
+        raise InternalCheckError("det(L_%d) = %d, but tau = %d" % (j, d, ctx.tau))
+    if _sparse_matmul(grounded, y) != [[d if r == a else 0] for r in range(len(grounded))]:
+        raise InternalCheckError(
+            "grounded certificate failed: L_%d y != tau e_%d" % (j, i)
+        )
+    return ctx.checked(i, j, Fraction(y[a][0], d))
 
 
 @dataclass(frozen=True)

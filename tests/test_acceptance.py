@@ -110,6 +110,7 @@ def test_criterion_06_equivalence_scan_7_vertices():
     assert result["all_agree_everywhere"]
     assert result["failures"] == []
     assert result["graphs_checked"] == 6 + 21 + 112 + 853
+    assert result["pairs_checked"] == 24317
     _report(6, "eleven conditions agree on every admissible pair over all"
                " %d connected graphs up to 7 vertices (%d pairs, exact)"
             % (result["graphs_checked"], result["pairs_checked"]))

@@ -709,6 +709,15 @@ def _corrupt_adjugate(orig):
     return broken
 
 
+def _corrupt_solve(orig):
+    # the grounded column of a one-off resistance, caught by its residual
+    def broken(rows, right):
+        d, y = orig(rows, right)
+        y[0][0] += 1
+        return d, y
+    return broken
+
+
 def _inflate_lambda_max(orig):
     # the sqrt-edge check reads lambda_max from the spectrum report
     return lambda g: dataclasses.replace(orig(g), lambda_max=orig(g).lambda_max + 1)
@@ -717,10 +726,12 @@ def _inflate_lambda_max(orig):
 @pytest.mark.parametrize("argv, target, name, breaker", [
     (["resistance", "--pair", "4,7"], resistance_module._GraphCtx, "minor_det",
      _double_two_vertex_minors),
-    (["resistance", "--pair", "4,7"], exactla, "det_adj_int", _corrupt_adjugate),
+    (["resistance", "--pair", "4,7"], resistance_module, "solve_int", _corrupt_solve),
+    (["thm71", "--e", "1,5", "--f", "2,6"], exactla, "det_adj_int", _corrupt_adjugate),
     (["trees", "--enumerate"], trees, "tau", lambda orig: lambda g: orig(g) + 1),
     (["spectral"], cli, "spectrum_report", _inflate_lambda_max),
-], ids=["resistance-routes", "kernel-certificate", "tree-enumeration", "sqrt-edge-bound"])
+], ids=["resistance-routes", "kernel-certificate", "thm71-kernel-certificate",
+        "tree-enumeration", "sqrt-edge-bound"])
 def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
                                   argv, target, name, breaker):
     # a failed cross-check is a defect, reported apart from exit 1 (counterexample)
@@ -729,6 +740,22 @@ def test_exit_code_internal_check(staircase_file, capsys, monkeypatch,
     assert code == 4
     assert err.startswith("ferrers-lab: internal check failed: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_resistance_command_builds_no_ginverse(staircase_file, capsys, monkeypatch):
+    argv = ["resistance", "--graph", staircase_file, "--pair", "4,7"]
+    code, usual, _ = run_cli(argv, capsys)
+    assert code == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a g-inverse was built")
+
+    for target in (resistance_module, exactla):
+        monkeypatch.setattr(target, "moore_penrose_laplacian", refuse)
+        monkeypatch.setattr(target, "bordered_ginverse", refuse)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["resistance"] == json.loads(usual)["resistance"]
 
 
 def _schur_overcount(orig):

@@ -304,3 +304,75 @@ def test_ginverses_reject_non_laplacians(rows):
         moore_penrose_laplacian(rows)
     with pytest.raises(ValueError):
         bordered_ginverse(rows, 1)
+
+
+def test_solve_int_matches_fraction_solve():
+    # one unit column, as the grounded resistance asks, and wider blocks
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        d = det_int(rows)
+        unit = [[int(r == rng.randrange(n))] for r in range(n)]
+        block = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)]
+        if d == 0:
+            with pytest.raises(ValueError, match="^matrix is singular$"):
+                exactla.solve_int(rows, unit)
+            continue
+        for right in (unit, block):
+            got, out = exactla.solve_int(rows, right)
+            assert got == d
+            for c in range(len(right[0])):
+                column = solve(RatMatrix(rows), [row[c] for row in right])
+                assert [row[c] for row in out] == [d * x for x in column]
+
+
+def test_solve_int_rejects_mismatched_block():
+    with pytest.raises(ValueError, match="right-hand block"):
+        exactla.solve_int([[1, 0], [0, 1]], [[1]])
+    with pytest.raises(ValueError, match="right-hand block"):
+        exactla.solve_int([[1, 0], [0, 1]], [[1, 0], [1]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: det_int([[Fraction(1, 2)]]),
+    lambda: det_int([[2.7, 0], [0, 1]]),
+    lambda: exactla.det_adj_int([[1.9]]),
+    lambda: exactla.solve_int([[1, 0], [0, 1]], [[Fraction(1, 3)], [0]]),
+], ids=["det-fraction", "det-float", "adjugate-float", "solve-right-block"])
+def test_kernel_refuses_non_integer_entries(call):
+    # int() would truncate them: 0, 2 and (1, [[1]]) for the first three
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+def test_kernel_accepts_integral_values():
+    assert det_int([[2.0, 0], [0, Fraction(3, 1)]]) == 6
+    assert det_int([[True]]) == 1
+    assert exactla.det_adj_int([[2.0]]) == (2, [[1]])
+    assert exactla.solve_int([[2, 0], [0, 1]], [[1.0], [Fraction(4, 2)]]) == (2, [[1], [4]])
+
+
+def test_every_view_runs_the_one_elimination(monkeypatch):
+    calls = []
+    kernel = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss",
+                        lambda *args: calls.append(len(args)) or kernel(*args))
+    det_int([[2, 1], [1, 1]])
+    exactla.det_adj_int([[2, 1], [1, 1]])
+    exactla.solve_int([[2, 1], [1, 1]], [[1], [0]])
+    assert calls == [1, 2, 2]
+
+
+@pytest.mark.parametrize("build", [moore_penrose_laplacian,
+                                   lambda lap, tau: bordered_ginverse(lap, 3, tau)],
+                         ids=["moore-penrose", "bordered"])
+def test_ginverse_builders_check_a_passed_tau(monkeypatch, build):
+    # the caller's tau replaces the recount but is still checked against
+    # the builder's own determinant
+    assert build(EXAMPLE_LAPLACIAN, 36) == build(EXAMPLE_LAPLACIAN, None)
+    monkeypatch.setattr(exactla, "tree_count", lambda lap: pytest.fail("tau recounted"))
+    build(EXAMPLE_LAPLACIAN, 36)
+    for wrong in (35, 37, 72):
+        with pytest.raises(InternalCheckError):
+            build(EXAMPLE_LAPLACIAN, wrong)

@@ -193,6 +193,90 @@ def test_scan_builds_each_deletion_once(monkeypatch):
     assert len(deleted) == len(c6_chord.edges) + pairs
 
 
+def test_scan_counts_tau_once_per_context(monkeypatch):
+    # the context's tau feeds both g-inverse builders, which recount none
+    module = importlib.import_module("ferrers_lab.resistance")
+    counted = []
+    orig = module.tree_count
+    monkeypatch.setattr(module, "tree_count", lambda lap: counted.append(lap) or orig(lap))
+    monkeypatch.setattr(exactla, "tree_count", lambda lap: pytest.fail("builder recount"))
+    c6_chord = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
+    pairs, failures = module._scan_one(c6_chord)
+    assert failures == [] and pairs > 0
+    # the laps stay alive in the list, so distinct ids are distinct contexts
+    assert counted and len({id(lap) for lap in counted}) == len(counted)
+
+
+def test_context_resistance_once_per_unordered_pair(monkeypatch):
+    module = importlib.import_module("ferrers_lab.resistance")
+    minors = []
+    orig = module._GraphCtx.minor_det
+    monkeypatch.setattr(module._GraphCtx, "minor_det",
+                        lambda self, drop: minors.append(drop) or orig(self, drop))
+    ctx = module._GraphCtx(K4)
+    assert ctx.resistance(1, 2) == ctx.resistance(2, 1) == ctx.resistance(1, 2)
+    assert len(minors) == 1
+
+
+def test_grounded_resistance_matches_moore_penrose_route():
+    # the one-off route against the equivalence checks' route, on every
+    # connected graph with 4 to 6 vertices and every ordered vertex pair
+    module = importlib.import_module("ferrers_lab.resistance")
+    checked = 0
+    for n in range(4, 7):
+        for g in connected_graphs(n):
+            ctx = module._GraphCtx(g)
+            for i, j in itertools.permutations(range(1, n + 1), 2):
+                assert resistance(g, i, j) == ctx.resistance(i, j), (g.edges, i, j)
+                checked += 1
+    assert checked == 6 * 12 + 21 * 20 + 112 * 30
+
+
+def test_one_off_resistance_builds_no_ginverse(monkeypatch):
+    # resistance and its two callers solve for one grounded column only
+    module = importlib.import_module("ferrers_lab.resistance")
+    staircase = ferrers_from_partition(Partition((3, 3, 2, 1)), 3).to_graph()
+    calls = [
+        lambda: resistance(staircase, 4, 7),
+        lambda: resistance(C4, 3, 1),
+        lambda: edge_deletion_monotonicity(staircase, (2, 7), 3, 6),
+        lambda: ferrers_edge_invariance(Partition((3, 3, 2, 1))),
+        lambda: ferrers_edge_invariance(Partition((3, 2))),
+    ]
+    usual = [call() for call in calls]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a g-inverse was built")
+
+    for target in (module, exactla):
+        monkeypatch.setattr(target, "moore_penrose_laplacian", refuse)
+        monkeypatch.setattr(target, "bordered_ginverse", refuse)
+    assert [call() for call in calls] == usual
+
+
+def test_grounded_route_certificates(monkeypatch):
+    module = importlib.import_module("ferrers_lab.resistance")
+    orig = module.solve_int
+
+    def wrong_det(rows, right):
+        d, y = orig(rows, right)
+        return 2 * d, [[2 * x for x in row] for row in y]
+
+    def wrong_column(rows, right):
+        d, y = orig(rows, right)
+        y[-1][0] += 1
+        return d, y
+
+    # a column scaled with its determinant still solves L_j y = d e_i, and
+    # gives the right ratio: only the comparison with tau catches it
+    monkeypatch.setattr(module, "solve_int", wrong_det)
+    with pytest.raises(InternalCheckError, match="but tau"):
+        resistance(C4, 1, 3)
+    monkeypatch.setattr(module, "solve_int", wrong_column)
+    with pytest.raises(InternalCheckError, match="grounded certificate"):
+        resistance(C4, 1, 3)
+
+
 def test_equivalence_preconditions():
     with pytest.raises(ValueError, match="share"):
         edge_deletion_equivalence(K4, (1, 2), (2, 3))
