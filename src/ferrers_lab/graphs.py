@@ -239,15 +239,19 @@ def laplacian(G) -> list:
 
 def normalized_laplacian(G) -> list:
     """Degree-normalized Laplacian D^{-1/2} L D^{-1/2} as a float matrix."""
-    deg = G.degrees()
-    if any(d == 0 for d in deg):
+    return _normalize(laplacian(G))
+
+
+def _normalize(lap) -> list:
+    """D^{-1/2} L D^{-1/2} of the integer Laplacian ``lap``, the degrees D
+    read off its diagonal."""
+    deg = [row[i] for i, row in enumerate(lap)]
+    if not all(deg):
         raise ValueError("normalized Laplacian undefined with isolated vertices")
-    n = G.vcount
     scale = [1.0 / math.sqrt(d) for d in deg]
-    lap = laplacian(G)
     return [
-        [lap[i][j] * scale[i] * scale[j] for j in range(n)]
-        for i in range(n)
+        [x * scale[i] * scale[j] for j, x in enumerate(row)]
+        for i, row in enumerate(lap)
     ]
 
 

@@ -432,9 +432,10 @@ def edge_deletion_equivalence_scan(max_n: int, jobs: int = 1,
     graphs = []
     for n in range(4, max_n + 1):
         graphs.extend(connected_graphs(n))
-    results = _pmap(_scan_one, graphs, jobs)
-    pairs_total = sum(r[0] for r in results)
-    failures = [fail for r in results for fail in r[1]]
+    pairs_total, failures = 0, []
+    for pairs, fails in _pmap(_scan_one, graphs, jobs):
+        pairs_total += pairs
+        failures.extend(fails)
     return {
         "max_n": max_n,
         "graphs_checked": len(graphs),

@@ -37,14 +37,21 @@ transpose it does not hold is kept and keyed by ``canonical_code``, its
 one call on a search's path.  Every level is in ascending code order;
 each class is handed out keyed by its code, and search reports carry it.
 
+The connected scan holds each (m, n) level's kept classes as a list of
+graphs, and writes their codes as it merges the levels in (m, n) order:
+a code starts with m and n and each level ascends, so that is code order,
+with no sort and no second copy of the classes.
+
 Searches shard their per-graph checks over a process pool when asked;
-results merge in enumeration order so reports are byte-identical
+results stream back in enumeration order, so reports are byte-identical
 regardless of worker count.  The pool never has more workers than CPUs
-or items.  The degree-product scan compares tau*m*n with the product of
-the degrees, both integers, through ``trees._degree_product``, which
-recomputes the Schur-complement tree count by the Laplacian cofactor on
-every equality case and counterexample; a disagreement raises
-``InternalCheckError``.
+or items.  The degree-product scan holds no per-class result: as the
+checks stream past, it keeps only the tight classes (with their
+staircase verdicts) and the failing ones.  It compares tau*m*n with the
+product of the degrees, both integers, through ``trees._degree_product``,
+which takes the degrees from the Schur-complement pass and recomputes its
+tree count by the Laplacian cofactor on every equality case and
+counterexample; a disagreement raises ``InternalCheckError``.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -54,6 +61,7 @@ complete graph; reports record both facts as the ``no_isolated`` and
 from __future__ import annotations
 
 import os
+import struct
 import time
 from dataclasses import dataclass
 
@@ -211,10 +219,8 @@ def _keeps_orientation(rows, n):
 
 
 def _serialize(m, n, values) -> bytes:
-    out = bytearray([m, n])
-    for v in values:
-        out += v.to_bytes(2, "big")
-    return bytes(out)
+    """The bytes m and n, then each value in two bytes, big-endian."""
+    return struct.pack(">%dH" % (len(values) + 1), m << 8 | n, *values)
 
 
 def canonical_code(G: BipartiteGraph) -> bytes:
@@ -462,21 +468,29 @@ def _enumerate_degree_class(spec, counter):
 
 
 def _enumerate_connected(spec, counter):
-    found = []
+    levels = {}
     for n in range(1, spec.max_vertices):
         full = (1 << n) - 1
         depth = min(n, spec.max_vertices - n)
         for m, level in _grow(n, depth, counter,
                               accept=lambda rows: _rows_connected(rows, full)):
-            for code, rows in level.items():
+            kept = levels[m, n] = []
+            for rows in level.values():
                 if m == n and not _keeps_orientation(rows, n):
                     continue
                 g = BipartiteGraph(m, n, rows)
                 # shallower levels are all kept as parents anyway; their
                 # graph-level test is what the traced benchmark counts
                 if m == depth or g.is_connected():
-                    found.append((code, g))
-    return dict(sorted(found, key=lambda item: item[0]))
+                    kept.append(g)
+    # a code starts with the bytes m, n and each level ascends, so merging
+    # the levels by (m, n) is code order; a level holds only its graphs
+    # until then, and each code is written as its level is merged
+    classes = {}
+    for m, n in sorted(levels):
+        for g in levels.pop((m, n)):
+            classes[_serialize(m, n, g.rows)] = g
+    return classes
 
 
 @dataclass
@@ -524,22 +538,23 @@ def _ferrers_check_one(g: BipartiteGraph):
 
 
 def _pmap(fn, items, jobs):
-    """``[fn(x) for x in items]``, over a pool of at most ``jobs`` worker
-    processes, and never more than there are CPUs or items; serial when
-    that leaves one."""
+    """Yield ``fn(x)`` for each x of the sized iterable ``items``, in
+    order, over a pool of at most ``jobs`` worker processes, and never more
+    than there are CPUs or items; serial when that leaves one."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            return pool.map(fn, items, chunksize=max(1, len(items) // (workers * 8)))
-    return [fn(item) for item in items]
+            yield from pool.imap(fn, items, chunksize=max(1, len(items) // (workers * 8)))
+    else:
+        yield from map(fn, items)
 
 
 def _maximizers(classes, jobs):
     """The top spectral radius of the {code: graph} map ``classes`` (None if
     it is empty), and the map of those within ``TOL`` of it."""
-    values = _pmap(spectral_radius, list(classes.values()), jobs)
+    values = list(_pmap(spectral_radius, classes.values(), jobs))
     top = max(values, default=None)
     return top, {code: g for (code, g), v in zip(classes.items(), values)
                  if v >= top - TOL}
@@ -559,8 +574,13 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
     classes = enumerate_class(spec)
-    checked = dict(zip(classes, _pmap(_ferrers_check_one, list(classes.values()), jobs)))
-    equal = {code: ferrers for code, (lhs, rhs, ferrers) in checked.items() if lhs == rhs}
+    equal, counterexamples = {}, {}
+    for (code, g), (lhs, rhs, ferrers) in zip(
+            classes.items(), _pmap(_ferrers_check_one, classes.values(), jobs)):
+        if lhs == rhs:
+            equal[code] = ferrers
+        elif lhs > rhs:
+            counterexamples[code] = g
     return SearchReport(
         spec=spec,
         examined=len(classes),
@@ -572,8 +592,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                                      if not ferrers],
         },
         extremal={code: classes[code] for code in equal},
-        counterexamples={code: classes[code]
-                         for code, (lhs, rhs, _) in checked.items() if lhs > rhs},
+        counterexamples=counterexamples,
     )
 
 

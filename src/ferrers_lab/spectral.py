@@ -26,7 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactla import InternalCheckError
-from .graphs import BipartiteGraph, _closed_rows, _reach, laplacian, normalized_laplacian
+from .graphs import (
+    BipartiteGraph,
+    _closed_rows,
+    _normalize,
+    _reach,
+    laplacian,
+    normalized_laplacian,
+)
 from .partitions import TOL
 
 _JACOBI_SWEEPS = 100
@@ -187,8 +194,8 @@ def spectrum_report(G: BipartiteGraph) -> SpectrumReport:
     lvals, lvecs = jacobi_eigh(lap)
     residuals = [_max_residual(gram, gvals, gvecs), _max_residual(lap, lvals, lvecs)]
     nvals = None
-    if all(G.degrees()):
-        nlap = normalized_laplacian(G)
+    if all(row[i] for i, row in enumerate(lap)):
+        nlap = _normalize(lap)
         nvals, nvecs = jacobi_eigh(nlap)
         residuals.append(_max_residual(nlap, nvals, nvecs))
     residual = max(residuals)

@@ -9,7 +9,8 @@ degrees d_v, P the lcm of the d_v and ' dropping the last row vertex,
 
 an integer (m-1)-square determinant in place of an (m+n-1)-square one.
 The division must be exact, or ``InternalCheckError`` is raised.
-``_degree_product`` checks this count against the cofactor on every
+``_degree_product`` takes the degree product from the degrees this pass
+already has, and checks the count against the cofactor on every
 equality case and counterexample of the degree-product bound; the scan of
 ``search``, the ``eq3`` bound of ``conjectures`` and so the ``trees`` and
 ``check`` commands all decide that bound through it.
@@ -42,20 +43,21 @@ def tau(G) -> int:
     Exact for any vertex count >= 1; disconnected graphs give 0.
     """
     if isinstance(G, BipartiteGraph):
-        return _schur_tau(G)
+        return _schur_tau(G)[0]
     if G.vcount < 1:
         raise ValueError("graph needs at least one vertex")
     return tree_count(laplacian(G))
 
 
-def _schur_tau(G: BipartiteGraph) -> int:
-    """Tree count of a bipartite graph from the Schur complement of its
-    column block, scaled to integers by P, the lcm of the column degrees."""
+def _schur_tau(G: BipartiteGraph):
+    """(tau, row degrees, column degrees) of a bipartite graph, the smaller
+    part as rows: the tree count from the Schur complement of the column
+    block, scaled to integers by P, the lcm of the column degrees."""
     if G.m > G.n:
         G = G.transpose()
     du, dv = G.degrees_u(), G.degrees_v()
     if 0 in du or 0 in dv:
-        return 0
+        return 0, du, dv
     p = math.lcm(*dv)
     weight = [p // d for d in dv]
     rows = G.rows[:-1]
@@ -73,7 +75,7 @@ def _schur_tau(G: BipartiteGraph) -> int:
     if rem:
         raise InternalCheckError("Schur-complement tree count is not an integer:"
                                  " remainder %d of %d" % (rem, p ** len(rows)))
-    return t
+    return t, du, dv
 
 
 def _degree_product(G: BipartiteGraph):
@@ -82,8 +84,8 @@ def _degree_product(G: BipartiteGraph):
     an equality case or a counterexample, the Schur-complement tau is
     recounted by the Laplacian cofactor, and a disagreement raises
     ``InternalCheckError``."""
-    t = tau(G)
-    lhs, rhs = t * G.m * G.n, math.prod(G.degrees())
+    t, du, dv = _schur_tau(G)
+    lhs, rhs = t * G.m * G.n, math.prod(du) * math.prod(dv)
     if lhs >= rhs:
         cofactor = tree_count(laplacian(G))
         if cofactor != t:

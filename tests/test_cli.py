@@ -288,6 +288,22 @@ def test_spectral_command_computes_each_spectrum_once(staircase_file, capsys,
     assert sorted(calls) == [4, 7, 7]
 
 
+def test_spectral_command_builds_one_laplacian(staircase_file, capsys, monkeypatch):
+    # the normalized Laplacian scales the Laplacian the report already has
+    calls = []
+    orig = graphs.laplacian
+
+    def counted(g):
+        calls.append(g)
+        return orig(g)
+
+    for target in (graphs, spectral):
+        monkeypatch.setattr(target, "laplacian", counted)
+    code, _, _ = run_cli(["spectral", "--graph", staircase_file], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_only_the_spectral_command_builds_eigenvectors(staircase_file, capsys,
                                                       monkeypatch):
     # the residual of `spectral` reads eigenvectors; the Laplacian spectrum
@@ -759,14 +775,18 @@ def test_resistance_command_builds_no_ginverse(staircase_file, capsys, monkeypat
 
 
 def _schur_overcount(orig):
-    return lambda g: orig(g) + 1
+    def broken(g):
+        t, du, dv = orig(g)
+        return t + 1, du, dv
+    return broken
 
 
 def _schur_fake_equality(orig):
     # one class on 6 vertices has tau 15 below an integer invariant 16
     def broken(g):
+        t, du, dv = orig(g)
         inv = ferrers_invariant(g)
-        return int(inv) if inv.denominator == 1 else orig(g)
+        return (int(inv) if inv.denominator == 1 else t), du, dv
     return broken
 
 
