@@ -18,7 +18,6 @@ from .graphs import (
     BipartiteGraph,
     Graph,
     GraphFormatError,
-    bridge_join,
     ferrers_from_partition,
     ferrers_invariant,
     format_graph,
@@ -28,7 +27,7 @@ from .graphs import (
     parse_graph_file,
     pendant_add,
 )
-from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
+from .partitions import Partition, conjugate, majorizes
 from .trees import (
     enumerate_spanning_trees,
     sigma_bruteforce,
@@ -43,7 +42,6 @@ from .spectral import (
     laplacian_spectrum,
     normalized_product_check,
     normalized_spectrum,
-    reflected_product_check,
     spectral_radius,
     spectrum_report,
     sqrt_edge_bound_check,
@@ -54,7 +52,6 @@ from .resistance import (
     connected_graphs,
     edge_deletion_equivalence,
     edge_deletion_equivalence_scan,
-    edge_deletion_monotonicity,
     ferrers_edge_invariance,
     ferrers_tree_identity,
     resistance,
@@ -72,9 +69,7 @@ from .search import (
 from .conjectures import (
     bozkurt_check,
     ferrers_bound_check,
-    graph_majorization_instance,
     grone_merris_check,
-    majorization_chain_check,
     venkataramana_check,
 )
 

@@ -242,7 +242,7 @@ def _cmd_check(args):
     names = list(_BOUNDS) if args.all else [args.bound]
     reports = [_BOUNDS[name](graph) for name in names]
     doc = {"reports": [r.as_dict() for r in reports]}
-    return doc, 0 if all(r.holds is not False for r in reports) else 1
+    return doc, 0 if all(r.holds for r in reports) else 1
 
 
 def _cmd_verify_ferrers_bound(args):

@@ -5,13 +5,11 @@ Every verdict that can be exact is exact: tree counts come from
 degree products and densities stay rational, and the one irrational bound
 (a square root) is decided by squaring both sides.  Only genuinely
 floating data (Laplacian spectra) is compared with a tolerance, the
-package's one ``TOL`` (scaled by the rhs for the majorization chain's
-product, which grows with the graph), and the tolerance is recorded in the
-report.
+package's one ``TOL``, and the tolerance is recorded in the report.
 
-``BoundReport.exact`` and ``BoundReport.within`` decide the lhs <= rhs
-checks; ``venkataramana`` (squares), ``grone-merris`` (a majorization) and
-a withheld ``majorization_chain`` build ``BoundReport`` directly.
+``bozkurt`` and ``eq3`` are decided by ``BoundReport.exact``;
+``venkataramana`` (squares) and ``grone-merris`` (a majorization) build
+``BoundReport`` directly.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .graphs import BipartiteGraph, ferrers_invariant
-from .partitions import Partition, concat, conjugate, gale_ryser, majorizes
+from .partitions import Partition, conjugate, majorizes
 from .spectral import TOL, BoundReport, laplacian_spectrum
 from .trees import _degree_product, tau
 
@@ -69,67 +67,6 @@ def venkataramana_check(G: BipartiteGraph) -> BoundReport:
         mode="exact",
         notes={"rational_factor": factor, "sqrt_argument": e1},
     )
-
-
-def majorization_chain_check(spectrum, a: Partition, b: Partition) -> BoundReport:
-    """Majorization-hypothesis product inequality on explicit sequences.
-
-    Given part degree partitions a and b, with d their sorted concatenation,
-    and a positive nonincreasing real sequence one shorter than d: when a
-    is majorized by the conjugate of b and d by the sequence, which is
-    majorized by the conjugate of d, the scaled product of the sequence
-    must not exceed that of the degrees, up to ``TOL`` relative to the
-    rhs.  Failed hypotheses withhold the verdict instead of reporting one.
-    """
-    d = Partition(sorted(concat(a, b), reverse=True))
-    n = len(d)
-    spectrum = list(spectrum)
-    if len(spectrum) != n - 1:
-        raise ValueError(
-            "sequence has %d entries, expected %d" % (len(spectrum), n - 1)
-        )
-    hypotheses = {
-        "gale_ryser": gale_ryser(a, b),
-        "degrees_below_sequence": majorizes(list(d.parts), spectrum),
-        "sequence_below_conjugate": majorizes(spectrum, list(conjugate(d).parts)),
-    }
-    p, q = len(a), len(b)
-    rhs_exact = Fraction(1, p * q)
-    for x in d.parts:
-        rhs_exact *= x
-    if not all(hypotheses.values()):
-        return BoundReport(
-            name="majorization_chain",
-            lhs=None,
-            rhs=None,
-            holds=None,
-            equality=None,
-            mode="tolerance",
-            tol=TOL,
-            notes={"status": "hypotheses not met", **hypotheses},
-        )
-    lhs = 1.0 / n
-    for x in spectrum:
-        lhs *= x
-    rhs = float(rhs_exact)
-    # the product grows with the graph (it is tau on a graph's spectrum),
-    # so its rounding is bounded relative to the rhs, not absolutely
-    return BoundReport.within("majorization_chain", lhs, rhs,
-                              TOL * max(1.0, abs(rhs)),
-                              notes={"rhs_exact": rhs_exact, **hypotheses})
-
-
-def graph_majorization_instance(G: BipartiteGraph):
-    """The (spectrum, a, b) tuple of a connected bipartite graph.
-
-    The sequence is the Laplacian spectrum with the trailing zero
-    eigenvalue dropped, and a, b are the two part degree partitions.
-    """
-    if not G.is_connected():
-        raise ValueError("graph must be connected")
-    a = Partition(sorted(G.degrees_u(), reverse=True))
-    b = Partition(sorted(G.degrees_v(), reverse=True))
-    return laplacian_spectrum(G)[:-1], a, b
 
 
 def grone_merris_check(G) -> BoundReport:

@@ -276,25 +276,6 @@ def pendant_add(G: BipartiteGraph, v: int) -> BipartiteGraph:
     return BipartiteGraph(G.m + 1, G.n, list(G.rows) + [1 << (j - 1)])
 
 
-def bridge_join(G: BipartiteGraph, G2: BipartiteGraph, x: int, x2: int) -> BipartiteGraph:
-    """Disjoint union plus one edge between row vertex ``x`` of G and row
-    vertex ``x2`` of G2.
-
-    The joined graph has parts (U + V') and (V + U'): the second graph's
-    parts swap sides so the bridge stays bipartite.  Row order is u_1..u_m
-    then v'_1..v'_{n2}; column order v_1..v_n then u'_1..u'_{m2}.
-    """
-    if not 1 <= x <= G.m:
-        raise ValueError("x must be a row vertex of the first graph")
-    if not 1 <= x2 <= G2.m:
-        raise ValueError("x2 must be a row vertex of the second graph")
-    t2 = G2.transpose()  # rows of t2 are V'-vertices over columns U'
-    rows = list(G.rows)  # width n, extended to n + m2
-    rows[x - 1] |= 1 << (G.n + x2 - 1)
-    new_rows = rows + [r << G.n for r in t2.rows]
-    return BipartiteGraph(G.m + G2.n, G.n + G2.m, new_rows)
-
-
 #: header word -> (header line, what its numbers are, edge line, constructor)
 _FILE_KINDS = {
     "bipartite": ("bipartite m n", "part sizes", "e i j", BipartiteGraph.from_edges),

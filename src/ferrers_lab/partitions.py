@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, concatenation, majorization, Gale-Ryser.
+"""Integer partitions: conjugation and majorization.
 
 Partitions are immutable value types.  Majorization accepts arbitrary real
 sequences (graph spectra are floats); everything else is integer-exact.
@@ -39,9 +39,6 @@ class Partition:
             return cls(())
         return cls(int(tok) for tok in text.split(","))
 
-    def to_string(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
     @property
     def size(self) -> int:
         """Sum of the parts."""
@@ -70,11 +67,6 @@ def conjugate(a: Partition) -> Partition:
         for i in range(p):
             counts[i] += 1
     return Partition(counts)
-
-
-def concat(a, b) -> tuple:
-    """Concatenation of two sequences; the result need not be nonincreasing."""
-    return tuple(a) + tuple(b)
 
 
 def _is_exact(seq) -> bool:
@@ -108,13 +100,3 @@ def majorizes(a, b) -> bool:
         return sa == sb
     return abs(sa - sb) <= TOL
 
-
-def gale_ryser(a: Partition, b: Partition) -> bool:
-    """True iff some bipartite graph has degree sequences ``a`` and ``b``.
-
-    Realizability holds exactly when the sums agree and ``a`` is majorized
-    by the conjugate of ``b``.
-    """
-    if a.size != b.size:
-        return False
-    return majorizes(a.parts, conjugate(b).parts)

@@ -241,27 +241,6 @@ def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
     )
 
 
-def edge_deletion_monotonicity(G: Graph, f, i: int, j: int) -> bool:
-    """Check that deleting a non-cut edge cannot lower resistance.
-
-    Returns True when the increase is strict, False on equality; raises if
-    the inequality fails (it cannot, for correct arithmetic) or if ``f``
-    is a cut edge.
-    """
-    if isinstance(G, BipartiteGraph):
-        G = G.to_graph()
-    before = resistance(G, i, j)  # refuses a disconnected G
-    g_f = G.delete_edge(f)
-    if not g_f.is_connected():
-        raise ValueError("f is a cut edge")
-    after = resistance(g_f, i, j)
-    if after < before:
-        raise InternalCheckError(
-            "resistance decreased from %s to %s after deleting %r" % (before, after, f)
-        )
-    return after > before
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     w_is_solution: bool
@@ -387,12 +366,8 @@ def connected_graphs(n: int) -> list:
     return out
 
 
-def admissible_edge_pairs(G: Graph) -> list:
-    """Vertex-disjoint edge pairs whose single deletions stay connected."""
-    return _admissible_pairs(_GraphCtx(G))
-
-
 def _admissible_pairs(ctx: _GraphCtx) -> list:
+    """Vertex-disjoint edge pairs whose single deletions stay connected."""
     edges = ctx.graph.sorted_edges()
     good = [e for e in edges if ctx.without(e).graph.is_connected()]
     good_set = set(good)

@@ -211,14 +211,13 @@ def spectrum_report(G: BipartiteGraph) -> SpectrumReport:
 class BoundReport:
     """One lhs <= rhs comparison with its arithmetic mode spelled out.
 
-    ``mode`` is "exact" or "tolerance"; with hypotheses-gated checks whose
-    hypotheses fail, ``holds``/``equality`` are None and the notes say so.
+    ``mode`` is "exact" or "tolerance".
     """
 
     name: str
     lhs: object
     rhs: object
-    holds: bool | None
+    holds: bool
     equality: bool | None
     mode: str
     tol: float = 0.0
@@ -287,28 +286,6 @@ def normalized_product_check(G: BipartiteGraph, mu: list) -> BoundReport:
     rho = _density(G)
     return BoundReport.within("normalized_product", product, float(rho),
                               notes={"rho": rho})
-
-
-def reflected_product_check(G: BipartiteGraph, k: int) -> BoundReport:
-    """Product of mu_i(2 - mu_i) over the k largest eigenvalues vs density.
-
-    Bipartite normalized spectra are symmetric about 1, so 2 - mu is the
-    reflection of mu.  When the product stays below the density this is a
-    sufficient certificate that the tree count respects the degree-product
-    invariant.  Requires 1 <= k <= floor((vcount-1)/2).
-    """
-    total = G.m + G.n
-    if total < 3:
-        raise ValueError("need at least 3 vertices")
-    if not 1 <= k <= (total - 1) // 2:
-        raise ValueError("k=%d out of range 1..%d" % (k, (total - 1) // 2))
-    mu = normalized_spectrum(G)
-    product = 1.0
-    for x in mu[:k]:
-        product *= x * (2.0 - x)
-    rho = _density(G)
-    return BoundReport.within("reflected_product", product, float(rho),
-                              notes={"rho": rho, "k": k})
 
 
 def dense_cut_vertex_hypothesis(G: BipartiteGraph) -> bool:

@@ -419,6 +419,23 @@ def test_check_command_single_bound(staircase_file, capsys):
     assert doc["reports"][0]["equality"] is True
 
 
+def test_check_exits_1_on_a_failed_bound(staircase_file, capsys, monkeypatch):
+    # one failed bound fails `--all`, which still writes every report;
+    # a bound that holds on its own still exits 0
+    monkeypatch.setitem(cli._BOUNDS, "bozkurt",
+                        lambda g: spectral.BoundReport.exact("bozkurt", 2, 1))
+    code, out, _ = run_cli(["check", "--graph", staircase_file, "--all"], capsys)
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert [(rep["name"], rep["holds"]) for rep in reports] == [
+        ("bozkurt", False), ("venkataramana", True), ("grone-merris", True),
+        ("eq3", True)]
+    code, out, _ = run_cli(
+        ["check", "--graph", staircase_file, "--bound", "eq3"], capsys)
+    assert code == 0
+    assert json.loads(out)["reports"][0]["holds"] is True
+
+
 def test_verify_ferrers_bound_command(tmp_path, capsys):
     outdir = tmp_path / "graphs"
     code, out, _ = run_cli(

@@ -12,7 +12,6 @@ from ferrers_lab import (
     connected_graphs,
     edge_deletion_equivalence,
     edge_deletion_equivalence_scan,
-    edge_deletion_monotonicity,
     exactla,
     ferrers_edge_invariance,
     ferrers_from_partition,
@@ -21,7 +20,7 @@ from ferrers_lab import (
     moore_penrose_laplacian,
     resistance,
 )
-from ferrers_lab.resistance import _graph_reps, _incidence_code, admissible_edge_pairs
+from ferrers_lab.resistance import _GraphCtx, _admissible_pairs, _graph_reps, _incidence_code
 
 from conftest import (
     as_matrix,
@@ -120,40 +119,10 @@ def test_foster_sum_rule(rng):
         assert total == g.vcount - 1
 
 
-def test_edge_deletion_monotonicity_cycle():
-    # deleting edge (1,2) from the 4-cycle leaves the path 2-3-4-1
-    assert edge_deletion_monotonicity(C4, (1, 2), 1, 2)
-    assert resistance(C4.delete_edge((1, 2)), 1, 2) == 3
-    assert edge_deletion_monotonicity(C4, (1, 2), 1, 3)
-    assert resistance(C4.delete_edge((1, 2)), 1, 3) == 2
-
-
-def test_edge_deletion_monotonicity_k4():
-    assert resistance(K4, 1, 2) == Fraction(1, 2)
-    assert edge_deletion_monotonicity(K4, (1, 2), 1, 2)
-    assert resistance(K4.delete_edge((1, 2)), 1, 2) == 1
-
-
-def test_edge_deletion_monotonicity_rejects_cut_edge():
-    path = Graph(3, [(1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        edge_deletion_monotonicity(path, (1, 2), 1, 3)
-    with pytest.raises(ValueError, match="connected graph"):
-        edge_deletion_monotonicity(Graph(4, [(1, 2), (3, 4)]), (1, 2), 1, 2)
-
-
-def test_edge_deletion_monotonicity_failure_is_internal(monkeypatch):
-    module = importlib.import_module("ferrers_lab.resistance")
-    values = iter([Fraction(2), Fraction(1)])
-    monkeypatch.setattr(module, "resistance", lambda G, i, j: next(values))
-    with pytest.raises(InternalCheckError, match="decreased"):
-        edge_deletion_monotonicity(C4, (1, 2), 1, 2)
-
-
 def test_edge_deletion_equality_case():
     # staircase (3,3,2,1): deleting {u2, v3} leaves r(u3, v2) unchanged
     g = ferrers_from_partition(Partition((3, 3, 2, 1)), 3).to_graph()
-    assert not edge_deletion_monotonicity(g, (2, 7), 3, 6)
+    assert resistance(g.delete_edge((2, 7)), 3, 6) == resistance(g, 3, 6)
 
 
 def test_equivalence_k4_matching_pair():
@@ -174,7 +143,7 @@ def test_equivalence_witnesses_are_exact():
 
 def test_equivalence_chorded_cycle():
     c6_chord = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
-    for e, f in admissible_edge_pairs(c6_chord):
+    for e, f in _admissible_pairs(_GraphCtx(c6_chord)):
         report = edge_deletion_equivalence(c6_chord, e, f)
         assert report.all_agree
 
@@ -182,7 +151,7 @@ def test_equivalence_chorded_cycle():
 def test_scan_builds_each_deletion_once(monkeypatch):
     # one G-e per edge and one G-e-f per pair, shared by all eleven conditions
     c6_chord = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)])
-    expected_pairs = len(admissible_edge_pairs(c6_chord))
+    expected_pairs = len(_admissible_pairs(_GraphCtx(c6_chord)))
     deleted = []
     orig = Graph.delete_edge
     monkeypatch.setattr(Graph, "delete_edge",
@@ -233,13 +202,12 @@ def test_grounded_resistance_matches_moore_penrose_route():
 
 
 def test_one_off_resistance_builds_no_ginverse(monkeypatch):
-    # resistance and its two callers solve for one grounded column only
+    # resistance and its caller solve for one grounded column only
     module = importlib.import_module("ferrers_lab.resistance")
     staircase = ferrers_from_partition(Partition((3, 3, 2, 1)), 3).to_graph()
     calls = [
         lambda: resistance(staircase, 4, 7),
         lambda: resistance(C4, 3, 1),
-        lambda: edge_deletion_monotonicity(staircase, (2, 7), 3, 6),
         lambda: ferrers_edge_invariance(Partition((3, 3, 2, 1))),
         lambda: ferrers_edge_invariance(Partition((3, 2))),
     ]

@@ -17,7 +17,6 @@ from ferrers_lab import (
     majorizes,
     normalized_product_check,
     normalized_spectrum,
-    reflected_product_check,
     spectral_radius,
     spectrum_report,
     sqrt_edge_bound_check,
@@ -296,18 +295,6 @@ def test_normalized_product_exhaustive_small():
     for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
         if g.m + g.n >= 3:
             assert _normalized_product(g).holds
-
-
-def test_reflected_product_check():
-    g = example_staircase()  # 7 vertices: k up to 3
-    check = reflected_product_check(g, 1)
-    assert check.holds
-    assert abs(check.lhs) <= 1e-9  # top eigenvalue is 2, so mu(2-mu) vanishes
-    assert reflected_product_check(g, 3).notes["k"] == 3
-    with pytest.raises(ValueError):
-        reflected_product_check(g, 4)
-    with pytest.raises(ValueError):
-        reflected_product_check(complete_bipartite(2, 2), 2)  # k > (n-1)//2
 
 
 def test_dense_cut_vertex_hypothesis():

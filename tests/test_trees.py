@@ -8,7 +8,6 @@ from ferrers_lab import (
     Graph,
     InternalCheckError,
     Partition,
-    bridge_join,
     enumerate_spanning_trees,
     ferrers_from_partition,
     laplacian,
@@ -204,11 +203,4 @@ def test_edge_deletion_monotone_in_tau(rng):
                 assert tau(reduced) < base
             else:
                 assert tau(reduced) == 0
-
-
-def test_bridge_join_tau_product():
-    g1 = example_staircase()
-    g2 = complete_bipartite(2, 2)
-    h = bridge_join(g1, g2, 2, 1)
-    assert tau(h) == tau(g1) * tau(g2)
 
