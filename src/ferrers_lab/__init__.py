@@ -19,11 +19,9 @@ from .graphs import (
     Graph,
     GraphFormatError,
     ferrers_from_partition,
-    ferrers_invariant,
     format_graph,
     is_ferrers,
     laplacian,
-    normalized_laplacian,
     parse_graph_file,
     pendant_add,
 )
@@ -41,7 +39,6 @@ from .spectral import (
     jacobi_eigh,
     laplacian_spectrum,
     normalized_product_check,
-    normalized_spectrum,
     spectral_radius,
     spectrum_report,
     sqrt_edge_bound_check,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import glob
 import io
 import json
 import os
@@ -135,17 +136,29 @@ def _parse_pair(text: str):
     return int(parts[0]), int(parts[1])
 
 
-def _search_doc(args, report):
-    """The search report and its exit code (1 on a counterexample), after
-    writing its graphs when asked."""
-    if args.emit_graphs:
-        os.makedirs(args.emit_graphs, exist_ok=True)
-        for label, graphs in (
-            ("extremal", report.extremal),
-            ("counterexample", report.counterexamples),
-        ):
+#: the file name prefixes of the graphs that --emit-graphs writes
+_EMITTED = ("extremal", "counterexample")
+
+
+def _search_doc(args, search, *params):
+    """Run ``search`` on ``params`` and return its report and exit code (1 on
+    a counterexample), after writing its graphs when asked.  An
+    --emit-graphs directory that already holds such graph files, or cannot
+    be made, is refused before the search starts, so that no old file
+    outlives the run and no search result is lost."""
+    outdir = args.emit_graphs
+    if outdir:
+        stale = [path for label in _EMITTED for path in
+                 glob.glob(os.path.join(glob.escape(outdir), label + "_*.graph"))]
+        if stale:
+            raise ValueError("--emit-graphs directory %s already holds %d graph"
+                             " files of an earlier search" % (outdir, len(stale)))
+        os.makedirs(outdir, exist_ok=True)
+    report = search(*params, jobs=args.jobs, budget=args.budget)
+    if outdir:
+        for label, graphs in zip(_EMITTED, (report.extremal, report.counterexamples)):
             for idx, g in enumerate(graphs.values()):
-                path = os.path.join(args.emit_graphs, "%s_%03d.graph" % (label, idx))
+                path = os.path.join(outdir, "%s_%03d.graph" % (label, idx))
                 with open(path, "w") as fh:
                     fh.write(format_graph(g))
     return report.as_dict(), 0 if not report.counterexamples else 1
@@ -174,14 +187,15 @@ def _cmd_trees(args):
         "ferrers_invariant": check.rhs,
         "ferrers_good": check.holds,
     }
+    # with both flags one walk serves: the coefficients count the trees
+    poly = sigma_bruteforce(graph, budget=args.budget) if args.sigma else None
     if args.enumerate:
-        trees = enumerate_spanning_trees(graph, budget=args.budget)
-        doc["enumeration"] = {
-            "count": len(trees),
-            "matches_tau": len(trees) == check.lhs,
-        }
-    if args.sigma:
-        poly = sigma_bruteforce(graph, budget=args.budget)
+        if poly is None:
+            count = len(enumerate_spanning_trees(graph, budget=args.budget))
+        else:
+            count = sum(poly.values())
+        doc["enumeration"] = {"count": count, "matches_tau": count == check.lhs}
+    if poly is not None:
         doc["sigma"] = [
             {"coefficient": coeff, "exponents": exps}
             for exps, coeff in sorted(poly.items())
@@ -246,19 +260,15 @@ def _cmd_check(args):
 
 
 def _cmd_verify_ferrers_bound(args):
-    return _search_doc(args, verify_ferrers_bound(
-        args.max_vertices, jobs=args.jobs, budget=args.budget))
+    return _search_doc(args, verify_ferrers_bound, args.max_vertices)
 
 
 def _cmd_spectral_search(args):
-    return _search_doc(args, spectral_search(
-        args.p, args.q, args.e, jobs=args.jobs, budget=args.budget))
+    return _search_doc(args, spectral_search, args.p, args.q, args.e)
 
 
 def _cmd_degree_class(args):
-    degrees = Partition.from_string(args.degrees)
-    return _search_doc(args, degree_class_max(
-        degrees, jobs=args.jobs, budget=args.budget))
+    return _search_doc(args, degree_class_max, Partition.from_string(args.degrees))
 
 
 _COMMANDS = {

@@ -3,13 +3,15 @@
 Every verdict that can be exact is exact: tree counts come from
 ``trees.tau`` (the Schur complement of a bipartite graph's column block),
 degree products and densities stay rational, and the one irrational bound
-(a square root) is decided by squaring both sides.  Only genuinely
-floating data (Laplacian spectra) is compared with a tolerance, the
-package's one ``TOL``, and the tolerance is recorded in the report.
+(a square root) is decided by squaring both sides.  The ``eq3`` bound
+takes its tree count and degree product from ``trees._degree_product``,
+the integers on which the scan of ``search`` decides the same bound.  Only
+genuinely floating data (Laplacian spectra) is compared with a tolerance,
+the package's one ``TOL``, and the tolerance is recorded in the report.
 
 ``bozkurt`` and ``eq3`` are decided by ``BoundReport.exact``;
-``venkataramana`` (squares) and ``grone-merris`` (a majorization) build
-``BoundReport`` directly.
+``venkataramana`` (squares) and ``grone-merris`` (a majorization of the
+float spectrum, within ``TOL``) build ``BoundReport`` directly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graphs import BipartiteGraph, ferrers_invariant
+from .graphs import BipartiteGraph
 from .partitions import Partition, conjugate, majorizes
 from .spectral import TOL, BoundReport, laplacian_spectrum
 from .trees import _degree_product, tau
@@ -94,13 +96,14 @@ def grone_merris_check(G) -> BoundReport:
 def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
     """Tree count against the degree-product invariant, fully exact.
 
-    The floating spectral product that would appear on the left is
-    replaced by the exact tree count they equal, so no rounding can
-    produce a spurious counterexample, and ``trees._degree_product``
-    recounts that tree count by the Laplacian cofactor wherever the bound
-    is tight or fails.  Disconnected graphs hold trivially (tree count
-    zero).
+    The invariant is the product of all degrees over |U|*|V|, built from
+    the integer product of ``trees._degree_product``.  The floating
+    spectral product that would appear on the left is replaced by the
+    exact tree count they equal, so no rounding can produce a spurious
+    counterexample, and ``_degree_product`` recounts that tree count by
+    the Laplacian cofactor wherever the bound is tight or fails.
+    Disconnected graphs hold trivially (tree count zero).
     """
-    t, _, _ = _degree_product(G)
-    return BoundReport.exact("eq3", Fraction(t), ferrers_invariant(G),
+    t, _, product = _degree_product(G)
+    return BoundReport.exact("eq3", Fraction(t), Fraction(product, G.m * G.n),
                              {"p": G.m, "q": G.n})

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .budget import GRAPH_FILE_VERTICES, BudgetExceeded
 from .partitions import Partition
@@ -237,11 +236,6 @@ def laplacian(G) -> list:
     return lap
 
 
-def normalized_laplacian(G) -> list:
-    """Degree-normalized Laplacian D^{-1/2} L D^{-1/2} as a float matrix."""
-    return _normalize(laplacian(G))
-
-
 def _normalize(lap) -> list:
     """D^{-1/2} L D^{-1/2} of the integer Laplacian ``lap``, the degrees D
     read off its diagonal."""
@@ -253,11 +247,6 @@ def _normalize(lap) -> list:
         [x * scale[i] * scale[j] for j, x in enumerate(row)]
         for i, row in enumerate(lap)
     ]
-
-
-def ferrers_invariant(G: BipartiteGraph) -> Fraction:
-    """Product of all vertex degrees divided by |U|*|V|, as an exact rational."""
-    return Fraction(math.prod(G.degrees()), G.m * G.n)
 
 
 def pendant_add(G: BipartiteGraph, v: int) -> BipartiteGraph:

@@ -1,7 +1,9 @@
-"""Integer partitions: conjugation and majorization.
+"""Integer partitions, their conjugates, and majorization of spectra.
 
-Partitions are immutable value types.  Majorization accepts arbitrary real
-sequences (graph spectra are floats); everything else is integer-exact.
+Partitions are immutable value types.  Majorization has one caller, the
+``grone-merris`` bound of ``conjectures``, which compares a float
+Laplacian spectrum with a conjugate degree sequence; its prefix sums are
+compared within ``TOL``.
 
 ``TOL`` is the package's one float tolerance; it lives here, in the lowest
 module that compares floats, and ``spectral`` re-exports it.
@@ -10,7 +12,6 @@ module that compares floats, and ``spectral`` re-exports it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 #: absolute tolerance of every floating comparison in the package
 TOL = 1e-9
@@ -39,11 +40,6 @@ class Partition:
             return cls(())
         return cls(int(tok) for tok in text.split(","))
 
-    @property
-    def size(self) -> int:
-        """Sum of the parts."""
-        return sum(self.parts)
-
     def __len__(self):
         return len(self.parts)
 
@@ -69,34 +65,24 @@ def conjugate(a: Partition) -> Partition:
     return Partition(counts)
 
 
-def _is_exact(seq) -> bool:
-    return all(isinstance(x, (int, Fraction)) for x in seq)
-
-
 def majorizes(a, b) -> bool:
     """True iff ``a`` is majorized by ``b`` (written a < b in the literature).
 
     Every prefix sum of the nonincreasing rearrangement of ``a`` must be at
     most the corresponding prefix sum of ``b``, with equality for the full
-    sum.  Sequences of unequal length are zero-padded to the longer one.
-    Comparison is exact for int/Fraction entries, within ``TOL`` otherwise.
+    sum, each within ``TOL``.  Sequences of unequal length are zero-padded
+    to the longer one.
     """
     a = sorted(a, reverse=True)
     b = sorted(b, reverse=True)
     length = max(len(a), len(b))
     a += [0] * (length - len(a))
     b += [0] * (length - len(b))
-    exact = _is_exact(a) and _is_exact(b)
     sa = sb = 0
     for k in range(length):
         sa += a[k]
         sb += b[k]
-        if exact:
-            if sa > sb:
-                return False
-        elif sa > sb + TOL:
+        if sa > sb + TOL:
             return False
-    if exact:
-        return sa == sb
     return abs(sa - sb) <= TOL
 

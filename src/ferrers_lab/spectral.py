@@ -3,9 +3,10 @@
 Eigenvalues come from one cyclic Jacobi rotation kernel, ``_jacobi``
 (dimensions here stay around twenty, where Jacobi is simple,
 dependency-free and accurate).  It builds eigenvectors only when asked:
-``jacobi_eigh`` asks, for the residual of ``spectrum_report``, while the
-spectral radius and the Laplacian and normalized spectra read eigenvalues
-only and skip a third of every rotation.  Both routes give the same floats.
+``jacobi_eigh`` asks, for the residual of ``spectrum_report`` (the one
+reader of the normalized Laplacian), while the spectral radius and the
+Laplacian spectrum read eigenvalues only and skip a third of every
+rotation.  Both routes give the same floats.
 Adjacency spectral radius is computed through the m x m Gram matrix B B'
 of the biadjacency matrix, halving the dimension and keeping the computed
 square nonnegative.  Verdicts that can be exact (density comparisons) use
@@ -26,14 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactla import InternalCheckError
-from .graphs import (
-    BipartiteGraph,
-    _closed_rows,
-    _normalize,
-    _reach,
-    laplacian,
-    normalized_laplacian,
-)
+from .graphs import BipartiteGraph, _closed_rows, _normalize, _reach, laplacian
 from .partitions import TOL
 
 _JACOBI_SWEEPS = 100
@@ -173,13 +167,6 @@ def spectral_radius(G: BipartiteGraph) -> float:
 def laplacian_spectrum(G) -> list:
     """Laplacian eigenvalues, nonincreasing."""
     return _eigenvalues(laplacian(G))
-
-
-def normalized_spectrum(G) -> list:
-    """Normalized-Laplacian eigenvalues of a connected graph, nonincreasing."""
-    if not G.is_connected():
-        raise ValueError("normalized spectrum requires a connected graph")
-    return _eigenvalues(normalized_laplacian(G))
 
 
 def spectrum_report(G: BipartiteGraph) -> SpectrumReport:

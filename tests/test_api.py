@@ -1,10 +1,17 @@
-"""Every public function and class of the package has a caller in it.
+"""Every public function, class and method of the package has a caller in it.
 
-A module-level public name that only tests reach either earns a caller in
-``src`` or goes.  A reference is any name or attribute read outside the
-name's own definition, in any module but ``__init__.py``, which only
-re-exports.  The names below are kept for a caller that ROADMAP.md plans;
-each must still lack one, so the list shrinks when that caller lands.
+A public name that only tests reach either earns a caller in ``src`` or
+goes.  Nothing in ``__init__.py`` counts, since it only re-exports.
+
+- A module-level function or class is called when some module reads it as
+  a bare name in load context, outside its own definition.  A stored name
+  (a dataclass field of the same name) or an attribute read does not count.
+- A public method is called when some code reads an attribute of its name
+  in load context, outside the method's own body.  The methods of the
+  classes in ``UNCALLED`` are not checked.
+
+The names below are kept for a caller that ROADMAP.md plans; each must
+still lack one, so the list shrinks when that caller lands.
 """
 
 import ast
@@ -23,24 +30,34 @@ UNCALLED = {
 
 
 def _uncalled_public_names():
-    """Public module-level functions and classes that no other code reads."""
-    defined, readers = {}, {}
+    """Public module-level names, and public methods as "Class.method",
+    that no other code reads."""
+    defined, names, attrs = {}, {}, {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for stmt in ast.parse(path.read_text()).body:
-            owner = None
+            owner, in_method = None, {}
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 owner = (path.stem, stmt.name)
                 if not stmt.name.startswith("_"):
-                    defined[stmt.name] = owner
+                    defined[stmt.name] = (names, owner)
+            if isinstance(stmt, ast.ClassDef) and stmt.name not in UNCALLED:
+                for fn in stmt.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        method = owner + (fn.name,)
+                        if not fn.name.startswith("_"):
+                            defined["%s.%s" % (stmt.name, fn.name)] = (attrs, method)
+                        in_method.update((id(node), method) for node in ast.walk(fn))
             for node in ast.walk(stmt):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
                 if isinstance(node, ast.Name):
-                    readers.setdefault(node.id, set()).add(owner)
+                    names.setdefault(node.id, set()).add(owner)
                 elif isinstance(node, ast.Attribute):
-                    readers.setdefault(node.attr, set()).add(owner)
-    return {name for name, owner in defined.items()
-            if not readers.get(name, set()) - {owner}}
+                    attrs.setdefault(node.attr, set()).add(in_method.get(id(node), owner))
+    return {key for key, (readers, owner) in defined.items()
+            if not readers.get(key.rpartition(".")[2], set()) - {owner}}
 
 
 def test_every_public_name_has_a_caller():

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -15,7 +16,6 @@ import pytest
 from ferrers_lab import (
     cli,
     exactla,
-    ferrers_invariant,
     graphs,
     parse_graph_file,
     search,
@@ -198,6 +198,21 @@ def test_trees_enumerate_and_sigma(staircase_file, capsys):
     doc = json.loads(out)
     assert doc["enumeration"] == {"count": 36, "matches_tau": True}
     assert sum(term["coefficient"] for term in doc["sigma"]) == 36
+
+
+def test_trees_walks_the_spanning_trees_once(staircase_file, capsys, monkeypatch):
+    # with both flags the polynomial's coefficients give the count
+    walk, calls = trees.enumerate_spanning_trees, []
+
+    def counted(g, budget=None):
+        calls.append(g)
+        return walk(g, budget=budget)
+
+    monkeypatch.setattr(trees, "enumerate_spanning_trees", counted)
+    monkeypatch.setattr(cli, "enumerate_spanning_trees", counted)
+    code, _, _ = run_cli(["trees", "--graph", staircase_file, "--enumerate", "--sigma"],
+                         capsys)
+    assert code == 0 and len(calls) == 1
 
 
 def test_trees_enumerate_without_a_spanning_tree(tmp_path, capsys):
@@ -506,16 +521,57 @@ def test_verify_ferrers_bound_command_counterexample(tmp_path, capsys,
         assert search.canonical_code(parse_graph_file(fh.read())) == target
 
 
+def _graph_files(outdir):
+    return {name: (outdir / name).read_bytes() for name in os.listdir(outdir)}
+
+
+def test_emit_graphs_refuses_a_directory_with_graph_files(tmp_path, capsys,
+                                                          monkeypatch):
+    # a 6-vertex scan writes 19 files, so 52 of the 8-vertex scan's 71 would
+    # outlive it; the refusal comes before any class is enumerated
+    outdir = tmp_path / "graphs"
+    code, _, _ = run_cli(["verify-ferrers-bound", "--max-vertices", "8",
+                          "--emit-graphs", str(outdir)], capsys)
+    assert code == 0
+    before = _graph_files(outdir)
+    assert len(before) == 71
+
+    def grow(*args, **kwargs):
+        raise AssertionError("a class was enumerated")
+
+    monkeypatch.setattr(search, "_grow", grow)
+    code, out, err = run_cli(["verify-ferrers-bound", "--max-vertices", "6",
+                              "--emit-graphs", str(outdir)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("ferrers-lab: --emit-graphs directory %s already holds 71"
+                   " graph files of an earlier search\n" % outdir)
+    assert _graph_files(outdir) == before
+    # so is a path that cannot be made a directory
+    code, _, err = run_cli(["verify-ferrers-bound", "--max-vertices", "6",
+                            "--emit-graphs", str(outdir / "extremal_000.graph")],
+                           capsys)
+    assert code == 2 and err.startswith("ferrers-lab: [Errno ")
+
+
+@pytest.mark.parametrize("name, code", [
+    ("counterexample_000.graph", 2), ("extremal_007.graph", 2),
+    ("extremal.graph", 0), ("notes.txt", 0)])
+def test_emit_graphs_names_it_refuses(name, code, tmp_path, capsys):
+    outdir = tmp_path / "graphs"
+    outdir.mkdir()
+    (outdir / name).write_text("")
+    assert run_cli(["degree-class", "--D", "2,1", "--emit-graphs", str(outdir)],
+                   capsys)[0] == code
+
+
 def test_cli_determinism_across_jobs(capsys):
-    _, first, _ = run_cli(["verify-ferrers-bound", "--max-vertices", "6"], capsys)
-    _, second, _ = run_cli(
-        ["verify-ferrers-bound", "--max-vertices", "6", "--jobs", "2"], capsys
-    )
-    first = json.loads(first)
-    second = json.loads(second)
-    first.pop("elapsed")
-    second.pop("elapsed")
-    assert first == second
+    for argv in (["verify-ferrers-bound", "--max-vertices", "6"],
+                 ["thm71-scan", "--max-n", "5"],
+                 ["spectral-search", "--p", "4", "--q", "4", "--e", "9"],
+                 ["degree-class", "--D", "3,3,2,1"]):
+        _, first, _ = run_cli(argv, capsys)
+        _, second, _ = run_cli(argv + ["--jobs", "2"], capsys)
+        assert _report_digest(first) == _report_digest(second), argv
 
 
 def test_spectral_search_command(capsys):
@@ -802,8 +858,8 @@ def _schur_fake_equality(orig):
     # one class on 6 vertices has tau 15 below an integer invariant 16
     def broken(g):
         t, du, dv = orig(g)
-        inv = ferrers_invariant(g)
-        return (int(inv) if inv.denominator == 1 else t), du, dv
+        inv, rem = divmod(math.prod(du) * math.prod(dv), g.m * g.n)
+        return (t if rem else inv), du, dv
     return broken
 
 

@@ -13,19 +13,19 @@ from ferrers_lab import (
     Partition,
     conjugate,
     enumerate_spanning_trees,
+    ferrers_bound_check,
     ferrers_from_partition,
-    ferrers_invariant,
     format_graph,
     grone_merris_check,
     is_ferrers,
     laplacian,
-    normalized_laplacian,
-    normalized_spectrum,
     parse_graph_file,
     pendant_add,
     resistance,
     tau,
 )
+from ferrers_lab.graphs import _normalize
+from ferrers_lab.spectral import _eigenvalues
 
 from conftest import (
     EXAMPLE_LAPLACIAN,
@@ -114,8 +114,9 @@ def test_bipartite_queries_match_graph_route(rng):
     for g in graphs:
         h = g.to_graph()
         assert tau(g) == tau(h), g
-        assert normalized_laplacian(g) == normalized_laplacian(h), g
-        assert normalized_spectrum(g) == normalized_spectrum(h), g
+        nlap = _normalize(laplacian(g))
+        assert nlap == _normalize(laplacian(h)), g
+        assert _eigenvalues(nlap) == _eigenvalues(_normalize(laplacian(h))), g
         assert grone_merris_check(g) == grone_merris_check(h), g
         assert resistance(g, 1, g.vcount) == resistance(h, 1, g.vcount), g
 
@@ -189,42 +190,43 @@ def test_graph_is_connected_matches_union_find(rng):
 
 
 def test_normalized_laplacian_single_edge():
-    assert normalized_laplacian(Graph(2, [(1, 2)])) == [[1.0, -1.0], [-1.0, 1.0]]
+    assert _normalize(laplacian(Graph(2, [(1, 2)]))) == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_normalized_laplacian_path_eigenvalues():
     k12 = complete_bipartite(1, 2)
-    vals = sorted(np.linalg.eigvalsh(np.array(normalized_laplacian(k12))))
+    vals = sorted(np.linalg.eigvalsh(np.array(_normalize(laplacian(k12)))))
     assert np.allclose(vals, [0.0, 1.0, 2.0], atol=1e-9)
 
 
 def test_normalized_laplacian_rejects_isolated():
     with pytest.raises(ValueError):
-        normalized_laplacian(Graph(3, [(1, 2)]))
+        _normalize(laplacian(Graph(3, [(1, 2)])))
 
 
 def test_normalized_top_eigenvalue_bipartite_vs_odd_cycle(rng):
     for _ in range(6):
         g = random_connected_bipartite(rng)
-        top = max(np.linalg.eigvalsh(np.array(normalized_laplacian(g))))
+        top = max(np.linalg.eigvalsh(np.array(_normalize(laplacian(g)))))
         assert abs(top - 2.0) <= 1e-9
     c5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    top = max(np.linalg.eigvalsh(np.array(normalized_laplacian(c5))))
+    top = max(np.linalg.eigvalsh(np.array(_normalize(laplacian(c5)))))
     assert top < 2.0 - 1e-6
 
 
 def test_ferrers_invariant_values():
-    assert ferrers_invariant(example_staircase()) == 36
-    assert ferrers_invariant(complete_bipartite(1, 1)) == 1
+    # the eq3 bound's rhs: the product of all degrees over |U|*|V|
+    assert ferrers_bound_check(example_staircase()).rhs == 36
+    assert ferrers_bound_check(complete_bipartite(1, 1)).rhs == 1
     k22 = complete_bipartite(2, 2)
-    assert ferrers_invariant(k22) == 4
+    assert ferrers_bound_check(k22).rhs == 4
     assert len(enumerate_spanning_trees(k22)) == 4  # independent count
 
 
 def test_ferrers_invariant_isomorphism_invariant(rng):
     g = example_staircase()
     for _ in range(10):
-        assert ferrers_invariant(shuffle_bipartite(g, rng)) == 36
+        assert ferrers_bound_check(shuffle_bipartite(g, rng)).rhs == 36
 
 
 def test_pendant_add():
@@ -250,7 +252,7 @@ def test_stats_exact_density():
     assert g.edge_count() == 9
     assert Fraction(g.edge_count(), g.m * g.n) == Fraction(9, 12)
     # degrees 3,3,2,1 and 4,3,2: 432 / (4 * 3)
-    assert ferrers_invariant(g) == 36
+    assert ferrers_bound_check(g).rhs == 36
     assert g.is_connected()
 
 

@@ -16,16 +16,15 @@ from ferrers_lab import (
     laplacian_spectrum,
     majorizes,
     normalized_product_check,
-    normalized_spectrum,
     spectral_radius,
     spectrum_report,
     sqrt_edge_bound_check,
     tau,
 )
 from ferrers_lab.exactla import InternalCheckError
-from ferrers_lab.graphs import normalized_laplacian
+from ferrers_lab.graphs import _normalize
 from ferrers_lab.partitions import TOL
-from ferrers_lab.spectral import _gram, eigen_residual
+from ferrers_lab.spectral import _eigenvalues, _gram, eigen_residual
 
 from conftest import (
     bipartite_cycle,
@@ -107,8 +106,10 @@ def test_eigenvalue_only_spectra_bit_identical_to_oracle(rng):
         assert spectral_radius(g).hex() == math.sqrt(max(ov[0], 0.0)).hex(), g
         ov, _ = jacobi_eigh_oracle(laplacian(g))
         assert _bits(laplacian_spectrum(g)) == _bits(ov), g
-        ov, _ = jacobi_eigh_oracle(normalized_laplacian(g))
-        assert _bits(normalized_spectrum(g)) == _bits(ov), g
+        nlap = _normalize(laplacian(g))
+        ov, _ = jacobi_eigh_oracle(nlap)
+        assert _bits(_eigenvalues(nlap)) == _bits(ov), g
+        assert _bits(spectrum_report(g).normalized_spectrum) == _bits(ov), g
 
 
 def test_jacobi_rejects_asymmetric():
@@ -221,24 +222,23 @@ def test_sqrt_edge_bound_random(rng):
         assert check.lhs <= check.rhs + 1e-8
 
 
+def _normalized_spectrum(g):
+    return _eigenvalues(_normalize(laplacian(g)))
+
+
 def test_normalized_spectrum_small():
-    assert np.allclose(normalized_spectrum(Graph(2, [(1, 2)])), [2.0, 0.0])
+    assert np.allclose(_normalized_spectrum(Graph(2, [(1, 2)])), [2.0, 0.0])
     triangle = Graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert np.allclose(normalized_spectrum(triangle), [1.5, 1.5, 0.0], atol=1e-12)
+    assert np.allclose(_normalized_spectrum(triangle), [1.5, 1.5, 0.0], atol=1e-12)
 
 
 def test_normalized_spectrum_bipartite_top_is_two(rng):
     for _ in range(8):
         g = random_connected_bipartite(rng)
-        mu = normalized_spectrum(g)
+        mu = spectrum_report(g).normalized_spectrum
         assert abs(mu[0] - 2.0) <= 1e-9
         assert abs(mu[-1]) <= 1e-10
         assert all(-1e-9 <= x <= 2 + 1e-9 for x in mu)
-
-
-def test_normalized_spectrum_rejects_disconnected():
-    with pytest.raises(ValueError):
-        normalized_spectrum(Graph(4, [(1, 2), (3, 4)]))
 
 
 def test_laplacian_spectrum_trace_identity(rng):
@@ -276,7 +276,7 @@ def test_matrix_tree_spectral_cross_check(rng):
 
 
 def _normalized_product(g):
-    return normalized_product_check(g, normalized_spectrum(g))
+    return normalized_product_check(g, spectrum_report(g).normalized_spectrum)
 
 
 def test_normalized_product_check():

@@ -187,7 +187,7 @@ def test_sigma_formula_rejects_empty_partition():
 
 def test_sigma_formula_matches_bruteforce_small_staircases():
     for lam in connected_ferrers_partitions(8):
-        if lam.size > 8:
+        if sum(lam) > 8:
             continue
         graph = ferrers_from_partition(lam, lam[0])
         assert sigma_formula(lam) == sigma_bruteforce(graph)
