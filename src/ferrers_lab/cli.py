@@ -55,7 +55,7 @@ from .spectral import (
     spectrum_report,
     sqrt_edge_bound_check,
 )
-from .trees import enumerate_spanning_trees, sigma_bruteforce
+from .trees import enumerate_spanning_trees, sigma_bruteforce, tau
 
 SCHEMA_VERSION = 1
 
@@ -249,12 +249,16 @@ _BOUNDS = {
     "grone-merris": grone_merris_check,
     "eq3": ferrers_bound_check,
 }
+#: the bounds that read the tree count; one run counts it once for them all
+_TREE_COUNT_BOUNDS = {"bozkurt", "venkataramana", "eq3"}
 
 
 def _cmd_check(args):
     graph = _require_bipartite(_load_graph(args.graph), "check")
     names = list(_BOUNDS) if args.all else [args.bound]
-    reports = [_BOUNDS[name](graph) for name in names]
+    t = tau(graph) if _TREE_COUNT_BOUNDS.intersection(names) else None
+    reports = [_BOUNDS[name](graph, t) if name in _TREE_COUNT_BOUNDS
+               else _BOUNDS[name](graph) for name in names]
     doc = {"reports": [r.as_dict() for r in reports]}
     return doc, 0 if all(r.holds for r in reports) else 1
 

@@ -11,7 +11,9 @@ the package's one ``TOL``, and the tolerance is recorded in the report.
 
 ``bozkurt`` and ``eq3`` are decided by ``BoundReport.exact``;
 ``venkataramana`` (squares) and ``grone-merris`` (a majorization of the
-float spectrum, within ``TOL``) build ``BoundReport`` directly.
+float spectrum, within ``TOL``) build ``BoundReport`` directly.  The three
+bounds that read the tree count take it as ``t`` from a caller that holds
+it: the ``check`` command counts it once per run.
 """
 
 from __future__ import annotations
@@ -30,28 +32,33 @@ def _is_complete_bipartite(G: BipartiteGraph) -> bool:
     return all(r == full for r in G.rows)
 
 
-def bozkurt_check(G: BipartiteGraph) -> BoundReport:
+def bozkurt_check(G: BipartiteGraph, t: int | None = None) -> BoundReport:
     """Tree count against (product of all degrees) / (edge count), exact.
 
     Equality holds exactly for complete bipartite graphs; the structural
-    test is recorded alongside the arithmetic one.
+    test is recorded alongside the arithmetic one.  A caller that holds
+    the tree count already passes it as ``t``.
     """
+    if t is None:
+        t = tau(G)
     e = G.edge_count()
     rhs = Fraction(math.prod(G.degrees()), e) if e else Fraction(0)
-    return BoundReport.exact("bozkurt", Fraction(tau(G)), rhs,
+    return BoundReport.exact("bozkurt", Fraction(t), rhs,
                              {"complete_bipartite": _is_complete_bipartite(G)})
 
 
-def venkataramana_check(G: BipartiteGraph) -> BoundReport:
+def venkataramana_check(G: BipartiteGraph, t: int | None = None) -> BoundReport:
     """Tree count against prod(d_i + 1/2) * prod(e_j + 1/2) * sqrt(e_1).
 
     Row vertices carry the d's, column vertices the e's, and e_1 is the
     largest column degree.  The verdict squares both sides so the square
-    root never enters a comparison.
+    root never enters a comparison.  A caller that holds the tree count
+    already passes it as ``t``.
     """
     d_seq = sorted(G.degrees_u(), reverse=True)
     e_seq = sorted(G.degrees_v(), reverse=True)
-    t = tau(G)
+    if t is None:
+        t = tau(G)
     factor = Fraction(1)
     for d in d_seq:
         factor *= d + Fraction(1, 2)
@@ -93,7 +100,7 @@ def grone_merris_check(G) -> BoundReport:
     )
 
 
-def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
+def ferrers_bound_check(G: BipartiteGraph, t: int | None = None) -> BoundReport:
     """Tree count against the degree-product invariant, fully exact.
 
     The invariant is the product of all degrees over |U|*|V|, built from
@@ -102,8 +109,10 @@ def ferrers_bound_check(G: BipartiteGraph) -> BoundReport:
     exact tree count they equal, so no rounding can produce a spurious
     counterexample, and ``_degree_product`` recounts that tree count by
     the Laplacian cofactor wherever the bound is tight or fails.
-    Disconnected graphs hold trivially (tree count zero).
+    Disconnected graphs hold trivially (tree count zero).  A caller that
+    holds the tree count already passes it as ``t``; it is recounted all
+    the same wherever the bound is tight or fails.
     """
-    t, _, product = _degree_product(G)
+    t, _, product = _degree_product(G, t)
     return BoundReport.exact("eq3", Fraction(t), Fraction(product, G.m * G.n),
                              {"p": G.m, "q": G.n})

@@ -4,12 +4,20 @@ Resistance between two vertices is computed two independent ways, and the
 two must agree exactly or the call raises ``InternalCheckError``.  The
 second route is always the ratio of Laplacian minors,
 R(i, j) = det L_{ij} / tau.  The first depends on the caller: a one-off
-``resistance(G, i, j)`` grounds vertex j and solves L_j y = det(L_j) e_i
-for one adjugate column, certified by its exact residual and by
-det(L_j) = tau, and reads R = y_i / tau (Klein and Randic 1993); the
-equivalence checks, which build the Moore-Penrose inverse anyway, read it
-off that inverse with the diagonal-plus-cross term formula, once per
-unordered pair.
+``resistance(G, i, j)`` grounds vertex j and solves L_j y = d e_i for one
+column, certified by its exact residual and by det(L_j) = tau, and reads
+R = y_i / d (Klein and Randic 1993); the equivalence checks, which build
+the Moore-Penrose inverse anyway, read it off that inverse with the
+diagonal-plus-cross term formula, once per unordered pair.
+
+A one-off query on a general ``Graph`` eliminates the grounded Laplacian
+itself, with d = det(L_j).  A ``BipartiteGraph`` never does: with the
+smaller part as rows, it solves the Schur complement of the column block
+(``trees._schur_block``, of side at most min(m, n)), lifts that solution
+to L_j y = d e_i with d = P det(P S), and certifies the lift on the full
+grounded Laplacian, read off the bit rows.  Its det(L_j) comes from the
+same block and is checked against ``trees.tau``, and both minors of its
+ratio come from the same builder.
 
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
@@ -44,16 +52,13 @@ from .exactla import (
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
 from .search import _code_rows, _pmap
-from .trees import tau
+from .trees import _schur_block, tau
 
 
 class _GraphCtx:
     """Per-graph cache of the exact objects the equivalence checks reuse;
-    a one-off resistance takes its tau and minor ratio from one too.
-
-    Resistance reads only the Laplacian, so a ``BipartiteGraph`` serves
-    there; edge deletion needs a ``Graph``.
-    """
+    a one-off resistance on a general graph takes its tau and minor ratio
+    from one too."""
 
     def __init__(self, graph):
         self.graph = graph
@@ -98,12 +103,7 @@ class _GraphCtx:
     def checked(self, i: int, j: int, value: Fraction) -> Fraction:
         """``value``, a first route's R(i, j), once the minor ratio agrees."""
         # minor_det([i]) is tau by the matrix-tree theorem, cached already
-        via_det = Fraction(self.minor_det([i, j]), self.tau)
-        if value != via_det:
-            raise InternalCheckError(
-                "resistance routes disagree: %s vs %s" % (value, via_det)
-            )
-        return value
+        return _agreed(value, Fraction(self.minor_det([i, j]), self.tau))
 
     def resistance(self, i: int, j: int) -> Fraction:
         """R(i, j) off the Moore-Penrose inverse, once per unordered pair."""
@@ -117,11 +117,23 @@ class _GraphCtx:
         return self._resistance[key]
 
 
+def _agreed(value: Fraction, via_det: Fraction) -> Fraction:
+    """``value``, a first route's resistance, once the minor ratio agrees."""
+    if value != via_det:
+        raise InternalCheckError(
+            "resistance routes disagree: %s vs %s" % (value, via_det)
+        )
+    return value
+
+
 def resistance(G, i: int, j: int) -> Fraction:
     """Exact resistance distance between distinct vertices of a connected graph.
 
-    Grounds vertex j and solves for one adjugate column of L_j, with no
-    g-inverse built; the minor ratio checks the result.
+    Grounds vertex j and solves for one column of the grounded inverse,
+    scaled to integers, with no g-inverse built; the minor ratio checks the
+    result.  A ``BipartiteGraph`` does both on Schur complements of its
+    column block, with no elimination larger than its smaller part; a
+    general ``Graph`` on its Laplacian.
     """
     if i == j:
         raise ValueError("resistance needs two distinct vertices")
@@ -129,6 +141,8 @@ def resistance(G, i: int, j: int) -> Fraction:
         raise ValueError("vertex out of range")
     if not G.is_connected():
         raise ValueError("resistance requires a connected graph")
+    if isinstance(G, BipartiteGraph):
+        return _bipartite_resistance(G, i, j)
     ctx = _GraphCtx(G)
     b = j - 1
     grounded = [row[:b] + row[j:] for r, row in enumerate(ctx.lap_int) if r != b]
@@ -141,6 +155,78 @@ def resistance(G, i: int, j: int) -> Fraction:
             "grounded certificate failed: L_%d y != tau e_%d" % (j, i)
         )
     return ctx.checked(i, j, Fraction(y[a][0], d))
+
+
+def _grounded_block(G: BipartiteGraph, du, dv, grounded):
+    """The kept rows and ``trees._schur_block`` of the Laplacian minor of
+    ``G`` that grounds the 0-based vertices ``grounded``, rows first."""
+    keep = [u for u in range(G.m) if u not in grounded]
+    cols = 0
+    for g in grounded:
+        if g >= G.m:
+            cols |= 1 << (g - G.m)
+    return (keep,) + _schur_block([G.rows[u] for u in keep],
+                                  [du[u] for u in keep], dv, cols)
+
+
+def _bipartite_resistance(G: BipartiteGraph, i: int, j: int) -> Fraction:
+    """R(i, j) of a connected bipartite graph, the smaller part as rows.
+
+    With vertex j grounded, the Schur block P S of ``_schur_block`` is
+    solved for P S z = delta r, where r is P e_i for a row source and
+    column c of B' times P/d_c for a column source c, and delta = det(P S).
+    The lift y_U = P z, y_V = diag(P/d_v) (B'^T z + delta e_c) solves
+    L_j y = d e_i with d = P delta; that residual is certified on the full
+    grounded Laplacian, read off the bit rows, and proves R = y_i / d.
+    det(L_j) = scale delta / P^k must equal ``trees.tau``, which grounds
+    the last row, and the minor ratio det(L_ij) / tau, from the block that
+    grounds both vertices, must agree.
+    """
+    if G.m > G.n:
+        # the rows become the columns: u_k is now v_k, and v_k is now u_k
+        a, b = (x + G.n - 1 if x <= G.m else x - G.m - 1 for x in (i, j))
+        G = G.transpose()
+    else:
+        a, b = i - 1, j - 1
+    m, n = G.m, G.n
+    du, dv = G.degrees_u(), G.degrees_v()
+    keep, p, block, scale = _grounded_block(G, du, dv, {b})
+    if a < m:
+        right = [[p if u == a else 0] for u in keep]
+    else:
+        bit, w = 1 << (a - m), p // dv[a - m]
+        right = [[w if G.rows[u] & bit else 0] for u in keep]
+    delta, solution = solve_int(block, right)
+    z = [0] * m
+    for u, (x,) in zip(keep, solution):
+        z[u] = x
+    edges = [(u - 1, m + c - 1) for u, c in G.edges()]
+    y = [p * x for x in z] + [0] * n
+    if a >= m:
+        y[a] = delta
+    for u, v in edges:
+        if v != b:
+            y[v] += z[u]
+    for c, dc in enumerate(dv):
+        y[m + c] *= p // dc
+    d = p * delta
+    # L y on every vertex but j, from the degrees and the edge list
+    lap_y = [deg * x for deg, x in zip(du + dv, y)]
+    for u, v in edges:
+        lap_y[u] -= y[v]
+        lap_y[v] -= y[u]
+    lap_y[a] -= d
+    if any(lap_y[:b] + lap_y[b + 1:]):
+        raise InternalCheckError(
+            "grounded certificate failed: L_%d y != d e_%d" % (j, i)
+        )
+    t = tau(G)
+    if scale * delta != t * p ** len(block):
+        raise InternalCheckError("det(L_%d) = %s, but tau = %d"
+                                 % (j, Fraction(scale * delta, p ** len(block)), t))
+    _, p, block, scale = _grounded_block(G, du, dv, {a, b})
+    return _agreed(Fraction(y[a], d),
+                   Fraction(scale * det_int(block), p ** len(block) * t))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,12 @@ degrees d_v, P the lcm of the d_v and ' dropping the last row vertex,
     tau = prod(d_v) * det(P D_U' - B' diag(P / d_v) B'^T) / P^(m-1),
 
 an integer (m-1)-square determinant in place of an (m+n-1)-square one.
-The division must be exact, or ``InternalCheckError`` is raised.
+The division must be exact, or ``InternalCheckError`` is raised.  One
+builder, ``_schur_block``, makes that integer block for any Laplacian
+minor: a grounded row leaves the block and a grounded column is masked
+out of the rows.  The tree count is its case of one grounded row; the
+bipartite resistance of ``resistance`` grounds one vertex to solve and
+two for the minor of its second route.
 ``_degree_product`` takes the degree product from the degrees this pass
 already has, and checks the count against the cofactor on every
 equality case and counterexample of the degree-product bound; the scan of
@@ -49,42 +54,70 @@ def tau(G) -> int:
     return tree_count(laplacian(G))
 
 
-def _schur_tau(G: BipartiteGraph):
-    """(tau, row degrees, column degrees) of a bipartite graph, the smaller
-    part as rows: the tree count from the Schur complement of the column
-    block, scaled to integers by P, the lcm of the column degrees."""
-    if G.m > G.n:
-        G = G.transpose()
-    du, dv = G.degrees_u(), G.degrees_v()
-    if 0 in du or 0 in dv:
-        return 0, du, dv
-    p = math.lcm(*dv)
+def _schur_block(rows, du, dv, cols=0):
+    """The Schur complement of the column block of a bipartite Laplacian
+    minor, scaled to integers.
+
+    The minor grounds some vertices, dropping their Laplacian rows and
+    columns.  ``rows`` are the bit rows of the row vertices it keeps and
+    ``du[i]`` is the degree of ``rows[i]``; ``dv`` holds the column
+    degrees, all nonzero, and ``cols`` masks the columns it grounds.  With
+    ' the kept vertices and P the lcm of the kept column degrees, returns
+    (P, block, scale): block = P (D_U' - B' diag(1/d_v) B'^T), an integer
+    k-square matrix with k = len(rows), and scale the product of the kept
+    column degrees, so that the minor is scale * det(block) / P^k.  The
+    tree count grounds one row and no column; a bipartite resistance
+    grounds one or two vertices of either part.
+    """
+    kept = dv
+    if cols:
+        kept = [d for c, d in enumerate(dv) if not cols >> c & 1]
+        rows = [r & ~cols for r in rows]
+    p = math.lcm(*kept)
+    # a grounded column's weight is never read: no masked row has its bit
     weight = [p // d for d in dv]
-    rows = G.rows[:-1]
-    a = [[0] * len(rows) for _ in rows]
+    size = len(rows)
+    a = [[0] * size for _ in rows]
     for i, r in enumerate(rows):
-        for k in range(i, len(rows)):
+        ai = a[i]
+        for k in range(i, size):
             shared, x = r & rows[k], 0
             while shared:
                 low = shared & -shared
                 x -= weight[low.bit_length() - 1]
                 shared ^= low
-            a[i][k] = a[k][i] = x
-        a[i][i] += p * du[i]
-    t, rem = divmod(math.prod(dv) * det_int(a), p ** len(rows))
+            ai[k] = a[k][i] = x
+        ai[i] += p * du[i]
+    return p, a, math.prod(kept)
+
+
+def _schur_tau(G: BipartiteGraph):
+    """(tau, row degrees, column degrees) of a bipartite graph, the smaller
+    part as rows: the Laplacian minor grounding the last row, from its
+    ``_schur_block``."""
+    if G.m > G.n:
+        G = G.transpose()
+    du, dv = G.degrees_u(), G.degrees_v()
+    if 0 in du or 0 in dv:
+        return 0, du, dv
+    p, a, scale = _schur_block(G.rows[:-1], du, dv)
+    t, rem = divmod(scale * det_int(a), p ** len(a))
     if rem:
         raise InternalCheckError("Schur-complement tree count is not an integer:"
-                                 " remainder %d of %d" % (rem, p ** len(rows)))
+                                 " remainder %d of %d" % (rem, p ** len(a)))
     return t, du, dv
 
 
-def _degree_product(G: BipartiteGraph):
+def _degree_product(G: BipartiteGraph, t: int | None = None):
     """(tau, tau*m*n, product of all degrees) of a bipartite graph: the
-    degree-product bound in integers.  Where tau*m*n reaches the product,
-    an equality case or a counterexample, the Schur-complement tau is
-    recounted by the Laplacian cofactor, and a disagreement raises
-    ``InternalCheckError``."""
-    t, du, dv = _schur_tau(G)
+    degree-product bound in integers.  ``t`` is the Schur-complement tau
+    when the caller holds it already.  Where tau*m*n reaches the product,
+    an equality case or a counterexample, that tau is recounted by the
+    Laplacian cofactor, and a disagreement raises ``InternalCheckError``."""
+    if t is None:
+        t, du, dv = _schur_tau(G)
+    else:
+        du, dv = G.degrees_u(), G.degrees_v()
     lhs, rhs = t * G.m * G.n, math.prod(du) * math.prod(dv)
     if lhs >= rhs:
         cofactor = tree_count(laplacian(G))

@@ -434,11 +434,27 @@ def test_check_command_single_bound(staircase_file, capsys):
     assert doc["reports"][0]["equality"] is True
 
 
+@pytest.mark.parametrize("argv, counts", [
+    (["--all"], 1), (["--bound", "venkataramana"], 1), (["--bound", "eq3"], 1),
+    (["--bound", "grone-merris"], 0),
+], ids=["all", "venkataramana", "eq3", "grone-merris"])
+def test_check_counts_tau_once_per_run(staircase_file, capsys, monkeypatch,
+                                       argv, counts):
+    # the three tree-count bounds share one Schur-complement tau; the
+    # spectral bound needs none
+    counted = []
+    orig = trees._schur_tau
+    monkeypatch.setattr(trees, "_schur_tau", lambda g: counted.append(g) or orig(g))
+    code, _, _ = run_cli(["check", "--graph", staircase_file] + argv, capsys)
+    assert code == 0
+    assert len(counted) == counts
+
+
 def test_check_exits_1_on_a_failed_bound(staircase_file, capsys, monkeypatch):
     # one failed bound fails `--all`, which still writes every report;
     # a bound that holds on its own still exits 0
     monkeypatch.setitem(cli._BOUNDS, "bozkurt",
-                        lambda g: spectral.BoundReport.exact("bozkurt", 2, 1))
+                        lambda g, t: spectral.BoundReport.exact("bozkurt", 2, 1))
     code, out, _ = run_cli(["check", "--graph", staircase_file, "--all"], capsys)
     assert code == 1
     reports = json.loads(out)["reports"]
@@ -786,8 +802,10 @@ def test_exit_code_general_graph_where_bipartite_needed(tmp_path, capsys):
     assert "bipartite" in err
 
 
-def _double_two_vertex_minors(orig):
-    return lambda self, drop: orig(self, drop) * (2 if len(drop) == 2 else 1)
+def _double_schur_minors(orig):
+    # the second route of a bipartite resistance: the minor dropping both
+    # vertices, the one determinant the resistance module takes itself
+    return lambda rows: 2 * orig(rows)
 
 
 def _corrupt_adjugate(orig):
@@ -813,8 +831,8 @@ def _inflate_lambda_max(orig):
 
 
 @pytest.mark.parametrize("argv, target, name, breaker", [
-    (["resistance", "--pair", "4,7"], resistance_module._GraphCtx, "minor_det",
-     _double_two_vertex_minors),
+    (["resistance", "--pair", "4,7"], resistance_module, "det_int",
+     _double_schur_minors),
     (["resistance", "--pair", "4,7"], resistance_module, "solve_int", _corrupt_solve),
     (["thm71", "--e", "1,5", "--f", "2,6"], exactla, "det_adj_int", _corrupt_adjugate),
     (["trees", "--enumerate"], trees, "tau", lambda orig: lambda g: orig(g) + 1),

@@ -1,10 +1,13 @@
 import importlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from ferrers_lab import (
+    BipartiteGraph,
+    ClassSpec,
     Graph,
     InternalCheckError,
     Partition,
@@ -12,6 +15,7 @@ from ferrers_lab import (
     connected_graphs,
     edge_deletion_equivalence,
     edge_deletion_equivalence_scan,
+    enumerate_class,
     exactla,
     ferrers_edge_invariance,
     ferrers_from_partition,
@@ -20,10 +24,12 @@ from ferrers_lab import (
     moore_penrose_laplacian,
     resistance,
 )
+from ferrers_lab import trees
 from ferrers_lab.resistance import _GraphCtx, _admissible_pairs, _graph_reps, _incidence_code
 
 from conftest import (
     as_matrix,
+    bipartite_cycle,
     components,
     connected_ferrers_partitions,
     random_connected_graph,
@@ -243,6 +249,125 @@ def test_grounded_route_certificates(monkeypatch):
     monkeypatch.setattr(module, "solve_int", wrong_column)
     with pytest.raises(InternalCheckError, match="grounded certificate"):
         resistance(C4, 1, 3)
+
+
+def test_general_route_minor_ratio_check(monkeypatch):
+    module = importlib.import_module("ferrers_lab.resistance")
+    orig = module._GraphCtx.minor_det
+    monkeypatch.setattr(module._GraphCtx, "minor_det",
+                        lambda self, drop: 2 * orig(self, drop))
+    with pytest.raises(InternalCheckError, match="routes disagree"):
+        resistance(C4, 1, 3)
+
+
+def _both_orientations(g):
+    return (g, g.transpose())
+
+
+def test_bipartite_route_matches_general_route_every_class():
+    # every ordered pair of every connected bipartite class on 2 to 7
+    # vertices (A005142: 1 + 1 + 3 + 5 + 17 + 44 classes), as enumerated
+    # with m <= n and transposed
+    checked = 0
+    for g in enumerate_class(ClassSpec.all_connected_bipartite(7)).values():
+        for h in _both_orientations(g):
+            general = h.to_graph()
+            for i, j in itertools.permutations(range(1, h.vcount + 1), 2):
+                assert resistance(h, i, j) == resistance(general, i, j), (h, i, j)
+                checked += 1
+    assert checked == 2 * (2 + 6 + 3 * 12 + 5 * 20 + 17 * 30 + 44 * 42)
+
+
+def _random_bipartite(rng, m, n):
+    while True:
+        g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
+        if g.is_connected():
+            return g
+
+
+@pytest.mark.parametrize("m, n", [(4, 6), (6, 4), (5, 5), (7, 9), (9, 7), (8, 8),
+                                  (6, 16), (16, 6), (11, 11), (10, 12), (12, 10)])
+def test_bipartite_route_seeded_shapes(m, n):
+    # m < n, m = n and m > n (transposed and relabeled inside), with pairs
+    # of every kind: row-row, row-column, column-row and column-column
+    rng = random.Random(1000 * m + n)
+    g = _random_bipartite(rng, m, n)
+    general = g.to_graph()
+    rows, cols = range(1, m + 1), range(m + 1, m + n + 1)
+    pairs = [(1, m), (m, m + n), (m + n, 1), (m + 1, m + n)]
+    for first, second in [(rows, rows), (rows, cols), (cols, rows), (cols, cols)]:
+        for _ in range(3):
+            i, j = rng.choice(first), rng.choice(second)
+            if i != j:
+                pairs.append((i, j))
+    for i, j in pairs:
+        assert resistance(g, i, j) == resistance(general, i, j), (g, i, j)
+
+
+def test_bipartite_route_eliminates_within_the_smaller_part(monkeypatch):
+    # no Bareiss elimination on the bipartite route has more than min(m, n)
+    # rows, in either orientation and for every kind of pair
+    sizes = []
+    orig = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss",
+                        lambda rows, right=None: sizes.append(len(rows)) or orig(rows, right))
+    rng = random.Random(7)
+    for m, n in [(5, 9), (9, 5), (7, 7), (10, 12), (12, 10)]:
+        g = _random_bipartite(rng, m, n)
+        for i, j in [(1, 2), (1, m + 1), (m + 1, 1), (m + 1, m + n), (m + n, m)]:
+            sizes.clear()
+            resistance(g, i, j)
+            assert sizes and max(sizes) <= min(m, n), (m, n, i, j, sizes)
+
+
+def _corrupt_schur_weight(orig):
+    # the weights of the first kept row's columns summed one short; the
+    # block stays positive definite, so the solve still succeeds
+    def broken(rows, du, dv, cols=0):
+        p, block, scale = orig(rows, du, dv, cols)
+        block[0][0] += 1
+        return p, block, scale
+    return broken
+
+
+def test_bipartite_route_certificates(monkeypatch):
+    module = importlib.import_module("ferrers_lab.resistance")
+    orig = module.solve_int
+    cycle = bipartite_cycle(3)  # 3 rows, so every grounded block has 2 or 3
+
+    def wrong_det(rows, right):
+        d, z = orig(rows, right)
+        return 2 * d, [[2 * x for x in row] for row in z]
+
+    def wrong_column(rows, right):
+        d, z = orig(rows, right)
+        z[-1][0] += 1
+        return d, z
+
+    usual = {(i, j): resistance(cycle, i, j) for i, j in [(1, 5), (4, 2), (1, 2), (4, 6)]}
+    for i, j in usual:
+        # a Schur solution scaled with its determinant still lifts to a
+        # solution of L_j y = d e_i: only the comparison with tau catches it
+        monkeypatch.setattr(module, "solve_int", wrong_det)
+        with pytest.raises(InternalCheckError, match="but tau"):
+            resistance(cycle, i, j)
+        monkeypatch.setattr(module, "solve_int", wrong_column)
+        with pytest.raises(InternalCheckError, match="grounded certificate"):
+            resistance(cycle, i, j)
+        monkeypatch.setattr(module, "solve_int", orig)
+        # a wrong Schur block is solved consistently; the full grounded
+        # Laplacian, read off the bit rows, is not fooled
+        monkeypatch.setattr(module, "_schur_block",
+                            _corrupt_schur_weight(trees._schur_block))
+        with pytest.raises(InternalCheckError, match="grounded certificate"):
+            resistance(cycle, i, j)
+        monkeypatch.setattr(module, "_schur_block", trees._schur_block)
+        # the minor ratio, the second route, on its own block
+        monkeypatch.setattr(module, "det_int", lambda rows: 2 * exactla.det_int(rows))
+        with pytest.raises(InternalCheckError, match="routes disagree"):
+            resistance(cycle, i, j)
+        monkeypatch.setattr(module, "det_int", exactla.det_int)
+        assert resistance(cycle, i, j) == usual[i, j]
 
 
 def test_equivalence_preconditions():
