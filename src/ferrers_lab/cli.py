@@ -17,9 +17,7 @@ cross-check failed (a defect in the program, not a counterexample).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import glob
 import io
 import json
 import os
@@ -94,6 +92,8 @@ def _render(doc: dict, fmt: str) -> str:
     doc = _jsonable(doc)
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
+    import csv
+
     rows = []
     _flatten("", doc, rows)
     buf = io.StringIO()
@@ -148,6 +148,8 @@ def _search_doc(args, search, *params):
     outlives the run and no search result is lost."""
     outdir = args.emit_graphs
     if outdir:
+        import glob
+
         stale = [path for label in _EMITTED for path in
                  glob.glob(os.path.join(glob.escape(outdir), label + "_*.graph"))]
         if stale:

@@ -107,8 +107,9 @@ def ferrers_bound_check(G: BipartiteGraph, t: int | None = None) -> BoundReport:
     the integer product of ``trees._degree_product``.  The floating
     spectral product that would appear on the left is replaced by the
     exact tree count they equal, so no rounding can produce a spurious
-    counterexample, and ``_degree_product`` recounts that tree count by
-    the Laplacian cofactor wherever the bound is tight or fails.
+    counterexample, and ``_degree_product`` recounts that tree count
+    wherever the bound is tight or fails: by the product formula on a
+    staircase, by the Laplacian cofactor on any other graph.
     Disconnected graphs hold trivially (tree count zero).  A caller that
     holds the tree count already passes it as ``t``; it is recounted all
     the same wherever the bound is tight or fails.

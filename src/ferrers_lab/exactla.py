@@ -26,7 +26,7 @@ tracer.  All matrices are sized for desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -173,18 +173,13 @@ def tree_count(lap) -> int:
     return det_int([row[1:] for row in lap[1:]])
 
 
-@dataclass(frozen=True)
-class GInverse:
-    """A generalized inverse of a Laplacian, tagged by how it was built.
+GInverse = namedtuple("GInverse", "numerators denominator kind")
+GInverse.__doc__ = """A generalized inverse of a Laplacian, tagged by how it was built.
 
-    ``kind`` is "moore_penrose" or "bordered(i)" with ``i`` the 1-based
-    pivot vertex.  The inverse is ``numerators / denominator``, integer rows
-    over one integer.
-    """
-
-    numerators: tuple
-    denominator: int
-    kind: str
+An immutable named tuple.  ``kind`` is "moore_penrose" or "bordered(i)"
+with ``i`` the 1-based pivot vertex.  The inverse is
+``numerators / denominator``, integer rows over one integer.
+"""
 
 
 def _integer_laplacian(rows) -> list:

@@ -2,7 +2,9 @@
 
 ``BipartiteGraph`` stores bit-packed biadjacency rows (bit j of row i set
 iff u_{i+1} ~ v_{j+1}).  ``Graph`` is a plain vertex-count plus edge set
-with 1-based vertices.  Bipartite graphs convert to general ones with the
+with 1-based vertices.  Both are immutable named tuples whose constructors
+check and normalize their fields, so two graphs built from the same edges
+are equal and hash alike.  Bipartite graphs convert to general ones with the
 U-part first (u_1..u_m become 1..m, v_1..v_n become m+1..m+n), so the
 Laplacian shows the biadjacency block structure directly.
 
@@ -14,7 +16,7 @@ neighbourhoods, are joined from a seed row until nothing more meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .budget import GRAPH_FILE_VERTICES, BudgetExceeded
 from .partitions import Partition
@@ -24,23 +26,20 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph files; carries the offending line number."""
 
 
-@dataclass(frozen=True, slots=True)
-class BipartiteGraph:
+class BipartiteGraph(namedtuple("BipartiteGraph", "m n rows")):
     """Simple bipartite graph on parts U (rows) and V (columns)."""
 
-    m: int
-    n: int
-    rows: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(map(int, self.rows))
-        if self.m < 1 or self.n < 1:
+    def __new__(cls, m, n, rows):
+        rows = tuple(map(int, rows))
+        if m < 1 or n < 1:
             raise ValueError("both parts must be nonempty")
-        if len(rows) != self.m:
-            raise ValueError("expected %d rows, got %d" % (self.m, len(rows)))
-        if min(rows) < 0 or max(rows) > (1 << self.n) - 1:
-            raise ValueError("row mask out of range for %d columns" % self.n)
-        object.__setattr__(self, "rows", rows)
+        if len(rows) != m:
+            raise ValueError("expected %d rows, got %d" % (m, len(rows)))
+        if min(rows) < 0 or max(rows) > (1 << n) - 1:
+            raise ValueError("row mask out of range for %d columns" % n)
+        return super().__new__(cls, m, n, rows)
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
@@ -95,26 +94,23 @@ class BipartiteGraph:
         return _rows_connected(self.rows, (1 << self.n) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+class Graph(namedtuple("Graph", "vcount edges")):
     """Simple undirected graph with vertices 1..vcount."""
 
-    vcount: int
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        vcount = self.vcount
+    def __new__(cls, vcount, edges):
         if vcount < 0:
             raise ValueError("negative vertex count")
         norm = set()
-        for a, b in self.edges:
+        for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("loop at vertex %d" % a)
             if not (1 <= a <= vcount and 1 <= b <= vcount):
                 raise ValueError("edge (%d,%d) out of range" % (a, b))
             norm.add((a, b) if a < b else (b, a))
-        object.__setattr__(self, "edges", frozenset(norm))
+        return super().__new__(cls, vcount, frozenset(norm))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)

@@ -1,9 +1,9 @@
 """Integer partitions, their conjugates, and majorization of spectra.
 
-Partitions are immutable value types.  Majorization has one caller, the
-``grone-merris`` bound of ``conjectures``, which compares a float
-Laplacian spectrum with a conjugate degree sequence; its prefix sums are
-compared within ``TOL``.
+A partition is an immutable tuple of its parts, checked as it is built.
+Majorization has one caller, the ``grone-merris`` bound of
+``conjectures``, which compares a float Laplacian spectrum with a
+conjugate degree sequence; its prefix sums are compared within ``TOL``.
 
 ``TOL`` is the package's one float tolerance; it lives here, in the lowest
 module that compares floats, and ``spectral`` re-exports it.
@@ -11,26 +11,24 @@ module that compares floats, and ``spectral`` re-exports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: absolute tolerance of every floating comparison in the package
 TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """A nonincreasing sequence of positive integers."""
+class Partition(tuple):
+    """A nonincreasing sequence of positive integers, as the tuple of its
+    parts."""
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+    def __new__(cls, parts):
+        parts = tuple(int(p) for p in parts)
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("partition parts must be positive, got %r" % (p,))
             if i > 0 and parts[i - 1] < p:
                 raise ValueError("partition parts must be nonincreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        return super().__new__(cls, parts)
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -40,14 +38,9 @@ class Partition:
             return cls(())
         return cls(int(tok) for tok in text.split(","))
 
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+    @property
+    def parts(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)

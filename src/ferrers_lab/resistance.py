@@ -16,8 +16,8 @@ smaller part as rows, it solves the Schur complement of the column block
 (``trees._schur_block``, of side at most min(m, n)), lifts that solution
 to L_j y = d e_i with d = P det(P S), and certifies the lift on the full
 grounded Laplacian, read off the bit rows.  Its det(L_j) comes from the
-same block and is checked against ``trees.tau``, and both minors of its
-ratio come from the same builder.
+same block and is checked against the tree count of a block that grounds
+another vertex, and both minors of its ratio come from the same builder.
 
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
@@ -35,7 +35,7 @@ tau(G\\e) * tau(G\\f) = tau(G) * tau(G\\{e,f}).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .budget import DEFAULT_THM71_VERTICES, admit
@@ -52,7 +52,7 @@ from .exactla import (
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
 from .search import _code_rows, _pmap
-from .trees import _schur_block, tau
+from .trees import _schur_block, _schur_count, tau
 
 
 class _GraphCtx:
@@ -178,9 +178,11 @@ def _bipartite_resistance(G: BipartiteGraph, i: int, j: int) -> Fraction:
     The lift y_U = P z, y_V = diag(P/d_v) (B'^T z + delta e_c) solves
     L_j y = d e_i with d = P delta; that residual is certified on the full
     grounded Laplacian, read off the bit rows, and proves R = y_i / d.
-    det(L_j) = scale delta / P^k must equal ``trees.tau``, which grounds
-    the last row, and the minor ratio det(L_ij) / tau, from the block that
-    grounds both vertices, must agree.
+    det(L_j) = scale delta / P^k must equal tau, counted by
+    ``trees._schur_count`` on the block that grounds another vertex (the
+    last row, else the first row, else the first column), and the minor
+    ratio det(L_ij) / tau, from the block that grounds both vertices, must
+    agree.
     """
     if G.m > G.n:
         # the rows become the columns: u_k is now v_k, and v_k is now u_k
@@ -220,7 +222,10 @@ def _bipartite_resistance(G: BipartiteGraph, i: int, j: int) -> Fraction:
         raise InternalCheckError(
             "grounded certificate failed: L_%d y != d e_%d" % (j, i)
         )
-    t = tau(G)
+    # tau grounds a vertex other than j: the last row, or else the first
+    # row, or the first column when j is the one row
+    other = m - 1 if b != m - 1 else 0 if m > 1 else m
+    t = _schur_count(*_grounded_block(G, du, dv, {other})[1:])
     if scale * delta != t * p ** len(block):
         raise InternalCheckError("det(L_%d) = %s, but tau = %d"
                                  % (j, Fraction(scale * delta, p ** len(block)), t))
@@ -229,18 +234,14 @@ def _bipartite_resistance(G: BipartiteGraph, i: int, j: int) -> Fraction:
                    Fraction(scale * det_int(block), p ** len(block) * t))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(namedtuple("EquivalenceReport",
+                                   "e f conditions all_agree witnesses")):
     """Outcome of the eleven-condition edge-deletion equivalence check."""
 
-    e: tuple
-    f: tuple
-    conditions: dict
-    all_agree: bool
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _coord_pair(ginv: GInverse, edge, a: int, b: int):
@@ -327,10 +328,7 @@ def _equivalence(ctx: _GraphCtx, e, f) -> EquivalenceReport:
     )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    w_is_solution: bool
-    resistance_equal: bool
+CertificateReport = namedtuple("CertificateReport", "w_is_solution resistance_equal")
 
 
 def _staircase_pair(lmbda: Partition):

@@ -50,8 +50,9 @@ checks stream past, it keeps only the tight classes (with their
 staircase verdicts) and the failing ones.  It compares tau*m*n with the
 product of the degrees, both integers, through ``trees._degree_product``,
 which takes the degrees from the Schur-complement pass and recomputes its
-tree count by the Laplacian cofactor on every equality case and
-counterexample; a disagreement raises ``InternalCheckError``.
+tree count on every equality case and counterexample, by the product
+formula on a staircase and by the Laplacian cofactor otherwise; a
+disagreement raises ``InternalCheckError``.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -63,7 +64,7 @@ from __future__ import annotations
 import os
 import struct
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .budget import (
     CANDIDATE_GUARD,
@@ -129,25 +130,24 @@ def _code_rows(rows, n, bound=None):
     The search prunes against ``bound`` from the start, so it returns
     min(code, bound) and gives up on a branch as soon as it exceeds bound.
     """
-    best = bound
+    return _least_code(list(rows), [((1 << n) - 1, n)], [], bound)
 
-    def rec(remaining, cells, acc):
-        nonlocal best
-        if not remaining:
-            cand = tuple(acc)
-            if best is None or cand < best:
-                best = cand
-            return
-        vals = _row_values(remaining, cells)
-        vmin = min(vals.values())
-        acc.append(vmin)
-        if best is None or tuple(acc) <= best[:len(acc)]:
-            for r, v in vals.items():
-                if v == vmin:
-                    rec(*_split(remaining, cells, r), acc)
-        acc.pop()
 
-    rec(list(rows), [((1 << n) - 1, n)], [])
+def _least_code(remaining, cells, acc, best):
+    """The least of ``best`` (None for none) and the codes that complete
+    the prefix ``acc`` with the ``remaining`` rows under the column
+    ``cells``; a branch whose prefix exceeds ``best`` is not searched."""
+    if not remaining:
+        cand = tuple(acc)
+        return cand if best is None or cand < best else best
+    vals = _row_values(remaining, cells)
+    vmin = min(vals.values())
+    acc.append(vmin)
+    if best is None or tuple(acc) <= best[:len(acc)]:
+        for r, v in vals.items():
+            if v == vmin:
+                best = _least_code(*_split(remaining, cells, r), acc, best)
+    acc.pop()
     return best
 
 
@@ -189,26 +189,28 @@ def _code_masks(rows, n, masks):
     the search below placing x.  Past the last row of ``rows`` x is the
     target itself.
     """
-    m = len(rows)
-
-    def walk(remaining, cells, alive):
-        vals = _row_values(alive, cells)
-        if not remaining:
-            return [x for x in alive if vals[x] >= x]
-        target = rows[m - len(remaining)]
-        parent = _row_values(remaining, cells)
-        # x equal to a row of ``rows`` still to place ties in that row's
-        # branch, which the walk takes below
-        alive = [x for x in alive if vals[x] > target or vals[x] == target and (
-            x in parent or _descend(*_split(remaining + [x], cells, x), rows + (x,)))]
-        for r, v in parent.items():
-            if alive and v == target:
-                alive = walk(*_split(remaining, cells, r), alive)
-        return alive
-
     if not masks:
         return []
-    return walk(list(rows), [((1 << n) - 1, n)], list(masks))
+    return _walk_masks(rows, list(rows), [((1 << n) - 1, n)], list(masks))
+
+
+def _walk_masks(rows, remaining, cells, alive):
+    """The masks of ``alive`` that survive the walk of the search of the
+    code ``rows`` below the node with ``remaining`` rows still to place
+    under the column ``cells``."""
+    vals = _row_values(alive, cells)
+    if not remaining:
+        return [x for x in alive if vals[x] >= x]
+    target = rows[len(rows) - len(remaining)]
+    parent = _row_values(remaining, cells)
+    # x equal to a row of ``rows`` still to place ties in that row's
+    # branch, which the walk takes below
+    alive = [x for x in alive if vals[x] > target or vals[x] == target and (
+        x in parent or _descend(*_split(remaining + [x], cells, x), rows + (x,)))]
+    for r, v in parent.items():
+        if alive and v == target:
+            alive = _walk_masks(rows, *_split(remaining, cells, r), alive)
+    return alive
 
 
 def _keeps_orientation(rows, n):
@@ -256,16 +258,11 @@ def graph_from_code(code: bytes) -> BipartiteGraph:
     return BipartiteGraph(m, n, rows)
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
+                           defaults=(0, 0, 0, (), 0))):
     """A family of bipartite graphs to enumerate up to isomorphism."""
 
-    kind: str
-    p: int = 0
-    q: int = 0
-    e: int = 0
-    degrees: tuple = ()
-    max_vertices: int = 0
+    __slots__ = ()
 
     @classmethod
     def kpqe(cls, p: int, q: int, e: int) -> "ClassSpec":
@@ -493,21 +490,15 @@ def _enumerate_connected(spec, counter):
     return classes
 
 
-@dataclass
-class SearchReport:
+class SearchReport(namedtuple("SearchReport", "spec examined elapsed checked_property"
+                                              " details extremal counterexamples")):
     """Outcome record of one exhaustive enumeration run.
 
     ``extremal`` and ``counterexamples`` map canonical codes to graphs, in
     enumeration order; the codes are the keys of ``enumerate_class``.
     """
 
-    spec: ClassSpec
-    examined: int
-    elapsed: float
-    checked_property: str
-    details: dict
-    extremal: dict
-    counterexamples: dict
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

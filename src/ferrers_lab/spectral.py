@@ -23,7 +23,7 @@ package's one float tolerance (defined in ``partitions``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactla import InternalCheckError
@@ -134,12 +134,8 @@ def _max_residual(matrix, values, vectors) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    lambda_max: float
-    laplacian_spectrum: list
-    normalized_spectrum: list | None
-    residual: float
+SpectrumReport = namedtuple(
+    "SpectrumReport", "lambda_max laplacian_spectrum normalized_spectrum residual")
 
 
 def _gram(G: BipartiteGraph):
@@ -194,21 +190,16 @@ def spectrum_report(G: BipartiteGraph) -> SpectrumReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport",
+                             "name lhs rhs holds equality mode tol notes",
+                             defaults=(0.0, None))):
     """One lhs <= rhs comparison with its arithmetic mode spelled out.
 
-    ``mode`` is "exact" or "tolerance".
+    ``mode`` is "exact" or "tolerance"; ``tol`` defaults to 0.0 and the
+    ``notes`` dict to None, which ``as_dict`` omits as it omits an empty one.
     """
 
-    name: str
-    lhs: object
-    rhs: object
-    holds: bool
-    equality: bool | None
-    mode: str
-    tol: float = 0.0
-    notes: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @classmethod
     def exact(cls, name, lhs, rhs, notes=None) -> "BoundReport":

@@ -15,8 +15,10 @@ out of the rows.  The tree count is its case of one grounded row; the
 bipartite resistance of ``resistance`` grounds one vertex to solve and
 two for the minor of its second route.
 ``_degree_product`` takes the degree product from the degrees this pass
-already has, and checks the count against the cofactor on every
-equality case and counterexample of the degree-product bound; the scan of
+already has, and recounts the trees on every equality case and
+counterexample of the degree-product bound: by the product formula of
+Ehrenborg and van Willigenburg on a staircase, read off its partition and
+the conjugate, and by the Laplacian cofactor otherwise; the scan of
 ``search``, the ``eq3`` bound of ``conjectures`` and so the ``trees`` and
 ``check`` commands all decide that bound through it.
 
@@ -37,7 +39,7 @@ import math
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, det_int, tree_count
-from .graphs import BipartiteGraph, _rows_connected, laplacian
+from .graphs import BipartiteGraph, _rows_connected, is_ferrers, laplacian
 from .partitions import Partition, conjugate
 
 
@@ -100,31 +102,49 @@ def _schur_tau(G: BipartiteGraph):
     du, dv = G.degrees_u(), G.degrees_v()
     if 0 in du or 0 in dv:
         return 0, du, dv
-    p, a, scale = _schur_block(G.rows[:-1], du, dv)
+    return _schur_count(*_schur_block(G.rows[:-1], du, dv)), du, dv
+
+
+def _schur_count(p, a, scale) -> int:
+    """The tree count scale * det(a) / p^k of the ``_schur_block`` of a
+    minor that grounds one vertex; the division must be exact."""
     t, rem = divmod(scale * det_int(a), p ** len(a))
     if rem:
         raise InternalCheckError("Schur-complement tree count is not an integer:"
                                  " remainder %d of %d" % (rem, p ** len(a)))
-    return t, du, dv
+    return t
 
 
 def _degree_product(G: BipartiteGraph, t: int | None = None):
     """(tau, tau*m*n, product of all degrees) of a bipartite graph: the
     degree-product bound in integers.  ``t`` is the Schur-complement tau
     when the caller holds it already.  Where tau*m*n reaches the product,
-    an equality case or a counterexample, that tau is recounted by the
-    Laplacian cofactor, and a disagreement raises ``InternalCheckError``."""
+    an equality case or a counterexample, that tau is recounted, by
+    ``_staircase_tau`` on a staircase and by the Laplacian cofactor on any
+    other graph, and a disagreement raises ``InternalCheckError``."""
     if t is None:
         t, du, dv = _schur_tau(G)
     else:
         du, dv = G.degrees_u(), G.degrees_v()
     lhs, rhs = t * G.m * G.n, math.prod(du) * math.prod(dv)
     if lhs >= rhs:
-        cofactor = tree_count(laplacian(G))
-        if cofactor != t:
-            raise InternalCheckError("tau of %r: Schur complement %d, cofactor %d"
-                                     % (G, t, cofactor))
+        if is_ferrers(G):
+            route, recount = "staircase count", _staircase_tau(G)
+        else:
+            route, recount = "cofactor", tree_count(laplacian(G))
+        if recount != t:
+            raise InternalCheckError("tau of %r: Schur complement %d, %s %d"
+                                     % (G, t, route, recount))
     return t, lhs, rhs
+
+
+def _staircase_tau(G: BipartiteGraph) -> int:
+    """Tree count of a staircase graph by Ehrenborg and van Willigenburg:
+    prod(lambda) * prod(lambda') / (lambda_1 * lambda'_1), with lambda the
+    row degrees, read off the bit rows, and lambda' its conjugate."""
+    lmbda = Partition(sorted(map(int.bit_count, G.rows), reverse=True))
+    dual = conjugate(lmbda)
+    return math.prod(lmbda) * math.prod(dual) // (lmbda[0] * dual[0])
 
 
 def enumerate_spanning_trees(G, budget: int | None = None) -> list:

@@ -1,11 +1,12 @@
-"""Every public function, class and method of the package has a caller in it.
+"""Every public function, class and method of the package has a caller in
+it, and importing the command line loads no module it does not need.
 
 A public name that only tests reach either earns a caller in ``src`` or
 goes.  Nothing in ``__init__.py`` counts, since it only re-exports.
 
 - A module-level function or class is called when some module reads it as
   a bare name in load context, outside its own definition.  A stored name
-  (a dataclass field of the same name) or an attribute read does not count.
+  (a named-tuple field of the same name) or an attribute read does not count.
 - A public method is called when some code reads an attribute of its name
   in load context, outside the method's own body.  The methods of the
   classes in ``UNCALLED`` are not checked.
@@ -16,6 +17,8 @@ still lack one, so the list shrinks when that caller lands.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ferrers_lab"
 
@@ -68,3 +71,20 @@ def test_every_public_name_has_a_caller():
 def test_kept_names_still_lack_a_caller():
     called = sorted(UNCALLED - _uncalled_public_names())
     assert not called, "caller landed or name gone, drop from UNCALLED: " + ", ".join(called)
+
+
+#: modules that ``import ferrers_lab.cli`` must not load: ``dataclasses``
+#: pulls in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``),
+#: while ``csv`` and ``glob`` serve only --format csv and --emit-graphs
+NOT_AT_IMPORT = ("dataclasses", "inspect", "csv", "glob")
+
+
+def test_cli_import_loads_no_unneeded_module():
+    # a fresh interpreter, isolated from the environment, with src on the path
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import ferrers_lab.cli; "
+            "print(sorted((set(sys.modules) - before) & set(%r)))"
+            % (str(SRC.parent), NOT_AT_IMPORT))
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n", "import ferrers_lab.cli loaded " + out

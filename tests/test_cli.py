@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -450,6 +449,23 @@ def test_check_counts_tau_once_per_run(staircase_file, capsys, monkeypatch,
     assert len(counted) == counts
 
 
+def test_tight_staircases_are_recounted_without_a_cofactor(staircase_file, capsys,
+                                                          monkeypatch):
+    # a staircase meets the degree-product bound, so its tree count is
+    # recounted, by the product formula on its partition and never by the
+    # Laplacian cofactor: not in a `trees` run, and not in the 10-vertex
+    # scan, whose equality cases are all staircases
+    def refuse(lap):
+        raise AssertionError("a cofactor was eliminated")
+
+    monkeypatch.setattr(trees, "tree_count", refuse)
+    code, out, _ = run_cli(["trees", "--graph", staircase_file], capsys)
+    assert code == 0 and json.loads(out)["ferrers_good"] is True
+    code, out, _ = run_cli(["verify-ferrers-bound", "--max-vertices", "10"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and len(doc["extremal"]) == doc["details"]["equality_ferrers"] == 271
+
+
 def test_check_exits_1_on_a_failed_bound(staircase_file, capsys, monkeypatch):
     # one failed bound fails `--all`, which still writes every report;
     # a bound that holds on its own still exits 0
@@ -655,8 +671,9 @@ def test_graph_file_over_the_vertex_cap_is_budget(header, tmp_path, capsys,
     # lowered here, so no test header ever allocates
     monkeypatch.setattr(graphs, "GRAPH_FILE_VERTICES", 5)
     built = []
-    monkeypatch.setattr(graphs.Graph, "__post_init__", built.append)
-    monkeypatch.setattr(graphs.BipartiteGraph, "__post_init__", built.append)
+    monkeypatch.setattr(graphs.Graph, "__new__", lambda cls, *args: built.append(args))
+    monkeypatch.setattr(graphs.BipartiteGraph, "__new__",
+                        lambda cls, *args: built.append(args))
     path = tmp_path / "big.graph"
     path.write_text(header + "\n1 2\n")
     for command in ("trees", "spectral", "check", "resistance"):
@@ -718,7 +735,7 @@ def _flip_condition_i_on_c4(orig):
         report = orig(ctx, e, f)
         if len(ctx.graph.edges) == 4 and e == (1, 3):
             conditions = {**report.conditions, "i": not report.conditions["i"]}
-            return dataclasses.replace(report, conditions=conditions, all_agree=False)
+            return report._replace(conditions=conditions, all_agree=False)
         return report
     return flipped
 
@@ -827,7 +844,7 @@ def _corrupt_solve(orig):
 
 def _inflate_lambda_max(orig):
     # the sqrt-edge check reads lambda_max from the spectrum report
-    return lambda g: dataclasses.replace(orig(g), lambda_max=orig(g).lambda_max + 1)
+    return lambda g: orig(g)._replace(lambda_max=orig(g).lambda_max + 1)
 
 
 @pytest.mark.parametrize("argv, target, name, breaker", [

@@ -320,6 +320,35 @@ def test_bipartite_route_eliminates_within_the_smaller_part(monkeypatch):
             assert sizes and max(sizes) <= min(m, n), (m, n, i, j, sizes)
 
 
+def test_bipartite_route_checks_tau_on_another_grounding(monkeypatch):
+    # det(L_j) is compared with the tree count of a block that grounds a
+    # vertex other than j, never with a second elimination of its own
+    # block: j the last row (here u_3, whose block [[11, -7], [-7, 11]]
+    # the tree count grounding the last row eliminated again), and j the
+    # one row of a star
+    module = importlib.import_module("ferrers_lab.resistance")
+    g = BipartiteGraph(3, 4, [0b1111, 0b0111, 0b0011])
+    expected = resistance(g.to_graph(), 1, 3)
+    eliminated = []
+    orig = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss", lambda rows, right=None:
+                        eliminated.append(rows) or orig(rows, right))
+    assert resistance(g, 1, 3) == expected
+    assert eliminated.count([[11, -7], [-7, 11]]) == 1, eliminated
+    grounded = []
+    blocks = module._grounded_block
+    monkeypatch.setattr(module, "_grounded_block", lambda G, du, dv, vertices:
+                        grounded.append(vertices) or blocks(G, du, dv, vertices))
+    rng = random.Random(3)
+    graphs = [BipartiteGraph(1, 3, [0b111]), BipartiteGraph(3, 1, [1, 1, 1]),
+              bipartite_cycle(3), _random_bipartite(rng, 4, 6), _random_bipartite(rng, 6, 4)]
+    for g in graphs:
+        for i, j in itertools.permutations(range(1, g.vcount + 1), 2):
+            grounded.clear()
+            resistance(g, i, j)
+            assert len(grounded) == 3 and grounded[1] != grounded[0], (g, i, j, grounded)
+
+
 def _corrupt_schur_weight(orig):
     # the weights of the first kept row's columns summed one short; the
     # block stays positive definite, so the solve still succeeds

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -602,14 +603,18 @@ def test_verify_ferrers_bound_holds_little_beyond_its_classes():
     # the checks stream past the class map and only tight or failing
     # classes are kept, so the scan's traced peak stays within 1.1 times
     # the map itself (about 1.02; about 1.7 when a sorted copy of the
-    # classes and every class's check result were held)
+    # classes and every class's check result were held); each reading
+    # starts from a collected heap with empty free lists, whatever state
+    # earlier tests left
     spec = ClassSpec.all_connected_bipartite(10)
+    gc.collect()
     tracemalloc.start()
     try:
         classes = enumerate_class(spec)
         size = tracemalloc.get_traced_memory()[0]
         del classes
         tracemalloc.stop()
+        gc.collect()
         tracemalloc.start()
         report = verify_ferrers_bound(10)
         peak = tracemalloc.get_traced_memory()[1]

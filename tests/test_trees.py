@@ -86,6 +86,17 @@ def test_schur_tau_small_and_degenerate_cases():
         assert tau(g) == _cofactor_tau(g) == expected, g
 
 
+def test_staircase_tau_matches_cofactor():
+    # the recount of a tight staircase, the product formula, on every
+    # connected staircase with at most 9 vertices, in either orientation
+    # and with its rows in any order
+    for lmbda in connected_ferrers_partitions(9):
+        g = ferrers_from_partition(lmbda, lmbda[0])
+        expected = _cofactor_tau(g)
+        for h in (g, g.transpose(), BipartiteGraph(g.m, g.n, g.rows[::-1])):
+            assert trees._staircase_tau(h) == expected, h
+
+
 def test_schur_tau_inexact_division_is_internal_check(monkeypatch):
     # column degrees (3, 2, 1): P = 6 and P^2 = 36 must divide 6 det(A)
     orig = trees.det_int
