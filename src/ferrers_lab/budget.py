@@ -4,21 +4,30 @@ Each guarded operation has a default cap in its own unit (vertices, p*q,
 m*d1 or spanning trees), which the command's ``--budget`` flag replaces
 for that one request.  A separate hard candidate guard,
 ``CANDIDATE_GUARD``, bounds how many raw candidates any class enumeration
-may examine, to keep runaway requests from exhausting memory; no flag
-touches it.  Another, ``GRAPH_FILE_VERTICES``, bounds the vertex count a
-graph file may declare; it is checked on the header, before anything is
-built.  At 100 vertices the slowest per-graph command (``thm71``, then
-``spectral``) takes about 7 s on a 2-core machine.
+may examine, to keep runaway requests from exhausting memory, and
+``NODE_GUARD`` how many nodes any one canonizer search may visit, so that
+a highly symmetric class stops in seconds; no flag touches either.
+Another, ``GRAPH_FILE_VERTICES``, bounds the vertex count a graph file may
+declare; it is checked on the header, before anything is built.  At 100
+vertices the slowest per-graph command (``thm71``, then ``spectral``)
+takes about 7 s on a 2-core machine.  ``_pmap`` runs the searches' checks
+on no more worker processes than CPUs or items, a batch at a time.
 """
 
 from __future__ import annotations
+
+import itertools
+import os
 
 DEFAULT_TREE_BUDGET = 10 ** 6
 DEFAULT_SCAN_VERTICES = 10
 DEFAULT_SPECTRAL_PQ = 24
 DEFAULT_THM71_VERTICES = 7
 CANDIDATE_GUARD = 20_000_000
+NODE_GUARD = 600_000
 GRAPH_FILE_VERTICES = 100
+#: how many items of a stream ``_pmap`` reads ahead of their results
+_BATCH = 128
 
 
 class BudgetExceeded(RuntimeError):
@@ -32,6 +41,37 @@ class BudgetExceeded(RuntimeError):
         self.progress = progress
 
 
+class _Counter:
+    """Candidates a class enumeration examined and canonizer nodes it
+    visited, bounded by ``guard`` and, per search, by ``NODE_GUARD``; the
+    enumeration records in it where growth is."""
+
+    __slots__ = ("candidates", "guard", "columns", "rows_done", "classes", "nodes", "limit")
+
+    def __init__(self, guard):
+        self.candidates = self.columns = self.rows_done = self.classes = self.nodes = 0
+        self.guard, self.limit = guard, NODE_GUARD
+
+    def bump(self):
+        self.candidates += 1
+        if self.candidates > self.guard:
+            self._stop("class enumeration examined more than %d candidates" % self.guard)
+
+    def search(self):
+        """Begin a canonizer search: it may visit ``NODE_GUARD`` more nodes."""
+        self.limit = self.nodes + NODE_GUARD
+        return self
+
+    def node(self):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            self._stop("a canonizer search visited more than %d nodes" % NODE_GUARD)
+
+    def _stop(self, message):
+        raise BudgetExceeded(message, progress={key: getattr(self, key) for key in (
+            "columns", "rows_done", "classes", "candidates", "nodes")})
+
+
 def admit(amount: int, default: int, budget: int | None, what: str):
     """Raise ``BudgetExceeded`` when ``amount`` is over ``budget``, or over
     ``default`` when no budget is given.
@@ -42,3 +82,25 @@ def admit(amount: int, default: int, budget: int | None, what: str):
     cap = default if budget is None else budget
     if amount > cap:
         raise BudgetExceeded("%s exceeds the budget of %d" % (what % amount, cap))
+
+
+def _pmap(fn, items, jobs):
+    """Yield ``fn(x)`` for each x of the iterable ``items``, in order, over
+    a pool of at most ``jobs`` worker processes, never more than there are
+    CPUs or items (serial when that leaves one).  Items are read ``_BATCH``
+    at a time, so that a stream is held only a batch ahead of its results,
+    and is checked a batch at a time, not interleaved item by item."""
+    items = iter(items)
+    batches = iter(lambda: list(itertools.islice(items, _BATCH)), [])
+    batch = next(batches, [])
+    workers = min(jobs, len(batch), os.cpu_count() or 1)
+    batches = itertools.chain([batch], batches)
+    if workers < 2:
+        for batch in batches:
+            yield from map(fn, batch)
+        return
+    import multiprocessing
+
+    with multiprocessing.Pool(workers) as pool:
+        for batch in batches:
+            yield from pool.imap(fn, batch, chunksize=max(1, len(batch) // (workers * 8)))

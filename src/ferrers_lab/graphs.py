@@ -3,10 +3,11 @@
 ``BipartiteGraph`` stores bit-packed biadjacency rows (bit j of row i set
 iff u_{i+1} ~ v_{j+1}).  ``Graph`` is a plain vertex-count plus edge set
 with 1-based vertices.  Both are immutable named tuples whose constructors
-check and normalize their fields, so two graphs built from the same edges
-are equal and hash alike.  Bipartite graphs convert to general ones with the
-U-part first (u_1..u_m become 1..m, v_1..v_n become m+1..m+n), so the
-Laplacian shows the biadjacency block structure directly.
+check and normalize their fields, ``_make`` and ``_replace`` included, so
+two graphs built from the same edges are equal and hash alike.  Bipartite
+graphs convert to general ones with the U-part first (u_1..u_m become
+1..m, v_1..v_n become m+1..m+n), so the Laplacian shows the biadjacency
+block structure directly.
 
 Connectivity of both graph types is one bit-row routine, ``_reach``: a
 bipartite graph's biadjacency rows, or a general graph's closed
@@ -40,6 +41,8 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "m n rows")):
         if min(rows) < 0 or max(rows) > (1 << n) - 1:
             raise ValueError("row mask out of range for %d columns" % n)
         return super().__new__(cls, m, n, rows)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
@@ -111,6 +114,8 @@ class Graph(namedtuple("Graph", "vcount edges")):
                 raise ValueError("edge (%d,%d) out of range" % (a, b))
             norm.add((a, b) if a < b else (b, a))
         return super().__new__(cls, vcount, frozenset(norm))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)

@@ -2,57 +2,41 @@
 
 Isomorphism classes are keyed by a canonical code: the lexicographically
 least tuple of biadjacency row values reachable by row and column
-permutations (plus the part swap when the parts have equal size).  The
-code is found by a pruned branch-and-bound that picks rows greedily while
-refining an ordered partition of the columns, so only permutations
-consistent with the refinement are ever touched.  It is the package's
-only canonizer: ``resistance`` keys general graphs by the code of their
-vertex-edge incidence matrix (vertices as rows, edges as columns).
+permutations (plus the part swap when the parts have equal size).  A
+pruned branch-and-bound finds it, picking rows greedily while refining an
+ordered partition of the columns; each search may visit
+``budget.NODE_GUARD`` nodes.  It is the package's only canonizer:
+``resistance`` keys general graphs by the code of their vertex-edge
+incidence matrix.
 
 Classes are generated row by row, once per column count, by orderly
 generation (Read 1978): a candidate is kept only when it is its own code.
-The code is nondecreasing, its first k values are the code of those k
-rows, and each value fills the low end of the twin-column groups of the
-values above it; so each kept matrix is extended by those fills no less
-than its last row, and every class with parts fixed is reached exactly
-once.  One walk of a parent's search tree decides all its candidates at
-once.  The parent is a code, so wherever that walk goes its own rows are
-at or above the target, and only the new row's value there matters: below
-the target it rejects the candidate, and equal to it the same search runs
-below placing the new row, descending only while the prefix equals the
-candidate and stopping at the first smaller one.  At the last level the
-class filters (connectivity, edge count, no empty column) run on the bit
-rows first.
+A code's first k values are the code of those k rows, and each value
+fills the low end of the twin-column groups of the values above it, so
+each kept matrix is extended by those fills no less than its last row and
+every class with parts fixed is reached once.  One walk of a parent's
+search tree decides all its candidates: the parent is a code, so only the
+new row's value matters where the walk goes, and a tie runs the same
+search below placing the new row.  Class filters (connectivity, edge
+count, no empty column) run on the bit rows first.  Growth hands out
+families, a parent with the children that pass its code test, each level
+in ascending code order, and holds only the parents of the level it grows.
 
-Growth holds the parts fixed, so a class with parts of equal size can be
-reached twice, once per orientation.  Every class kind keeps a square
-class whose transpose is in the class iff no labeling of the transpose
-is below its own code (the same early-stopping search, bounded by that
-code), so of the two orientations the one with the smaller code stays,
-and its code is already the full code.  The connected scan and the kpqe
-classes with p = q are closed under the part swap.  A degree class fixes
-the row degrees only: it holds a square member's transpose exactly when
-the member's column degrees, sorted, equal its own, and a member whose
-transpose it does not hold is kept and keyed by ``canonical_code``, its
-one call on a search's path.  Every level is in ascending code order;
-each class is handed out keyed by its code, and search reports carry it.
+Growth holds the parts fixed, so a square class can be reached once per
+orientation; the one whose code is not above its transpose's stays, and
+its code is then the full code.  The connected scan and the kpqe classes
+with p = q are closed under the part swap.  A degree class holds a square
+member's transpose exactly when the member's sorted column degrees equal
+its own, and keys a member whose transpose it lacks by ``canonical_code``.
 
-The connected scan holds each (m, n) level's kept classes as a list of
-graphs, and writes their codes as it merges the levels in (m, n) order:
-a code starts with m and n and each level ascends, so that is code order,
-with no sort and no second copy of the classes.
-
-Searches shard their per-graph checks over a process pool when asked;
-results stream back in enumeration order, so reports are byte-identical
-regardless of worker count.  The pool never has more workers than CPUs
-or items.  The degree-product scan holds no per-class result: as the
-checks stream past, it keeps only the tight classes (with their
-staircase verdicts) and the failing ones.  It compares tau*m*n with the
-product of the degrees, both integers, through ``trees._degree_product``,
-which takes the degrees from the Schur-complement pass and recomputes its
-tree count on every equality case and counterexample, by the product
-formula on a staircase and by the Laplacian cofactor otherwise; a
-disagreement raises ``InternalCheckError``.
+The degree-product scan checks each family of connected classes as it
+comes, with one Schur-complement setup for the parent
+(``trees._schur_family``), and keeps only the class count and the tight
+and failing classes, sorted by code at the end; it builds no class map.
+``trees._degree_product`` recounts every tight or failing tau, and a
+disagreement raises ``InternalCheckError``.  Searches shard their checks
+over a process pool when asked, a batch at a time; results come back in
+enumeration order, so reports are byte-identical for any worker count.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -61,7 +45,6 @@ complete graph; reports record both facts as the ``no_isolated`` and
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from collections import namedtuple
@@ -71,6 +54,8 @@ from .budget import (
     DEFAULT_SCAN_VERTICES,
     DEFAULT_SPECTRAL_PQ,
     BudgetExceeded,
+    _Counter,
+    _pmap,
     admit,
 )
 from .exactla import InternalCheckError
@@ -82,20 +67,16 @@ from .graphs import (
 )
 from .partitions import TOL, Partition
 from .spectral import spectral_radius
-from .trees import _degree_product
+from .trees import _family_degree_product
 
 MAX_CODE_SIDE = 12
 
 
 def _row_values(remaining, cells, floor=0):
     """{row: value} for the distinct rows of ``remaining`` under the column
-    ``cells``, or None as soon as a value falls below ``floor``.
-
-    A row's value is its ones packed to the low end of each cell, the cells
-    in order: the least row it can become under column permutations that
-    keep the cells.  With ``_split`` this is the canonizer's one
-    refinement step.
-    """
+    ``cells``, or None as soon as a value falls below ``floor``.  A row's
+    value packs its ones to the low end of each cell, in order: the least
+    row it can become under column permutations that keep the cells."""
     vals = {}
     for r in remaining:
         if r not in vals:
@@ -108,9 +89,11 @@ def _row_values(remaining, cells, floor=0):
     return vals
 
 
-def _split(remaining, cells, r):
+def _split(remaining, cells, r, counter):
     """``remaining`` less one copy of row ``r``, and ``cells`` with each
-    cell split into its zeros of ``r``, then its ones."""
+    cell split into its zeros of ``r``, then its ones: a node of the
+    search, charged to ``counter``."""
+    counter.node()
     rest = list(remaining)
     rest.remove(r)
     newcells = []
@@ -125,15 +108,13 @@ def _split(remaining, cells, r):
 
 
 def _code_rows(rows, n, bound=None):
-    """Least tuple of row values over row/column permutations (parts fixed).
-
-    The search prunes against ``bound`` from the start, so it returns
-    min(code, bound) and gives up on a branch as soon as it exceeds bound.
-    """
-    return _least_code(list(rows), [((1 << n) - 1, n)], [], bound)
+    """Least tuple of row values over row/column permutations (parts fixed),
+    or ``bound`` if that is less: the search prunes against it."""
+    counter = _Counter(CANDIDATE_GUARD).search()
+    return _least_code(list(rows), [((1 << n) - 1, n)], [], bound, counter)
 
 
-def _least_code(remaining, cells, acc, best):
+def _least_code(remaining, cells, acc, best, counter):
     """The least of ``best`` (None for none) and the codes that complete
     the prefix ``acc`` with the ``remaining`` rows under the column
     ``cells``; a branch whose prefix exceeds ``best`` is not searched."""
@@ -146,19 +127,17 @@ def _least_code(remaining, cells, acc, best):
     if best is None or tuple(acc) <= best[:len(acc)]:
         for r, v in vals.items():
             if v == vmin:
-                best = _least_code(*_split(remaining, cells, r), acc, best)
+                best = _least_code(*_split(remaining, cells, r, counter), acc, best,
+                                   counter)
     acc.pop()
     return best
 
 
-def _descend(remaining, cells, least):
+def _descend(remaining, cells, least, counter):
     """True iff no labeling that completes the node (``remaining`` rows
-    still to place under the column ``cells``) is below ``least``.
-
-    Descends only while the prefix equals ``least``, and returns False at
-    the first row value below it, since every leaf under a smaller prefix
-    is a smaller code.
-    """
+    still to place under the column ``cells``) is below ``least``; it
+    descends only while the prefix equals ``least``, and fails at the first
+    row value below it."""
     target = least[len(least) - len(remaining)]
     vals = _row_values(remaining, cells, target)
     if vals is None:
@@ -166,38 +145,36 @@ def _descend(remaining, cells, least):
     if len(remaining) == 1:
         return True
     for r, v in vals.items():
-        if v == target and not _descend(*_split(remaining, cells, r), least):
+        if v == target and not _descend(*_split(remaining, cells, r, counter), least,
+                                        counter):
             return False
     return True
 
 
-def _is_code(rows, n, least):
+def _is_code(rows, n, least, counter=None):
     """True iff no labeling of ``rows`` is below ``least``:
     ``_code_rows(rows, n, least) == least``.  With ``least`` = ``rows`` it
-    decides whether ``rows`` is its own code."""
-    return _descend(list(rows), [((1 << n) - 1, n)], least)
+    decides whether ``rows`` is its own code.  Each search is charged to
+    ``counter``, or to a fresh one, and may visit ``NODE_GUARD`` nodes."""
+    counter = (counter or _Counter(CANDIDATE_GUARD)).search()
+    return _descend(list(rows), [((1 << n) - 1, n)], least, counter)
 
 
-def _code_masks(rows, n, masks):
+def _code_masks(rows, n, masks, counter=None):
     """The masks x of ``masks``, in the order given, for which
-    ``rows + (x,)`` is its own code; ``rows`` must be a code.
-
-    One walk of the search of ``rows`` decides them all.  Since ``rows`` is
-    a code, at every node reached by placing its rows only, those rows
-    are at or above the target, so a child's verdict there rests on x
-    alone: x below the target rejects it, and x equal to it must survive
-    the search below placing x.  Past the last row of ``rows`` x is the
-    target itself.
-    """
+    ``rows + (x,)`` is its own code; ``rows`` must be a code.  One walk of
+    the search of ``rows`` decides them all: where it goes the rows of
+    ``rows`` are at or above the target, so x below it rejects a child and
+    x equal to it must survive the search below placing x."""
     if not masks:
         return []
-    return _walk_masks(rows, list(rows), [((1 << n) - 1, n)], list(masks))
+    counter = (counter or _Counter(CANDIDATE_GUARD)).search()
+    return _walk_masks(rows, list(rows), [((1 << n) - 1, n)], list(masks), counter)
 
 
-def _walk_masks(rows, remaining, cells, alive):
-    """The masks of ``alive`` that survive the walk of the search of the
-    code ``rows`` below the node with ``remaining`` rows still to place
-    under the column ``cells``."""
+def _walk_masks(rows, remaining, cells, alive, counter):
+    """The masks of ``alive`` that survive the walk of the search of ``rows``
+    below the node with ``remaining`` rows to place under ``cells``."""
     vals = _row_values(alive, cells)
     if not remaining:
         return [x for x in alive if vals[x] >= x]
@@ -206,18 +183,19 @@ def _walk_masks(rows, remaining, cells, alive):
     # x equal to a row of ``rows`` still to place ties in that row's
     # branch, which the walk takes below
     alive = [x for x in alive if vals[x] > target or vals[x] == target and (
-        x in parent or _descend(*_split(remaining + [x], cells, x), rows + (x,)))]
+        x in parent or _descend(*_split(remaining + [x], cells, x, counter),
+                                rows + (x,), counter))]
     for r, v in parent.items():
         if alive and v == target:
-            alive = _walk_masks(rows, *_split(remaining, cells, r), alive)
+            alive = _walk_masks(rows, *_split(remaining, cells, r, counter), alive,
+                                counter)
     return alive
 
 
-def _keeps_orientation(rows, n):
+def _keeps_orientation(rows, n, counter=None):
     """True iff the square code ``rows`` is not above the code of its
-    transpose: a class reached in both orientations keeps only the one with
-    the smaller code, which is then its full canonical code."""
-    return _is_code(_transpose_rows(rows, n), n, rows)
+    transpose: of a class's two orientations, the one with the full code."""
+    return _is_code(_transpose_rows(rows, n), n, rows, counter)
 
 
 def _serialize(m, n, values) -> bytes:
@@ -227,10 +205,8 @@ def _serialize(m, n, values) -> bytes:
 
 def canonical_code(G: BipartiteGraph) -> bytes:
     """Isomorphism-invariant byte code; equal codes mean isomorphic graphs.
-
-    Parts are held fixed; when the two parts have the same size the code
-    also minimizes over swapping them.  Limited to 12 rows/columns.
-    """
+    Parts are held fixed, and swapped too when they have the same size.
+    Limited to 12 rows/columns."""
     if G.m > MAX_CODE_SIDE or G.n > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
@@ -252,10 +228,8 @@ def graph_from_code(code: bytes) -> BipartiteGraph:
     if len(code) != 2 + 2 * m:
         raise ValueError("code %r: %d bytes, %d rows need %d"
                          % (code.hex(), len(code), m, 2 + 2 * m))
-    rows = [
-        int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big") for i in range(m)
-    ]
-    return BipartiteGraph(m, n, rows)
+    return BipartiteGraph(m, n, [int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big")
+                                 for i in range(m)])
 
 
 class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
@@ -299,34 +273,10 @@ class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
         return out
 
 
-class _Counter:
-    """Candidates examined, bounded by the guard; knows where growth is."""
-
-    __slots__ = ("candidates", "guard", "columns", "rows_done", "classes")
-
-    def __init__(self, guard):
-        self.candidates = 0
-        self.guard = guard
-        self.columns = self.rows_done = self.classes = 0
-
-    def bump(self):
-        self.candidates += 1
-        if self.candidates > self.guard:
-            raise BudgetExceeded(
-                "class enumeration examined more than %d candidates" % self.guard,
-                progress={"columns": self.columns, "rows_done": self.rows_done,
-                          "classes": self.classes,
-                          "candidates": self.candidates},
-            )
-
-
 def _twin_masks(rows, n):
-    """Nonzero next rows, each least in its orbit under twin-column swaps.
-
-    Twin columns are identical in every row of ``rows``; a mask's ones
-    fill the lowest bits of each twin group, so only how many twins get a
-    one varies.  Ascending order.
-    """
+    """Nonzero next rows, each least in its orbit under twin-column swaps,
+    ascending: a mask's ones fill the lowest bits of each group of columns
+    identical in every row of ``rows``."""
     groups = [(1 << n) - 1]
     for r in rows:
         groups = [part for g in groups for part in (g & r, g & ~r) if part]
@@ -344,28 +294,25 @@ def _twin_masks(rows, n):
 
 def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
           accept=None):
-    """Yield (m, classes) for m = 1..depth: the m x n biadjacency classes
-    without zero rows (parts fixed), as {parts-fixed code: code rows}.
+    """Yield the families of the m x n biadjacency classes without zero
+    rows (parts fixed), m = 1..depth: a parent's code rows and the
+    ascending masks x for which rows + (x,) is a class, its own code.
 
-    ``keep_partial(rows)`` may reject a partial matrix (filters that hold
-    for every row prefix of a member, e.g. edge budgets); rejected partials
-    are never extended.  ``degrees_left(rows)`` narrows the next row to
-    those degrees.  ``accept(rows)`` is a class-invariant filter run before
-    the code test at the last level only.  ``counter`` counts every
-    candidate examined and records where growth is.  Each level is in
-    ascending code order, since parents come in that order and their masks
-    ascend.
+    ``keep_partial(rows)`` may reject a row prefix, which is then never
+    extended; ``degrees_left(rows)`` narrows the next row to those degrees;
+    ``accept(rows)`` filters the last level before its code test.
+    ``counter`` counts the candidates and records where growth is.
     """
     if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
     counter.columns = n
-    level = {b"": ()}
+    level = [()]
     for m in range(1, depth + 1):
         last = m == depth
         counter.rows_done, counter.classes = m - 1, len(level)
-        nxt = {}
-        for rows in level.values():
+        nxt = []
+        for rows in level:
             floor = rows[-1] if rows else 0
             masks = [x for x in _twin_masks(rows, n) if x >= floor]
             if degrees_left is not None:
@@ -380,19 +327,18 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
                 if last and accept is not None and not accept(cand):
                     continue
                 kept.append(mask)
-            for mask in _code_masks(rows, n, kept):
-                cand = rows + (mask,)
-                nxt[_serialize(m, n, cand)] = cand
+            kept = _code_masks(rows, n, kept, counter)
+            yield rows, kept
+            if not last:
+                nxt += [rows + (x,) for x in kept]
         level = nxt
-        yield m, level
 
 
 def _classes_mn(m, n, counter, **filters):
     """The m x n classes of ``_grow``: {parts-fixed code: code rows}."""
-    level = {}
-    for _, level in _grow(n, m, counter, **filters):
-        pass
-    return level
+    return {_serialize(m, n, rows + (x,)): rows + (x,)
+            for rows, masks in _grow(n, m, counter, **filters) if len(rows) == m - 1
+            for x in masks}
 
 
 def _covers(rows, full):
@@ -405,11 +351,7 @@ def _covers(rows, full):
 
 def enumerate_class(spec: ClassSpec) -> dict:
     """{canonical code: representative graph}, one entry per isomorphism
-    class, in ascending code order.
-
-    Every class kind excludes isolated vertices.  At most
-    ``CANDIDATE_GUARD`` candidates are examined.
-    """
+    class, in ascending code order; no class holds an isolated vertex."""
     counter = _Counter(CANDIDATE_GUARD)
     if spec.kind == "kpqe":
         return _enumerate_kpqe(spec, counter)
@@ -434,7 +376,7 @@ def _enumerate_kpqe(spec, counter):
 
     level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
     return {code: BipartiteGraph(p, q, rows) for code, rows in level.items()
-            if p < q or _keeps_orientation(rows, q)}
+            if p < q or _keeps_orientation(rows, q, counter)}
 
 
 def _enumerate_degree_class(spec, counter):
@@ -458,36 +400,37 @@ def _enumerate_degree_class(spec, counter):
                 # the transpose is a member iff its row degrees are D too
                 if sorted(g.degrees_v(), reverse=True) != degs:
                     code = canonical_code(g)
-                elif not _keeps_orientation(rows, m):
+                elif not _keeps_orientation(rows, m, counter):
                     continue
             found.append((code, g))
     return dict(sorted(found, key=lambda item: item[0]))
 
 
-def _enumerate_connected(spec, counter):
-    levels = {}
-    for n in range(1, spec.max_vertices):
+def _connected_families(max_vertices, counter):
+    """The nonempty ``_grow`` families (n, rows, masks) of the connected
+    classes on at most ``max_vertices`` vertices, rows no more than
+    columns, n ascending; a square class keeps its smaller orientation."""
+    for n in range(1, max_vertices):
         full = (1 << n) - 1
-        depth = min(n, spec.max_vertices - n)
-        for m, level in _grow(n, depth, counter,
-                              accept=lambda rows: _rows_connected(rows, full)):
-            kept = levels[m, n] = []
-            for rows in level.values():
-                if m == n and not _keeps_orientation(rows, n):
-                    continue
-                g = BipartiteGraph(m, n, rows)
-                # shallower levels are all kept as parents anyway; their
-                # graph-level test is what the traced benchmark counts
-                if m == depth or g.is_connected():
-                    kept.append(g)
-    # a code starts with the bytes m, n and each level ascends, so merging
-    # the levels by (m, n) is code order; a level holds only its graphs
-    # until then, and each code is written as its level is merged
-    classes = {}
-    for m, n in sorted(levels):
-        for g in levels.pop((m, n)):
-            classes[_serialize(m, n, g.rows)] = g
-    return classes
+        depth = min(n, max_vertices - n)
+        for rows, masks in _grow(n, depth, counter,
+                                 accept=lambda rows: _rows_connected(rows, full)):
+            if len(rows) + 1 < depth:
+                # parents of the next level need not be connected
+                masks = [x for x in masks if _rows_connected(rows + (x,), full)]
+            elif depth == n:
+                masks = [x for x in masks if _keeps_orientation(rows + (x,), n, counter)]
+            if masks:
+                yield n, rows, masks
+
+
+def _enumerate_connected(spec, counter):
+    found = []
+    for n, rows, masks in _connected_families(spec.max_vertices, counter):
+        for x in masks:
+            g = BipartiteGraph(len(rows) + 1, n, rows + (x,))
+            found.append((_serialize(g.m, n, g.rows), g))
+    return dict(sorted(found))
 
 
 class SearchReport(namedtuple("SearchReport", "spec examined elapsed checked_property"
@@ -521,27 +464,6 @@ def _admit_columns(columns: int, what: str):
                              % (what % columns, MAX_CODE_SIDE))
 
 
-def _ferrers_check_one(g: BipartiteGraph):
-    """(tau*m*n, product of all degrees, equality on a staircase) for one
-    graph, from ``trees._degree_product``."""
-    _, lhs, rhs = _degree_product(g)
-    return lhs, rhs, lhs == rhs and is_ferrers(g)
-
-
-def _pmap(fn, items, jobs):
-    """Yield ``fn(x)`` for each x of the sized iterable ``items``, in
-    order, over a pool of at most ``jobs`` worker processes, and never more
-    than there are CPUs or items; serial when that leaves one."""
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            yield from pool.imap(fn, items, chunksize=max(1, len(items) // (workers * 8)))
-    else:
-        yield from map(fn, items)
-
-
 def _maximizers(classes, jobs):
     """The top spectral radius of the {code: graph} map ``classes`` (None if
     it is empty), and the map of those within ``TOL`` of it."""
@@ -554,36 +476,30 @@ def _maximizers(classes, jobs):
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                          budget: int | None = None) -> SearchReport:
     """Check tau <= degree-product invariant over every connected bipartite
-    isomorphism class with at most ``max_vertices`` vertices.
-
-    Counterexamples (expected none) are graphs with tau strictly larger;
-    extremal graphs attain equality.  Equality cases that fail the
-    staircase recognition are surfaced separately in the details.
-    """
+    isomorphism class with at most ``max_vertices`` vertices: the extremal
+    graphs attain equality, and a counterexample (none expected) exceeds
+    it; equality cases that are not staircases are listed in the details."""
     admit(max_vertices, DEFAULT_SCAN_VERTICES, budget, "scan of %d vertices")
     _admit_columns(max_vertices - 1, "scan columns range up to max_vertices-1=%d")
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
-    classes = enumerate_class(spec)
-    equal, counterexamples = {}, {}
-    for (code, g), (lhs, rhs, ferrers) in zip(
-            classes.items(), _pmap(_ferrers_check_one, classes.values(), jobs)):
-        if lhs == rhs:
-            equal[code] = ferrers
-        elif lhs > rhs:
-            counterexamples[code] = g
+    families = _connected_families(max_vertices, _Counter(CANDIDATE_GUARD))
+    examined, equal, counterexamples = 0, {}, {}
+    for count, found in _pmap(_family_degree_product, families, jobs):
+        examined += count
+        for g, failing in found:
+            (counterexamples if failing else equal)[_serialize(g.m, g.n, g.rows)] = g
+    equal = dict(sorted(equal.items()))
+    others = [code.hex() for code, g in equal.items() if not is_ferrers(g)]
     return SearchReport(
         spec=spec,
-        examined=len(classes),
+        examined=examined,
         elapsed=time.monotonic() - start,
         checked_property="tree_count_le_degree_product",
-        details={
-            "equality_ferrers": sum(equal.values()),
-            "equality_non_ferrers": [code.hex() for code, ferrers in equal.items()
-                                     if not ferrers],
-        },
-        extremal={code: classes[code] for code in equal},
-        counterexamples=counterexamples,
+        details={"equality_ferrers": len(equal) - len(others),
+                 "equality_non_ferrers": others},
+        extremal=equal,
+        counterexamples=dict(sorted(counterexamples.items())),
     )
 
 
@@ -606,16 +522,11 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
                     budget: int | None = None) -> SearchReport:
     """Maximize the adjacency spectral radius over the (p, q, e) class.
 
-    Reports every maximizer within 1e-9 of the optimum.  Each maximizer is
-    checked to be a staircase graph (failures become counterexamples) and
-    classified for the one-vertex-extension-of-complete-bipartite shape.
-
-    The class admits disconnected members, and for some (p, q, e) the
-    optimum is attained only by a disjoint union of complete bipartite
-    blocks, which is not a staircase; such maximizers are reported as
-    counterexamples together with their connectivity, not suppressed.
-    Classes with e too small to cover every vertex are empty and yield an
-    empty report.
+    Reports every maximizer within 1e-9 of the optimum, checked to be a
+    staircase (failures become counterexamples, with their connectivity:
+    for some (p, q, e) only a disjoint union of complete bipartite blocks
+    attains it) and classified for the one-vertex-extension-of-complete-
+    bipartite shape.  A class whose e cannot cover every vertex is empty.
     """
     spec = ClassSpec.kpqe(p, q, e)
     admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")

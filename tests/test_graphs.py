@@ -318,3 +318,25 @@ def test_value_type_contract(value, same, text):
     assert pickle.loads(pickle.dumps(value)) == value
     assert value == same and hash(value) == hash(same)
     assert repr(value) == text
+
+
+def test_make_and_replace_go_through_the_checks():
+    # a named tuple's _make and _replace would build around __new__; the
+    # graph types route both through it, so a bad field raises and a good
+    # one is normalized like any constructed graph
+    g = BipartiteGraph(2, 2, [3, 1])
+    with pytest.raises(ValueError, match="out of range"):
+        g._replace(rows=[3, 7])
+    h = g._replace(rows=[1, 3])
+    assert type(h) is BipartiteGraph and h.rows == (1, 3)
+    assert h == BipartiteGraph(2, 2, [1, 3]) and hash(h) == hash(BipartiteGraph(2, 2, [1, 3]))
+    assert pickle.loads(pickle.dumps(h)) == h
+    assert BipartiteGraph._make([1, 2, [2]]) == BipartiteGraph(1, 2, (2,))
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        BipartiteGraph._make([2, 2, [1]])
+    general = Graph(3, [(1, 2)])
+    with pytest.raises(ValueError, match="loop"):
+        general._replace(edges=[(2, 2)])
+    moved = general._replace(edges=[(3, 2), (2, 1)])
+    assert moved == Graph(3, [(1, 2), (2, 3)]) and hash(moved) == hash(Graph(3, [(1, 2), (2, 3)]))
+    assert pickle.loads(pickle.dumps(moved)) == moved

@@ -20,7 +20,7 @@ from ferrers_lab import (
     tau,
     verify_ferrers_bound,
 )
-from ferrers_lab import search
+from ferrers_lab import budget, search
 from ferrers_lab.graphs import _rows_connected, _transpose_rows
 from ferrers_lab.search import (
     ClassSpec,
@@ -575,11 +575,26 @@ def test_enumeration_guard_reports_progress(monkeypatch):
     with pytest.raises(BudgetExceeded) as info:
         enumerate_class(ClassSpec.all_connected_bipartite(8))
     progress = info.value.progress
-    assert sorted(progress) == ["candidates", "classes", "columns", "rows_done"]
+    assert sorted(progress) == ["candidates", "classes", "columns", "nodes", "rows_done"]
     assert progress["candidates"] == 501
     assert 1 <= progress["columns"] <= 7
     assert 0 <= progress["rows_done"] < progress["columns"]
     assert progress["classes"] >= 1
+
+
+def test_node_guard_bounds_each_canonizer_search(monkeypatch):
+    # the guard counts the nodes of one search, not of the enumeration: the
+    # 9-vertex scan makes hundreds of searches, none of 100 nodes, while
+    # the 7 x 7 permutation matrix of D = 1^7 needs thousands for one
+    monkeypatch.setattr(budget, "NODE_GUARD", 100)
+    assert len(enumerate_class(ClassSpec.all_connected_bipartite(9))) == 983
+    with pytest.raises(BudgetExceeded, match="visited more than 100 nodes") as info:
+        enumerate_class(ClassSpec.degree_class(Partition((1,) * 7)))
+    progress = info.value.progress
+    assert sorted(progress) == ["candidates", "classes", "columns", "nodes", "rows_done"]
+    assert progress["nodes"] > 100
+    with pytest.raises(BudgetExceeded, match="visited more than 100 nodes"):
+        canonical_code(BipartiteGraph(7, 7, [1 << i for i in range(7)]))
 
 
 def test_enumeration_matches_naive_oracle():
@@ -600,10 +615,11 @@ def test_verify_ferrers_bound_small():
 
 
 def test_verify_ferrers_bound_holds_little_beyond_its_classes():
-    # the checks stream past the class map and only tight or failing
-    # classes are kept, so the scan's traced peak stays within 1.1 times
-    # the map itself (about 1.02; about 1.7 when a sorted copy of the
-    # classes and every class's check result were held); each reading
+    # the classes are checked family by family as growth hands them out,
+    # and only the parents of the level being grown and the tight or
+    # failing classes are kept, so the scan's traced peak stays within a
+    # quarter of the class map it no longer builds (about 0.17; 1.02 when
+    # the scan built the map and streamed only the checks); each reading
     # starts from a collected heap with empty free lists, whatever state
     # earlier tests left
     spec = ClassSpec.all_connected_bipartite(10)
@@ -621,7 +637,7 @@ def test_verify_ferrers_bound_holds_little_beyond_its_classes():
     finally:
         tracemalloc.stop()
     assert report.examined == 5015
-    assert peak <= 1.1 * size, (peak, size)
+    assert peak <= 0.25 * size, (peak, size)
 
 
 def test_verify_ferrers_bound_deterministic_across_jobs():
@@ -761,7 +777,7 @@ def test_verify_ferrers_bound_reports_the_counterexample(monkeypatch):
     plain = verify_ferrers_bound(6, jobs=1)
     cycle = canonical_code(bipartite_cycle(3))  # tau 6 < invariant 64/9
     assert cycle not in plain.extremal
-    monkeypatch.setattr(search, "_ferrers_check_one", inflate_tau_of(cycle))
+    monkeypatch.setattr(search, "_family_degree_product", inflate_tau_of(cycle))
     report = verify_ferrers_bound(6, jobs=1)
     assert list(report.counterexamples) == [cycle]
     assert [canonical_code(g) for g in report.counterexamples.values()] == [cycle]

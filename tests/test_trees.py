@@ -15,7 +15,7 @@ from ferrers_lab import (
     sigma_formula,
     tau,
 )
-from ferrers_lab import trees
+from ferrers_lab import search, trees
 from ferrers_lab.exactla import tree_count
 from ferrers_lab.search import _classes_mn, _Counter
 
@@ -62,6 +62,22 @@ def test_schur_tau_matches_cofactor_every_class():
                 g = BipartiteGraph(m, n, rows)
                 for h in (g, g.transpose()):
                     assert tau(h) == _cofactor_tau(h), h
+
+
+def test_schur_family_matches_cofactor_every_connected_class():
+    # the scan's route, every class counted with its siblings, on each
+    # family of the connected classes with at most 9 vertices (A005142
+    # summed): tau against the Laplacian cofactor, and tau*m*n and the
+    # degree product against the per-graph route, a family of one
+    classes = 0
+    for n, rows, masks in search._connected_families(9, _Counter(10 ** 6)):
+        m = len(rows) + 1
+        for x, (t, product) in zip(masks, trees._schur_family(rows, n, masks)):
+            g = BipartiteGraph(m, n, rows + (x,))
+            assert t == _cofactor_tau(g), g
+            assert (t * m * n, product) == trees._degree_product(g)[1:], g
+            classes += 1
+    assert classes == 983
 
 
 def test_schur_tau_matches_cofactor_more_rows(rng):
