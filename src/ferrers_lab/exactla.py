@@ -16,10 +16,12 @@ tau are integer matrices over one denominator:
 
 Each build checks its input (integer, symmetric, zero row sums), checks the
 kernel's determinant against the cofactor tree count (the caller's, when it
-passes one), and certifies the result with an exact integer identity; a
-failed check raises ``InternalCheckError``.  The runtime computes with
-lists of integer rows, a rational result being integer rows over one
-denominator; ``RatMatrix`` is left for the tests and the benchmark tracer.
+passes one), and certifies the
+result with an exact integer identity; a failed check raises
+``InternalCheckError``.  Every matrix the runtime computes with is a list
+of integer rows, and a rational result is integer rows over one
+denominator; ``RatMatrix`` is left for the tests and the benchmark
+tracer.  All matrices are sized for desk scale.
 """
 
 from __future__ import annotations

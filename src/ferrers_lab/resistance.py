@@ -11,19 +11,24 @@ the Moore-Penrose inverse anyway, read it off that inverse with the
 diagonal-plus-cross term formula, once per unordered pair.
 
 A one-off query on a general ``Graph`` eliminates the grounded Laplacian
-itself, with d = det(L_j).  A ``BipartiteGraph`` solves the Schur
-complement of its column block instead (``trees._schur_block``, of side
-at most min(m, n)), lifts the solution to L_j y = d e_i with
-d = P det(P S), and certifies the lift on the full grounded Laplacian; its
-det(L_j) is checked against the tree count of a block that grounds
+itself, with d = det(L_j).  A ``BipartiteGraph`` never does: with the
+smaller part as rows, it solves the Schur complement of the column block
+(``trees._schur_block``, of side at most min(m, n)), lifts that solution
+to L_j y = d e_i with d = P det(P S), and certifies the lift on the full
+grounded Laplacian, read off the bit rows.  Its det(L_j) comes from the
+same block and is checked against the tree count of a block that grounds
 another vertex, and both minors of its ratio come from the same builder.
 
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
-the resistance across another edge unchanged, certifying the "for any
-g-inverse" ones with the Moore-Penrose and a bordered g-inverse.  The
-module also verifies the two identities behind the staircase tree-count
-formula: a certificate vector w with L w an edge incidence vector, and
+the resistance across another edge unchanged.  The "for any g-inverse"
+statements are certified with two structurally different g-inverses (the
+Moore-Penrose one and a bordered one); equality for one g-inverse carries
+to all of them.
+
+The module also verifies the two identities driving the staircase-graph
+tree-count formula: an explicit certificate vector w with L w equal to an
+edge incidence vector, and the four-way tree-count factorization
 tau(G\\e) * tau(G\\f) = tau(G) * tau(G\\{e,f}).
 """
 
@@ -33,7 +38,7 @@ import functools
 from collections import namedtuple
 from fractions import Fraction
 
-from .budget import DEFAULT_THM71_VERTICES, _pmap, admit
+from .budget import DEFAULT_THM71_VERTICES, admit
 from .exactla import (
     GInverse,
     InternalCheckError,
@@ -46,7 +51,7 @@ from .exactla import (
 )
 from .graphs import BipartiteGraph, Graph, ferrers_from_partition, laplacian
 from .partitions import Partition
-from .search import _code_rows
+from .search import _code_rows, _pmap
 from .trees import _schur_block, _schur_count, tau
 
 

@@ -2,41 +2,57 @@
 
 Isomorphism classes are keyed by a canonical code: the lexicographically
 least tuple of biadjacency row values reachable by row and column
-permutations (plus the part swap when the parts have equal size).  A
-pruned branch-and-bound finds it, picking rows greedily while refining an
-ordered partition of the columns; each search may visit
-``budget.NODE_GUARD`` nodes.  It is the package's only canonizer:
-``resistance`` keys general graphs by the code of their vertex-edge
-incidence matrix.
+permutations (plus the part swap when the parts have equal size).  The
+code is found by a pruned branch-and-bound that picks rows greedily while
+refining an ordered partition of the columns, so only permutations
+consistent with the refinement are ever touched.  Each search visits at
+most ``budget.NODE_GUARD`` nodes, or raises ``BudgetExceeded``; an entry
+point charges the ``budget._Counter`` it is passed, or a fresh one.  It
+is the package's only canonizer: ``resistance`` keys general graphs by
+the code of their vertex-edge incidence matrix (vertices as rows, edges
+as columns).
 
 Classes are generated row by row, once per column count, by orderly
 generation (Read 1978): a candidate is kept only when it is its own code.
-A code's first k values are the code of those k rows, and each value
-fills the low end of the twin-column groups of the values above it, so
-each kept matrix is extended by those fills no less than its last row and
-every class with parts fixed is reached once.  One walk of a parent's
-search tree decides all its candidates: the parent is a code, so only the
-new row's value matters where the walk goes, and a tie runs the same
-search below placing the new row.  Class filters (connectivity, edge
-count, no empty column) run on the bit rows first.  Growth hands out
-families, a parent with the children that pass its code test, each level
-in ascending code order, and holds only the parents of the level it grows.
+The code is nondecreasing, its first k values are the code of those k
+rows, and each value fills the low end of the twin-column groups of the
+values above it; so each kept matrix is extended by those fills no less
+than its last row, and every class with parts fixed is reached exactly
+once.  One walk of a parent's search tree decides all its candidates at
+once.  The parent is a code, so wherever that walk goes its own rows are
+at or above the target, and only the new row's value there matters: below
+the target it rejects the candidate, and equal to it the same search runs
+below placing the new row, descending only while the prefix equals the
+candidate and stopping at the first smaller one.  At the last level the
+class filters (connectivity, edge count, no empty column) run on the bit
+rows first.  Growth hands out each parent with the children that pass its
+code test, and holds only the parents of the level it grows.
 
-Growth holds the parts fixed, so a square class can be reached once per
-orientation; the one whose code is not above its transpose's stays, and
-its code is then the full code.  The connected scan and the kpqe classes
-with p = q are closed under the part swap.  A degree class holds a square
-member's transpose exactly when the member's sorted column degrees equal
-its own, and keys a member whose transpose it lacks by ``canonical_code``.
+Growth holds the parts fixed, so a class with parts of equal size can be
+reached twice, once per orientation.  Every class kind keeps a square
+class whose transpose is in the class iff no labeling of the transpose
+is below its own code (the same early-stopping search, bounded by that
+code), so of the two orientations the one with the smaller code stays,
+and its code is already the full code.  The connected scan and the kpqe
+classes with p = q are closed under the part swap.  A degree class fixes
+the row degrees only: it holds a square member's transpose exactly when
+the member's column degrees, sorted, equal its own, and a member whose
+transpose it does not hold is kept and keyed by ``canonical_code``, its
+one call on a search's path.  Every level is in ascending code order;
+each class is handed out keyed by its code, and search reports carry it.
 
-The degree-product scan checks each family of connected classes as it
-comes, with one Schur-complement setup for the parent
-(``trees._schur_family``), and keeps only the class count and the tight
-and failing classes, sorted by code at the end; it builds no class map.
-``trees._degree_product`` recounts every tight or failing tau, and a
-disagreement raises ``InternalCheckError``.  Searches shard their checks
-over a process pool when asked, a batch at a time; results come back in
-enumeration order, so reports are byte-identical for any worker count.
+Searches shard their per-graph checks over a process pool when asked;
+results stream back in enumeration order, so reports are byte-identical
+regardless of worker count.  The pool never has more workers than CPUs
+or items, and reads a stream a batch at a time.  The degree-product scan
+builds no class map: ``enumerate_class`` checks each connected class as
+growth hands it out, and the scan keeps only the class count, the tight
+classes and the failing ones.  It compares tau*m*n with the product of
+the degrees, both integers, through ``trees._degree_product``, which
+takes the degrees from the Schur-complement pass and recomputes its tree
+count on every equality case and counterexample, by the product formula
+on a staircase and by the Laplacian cofactor otherwise; a disagreement
+raises ``InternalCheckError``.
 
 No class holds an isolated vertex, and no kpqe class (e < p*q) holds the
 complete graph; reports record both facts as the ``no_isolated`` and
@@ -45,6 +61,7 @@ complete graph; reports record both facts as the ``no_isolated`` and
 
 from __future__ import annotations
 
+import itertools
 import struct
 import time
 from collections import namedtuple
@@ -67,16 +84,20 @@ from .graphs import (
 )
 from .partitions import TOL, Partition
 from .spectral import spectral_radius
-from .trees import _family_degree_product
+from .trees import _degree_product
 
 MAX_CODE_SIDE = 12
 
 
 def _row_values(remaining, cells, floor=0):
     """{row: value} for the distinct rows of ``remaining`` under the column
-    ``cells``, or None as soon as a value falls below ``floor``.  A row's
-    value packs its ones to the low end of each cell, in order: the least
-    row it can become under column permutations that keep the cells."""
+    ``cells``, or None as soon as a value falls below ``floor``.
+
+    A row's value is its ones packed to the low end of each cell, the cells
+    in order: the least row it can become under column permutations that
+    keep the cells.  With ``_split`` this is the canonizer's one
+    refinement step.
+    """
     vals = {}
     for r in remaining:
         if r not in vals:
@@ -91,26 +112,32 @@ def _row_values(remaining, cells, floor=0):
 
 def _split(remaining, cells, r, counter):
     """``remaining`` less one copy of row ``r``, and ``cells`` with each
-    cell split into its zeros of ``r``, then its ones: a node of the
-    search, charged to ``counter``."""
+    cell split into its zeros of ``r``, then its ones; a node of the
+    search."""
     counter.node()
     rest = list(remaining)
     rest.remove(r)
     newcells = []
-    for cellmask, width in cells:
+    for cell in cells:
+        cellmask, width = cell
         ones = cellmask & r
-        zeros = cellmask ^ ones
-        if zeros:
-            newcells.append((zeros, zeros.bit_count()))
-        if ones:
-            newcells.append((ones, ones.bit_count()))
+        if not ones:  # kept whole, with no new tuple
+            newcells.append(cell)
+            continue
+        k = ones.bit_count()
+        if k < width:
+            newcells.append((cellmask ^ ones, width - k))
+        newcells.append((ones, k))
     return rest, newcells
 
 
-def _code_rows(rows, n, bound=None):
-    """Least tuple of row values over row/column permutations (parts fixed),
-    or ``bound`` if that is less: the search prunes against it."""
-    counter = _Counter(CANDIDATE_GUARD).search()
+def _code_rows(rows, n, bound=None, counter=None):
+    """Least tuple of row values over row/column permutations (parts fixed).
+
+    The search prunes against ``bound`` from the start, so it returns
+    min(code, bound) and gives up on a branch as soon as it exceeds bound.
+    """
+    counter = (counter or _Counter()).search()
     return _least_code(list(rows), [((1 << n) - 1, n)], [], bound, counter)
 
 
@@ -135,9 +162,12 @@ def _least_code(remaining, cells, acc, best, counter):
 
 def _descend(remaining, cells, least, counter):
     """True iff no labeling that completes the node (``remaining`` rows
-    still to place under the column ``cells``) is below ``least``; it
-    descends only while the prefix equals ``least``, and fails at the first
-    row value below it."""
+    still to place under the column ``cells``) is below ``least``.
+
+    Descends only while the prefix equals ``least``, and returns False at
+    the first row value below it, since every leaf under a smaller prefix
+    is a smaller code.
+    """
     target = least[len(least) - len(remaining)]
     vals = _row_values(remaining, cells, target)
     if vals is None:
@@ -154,27 +184,32 @@ def _descend(remaining, cells, least, counter):
 def _is_code(rows, n, least, counter=None):
     """True iff no labeling of ``rows`` is below ``least``:
     ``_code_rows(rows, n, least) == least``.  With ``least`` = ``rows`` it
-    decides whether ``rows`` is its own code.  Each search is charged to
-    ``counter``, or to a fresh one, and may visit ``NODE_GUARD`` nodes."""
-    counter = (counter or _Counter(CANDIDATE_GUARD)).search()
+    decides whether ``rows`` is its own code."""
+    counter = (counter or _Counter()).search()
     return _descend(list(rows), [((1 << n) - 1, n)], least, counter)
 
 
 def _code_masks(rows, n, masks, counter=None):
     """The masks x of ``masks``, in the order given, for which
-    ``rows + (x,)`` is its own code; ``rows`` must be a code.  One walk of
-    the search of ``rows`` decides them all: where it goes the rows of
-    ``rows`` are at or above the target, so x below it rejects a child and
-    x equal to it must survive the search below placing x."""
+    ``rows + (x,)`` is its own code; ``rows`` must be a code.
+
+    One walk of the search of ``rows`` decides them all.  Since ``rows`` is
+    a code, at every node reached by placing its rows only, those rows
+    are at or above the target, so a child's verdict there rests on x
+    alone: x below the target rejects it, and x equal to it must survive
+    the search below placing x.  Past the last row of ``rows`` x is the
+    target itself.  The walk is one search.
+    """
     if not masks:
         return []
-    counter = (counter or _Counter(CANDIDATE_GUARD)).search()
+    counter = (counter or _Counter()).search()
     return _walk_masks(rows, list(rows), [((1 << n) - 1, n)], list(masks), counter)
 
 
 def _walk_masks(rows, remaining, cells, alive, counter):
-    """The masks of ``alive`` that survive the walk of the search of ``rows``
-    below the node with ``remaining`` rows to place under ``cells``."""
+    """The masks of ``alive`` that survive the walk of the search of the
+    code ``rows`` below the node with ``remaining`` rows still to place
+    under the column ``cells``."""
     vals = _row_values(alive, cells)
     if not remaining:
         return [x for x in alive if vals[x] >= x]
@@ -194,7 +229,8 @@ def _walk_masks(rows, remaining, cells, alive, counter):
 
 def _keeps_orientation(rows, n, counter=None):
     """True iff the square code ``rows`` is not above the code of its
-    transpose: of a class's two orientations, the one with the full code."""
+    transpose: a class reached in both orientations keeps only the one with
+    the smaller code, which is then its full canonical code."""
     return _is_code(_transpose_rows(rows, n), n, rows, counter)
 
 
@@ -203,16 +239,20 @@ def _serialize(m, n, values) -> bytes:
     return struct.pack(">%dH" % (len(values) + 1), m << 8 | n, *values)
 
 
-def canonical_code(G: BipartiteGraph) -> bytes:
+def canonical_code(G: BipartiteGraph, counter=None) -> bytes:
     """Isomorphism-invariant byte code; equal codes mean isomorphic graphs.
-    Parts are held fixed, and swapped too when they have the same size.
-    Limited to 12 rows/columns."""
+
+    Parts are held fixed; when the two parts have the same size the code
+    also minimizes over swapping them.  Limited to 12 rows/columns.  A
+    search past ``budget.NODE_GUARD`` nodes raises ``BudgetExceeded``, with
+    the progress of ``counter`` (an enumeration's) when one is passed.
+    """
     if G.m > MAX_CODE_SIDE or G.n > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
                          % MAX_CODE_SIDE)
-    rows = _code_rows(G.rows, G.n)
+    rows = _code_rows(G.rows, G.n, None, counter)
     if G.m == G.n:
-        rows = _code_rows(G.transpose().rows, G.m, rows)
+        rows = _code_rows(G.transpose().rows, G.m, rows, counter)
     return _serialize(G.m, G.n, rows)
 
 
@@ -228,8 +268,10 @@ def graph_from_code(code: bytes) -> BipartiteGraph:
     if len(code) != 2 + 2 * m:
         raise ValueError("code %r: %d bytes, %d rows need %d"
                          % (code.hex(), len(code), m, 2 + 2 * m))
-    return BipartiteGraph(m, n, [int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big")
-                                 for i in range(m)])
+    rows = [
+        int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big") for i in range(m)
+    ]
+    return BipartiteGraph(m, n, rows)
 
 
 class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
@@ -274,9 +316,12 @@ class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
 
 
 def _twin_masks(rows, n):
-    """Nonzero next rows, each least in its orbit under twin-column swaps,
-    ascending: a mask's ones fill the lowest bits of each group of columns
-    identical in every row of ``rows``."""
+    """Nonzero next rows, each least in its orbit under twin-column swaps.
+
+    Twin columns are identical in every row of ``rows``; a mask's ones
+    fill the lowest bits of each twin group, so only how many twins get a
+    one varies.  Ascending order.
+    """
     groups = [(1 << n) - 1]
     for r in rows:
         groups = [part for g in groups for part in (g & r, g & ~r) if part]
@@ -295,13 +340,17 @@ def _twin_masks(rows, n):
 def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
           accept=None):
     """Yield the families of the m x n biadjacency classes without zero
-    rows (parts fixed), m = 1..depth: a parent's code rows and the
-    ascending masks x for which rows + (x,) is a class, its own code.
+    rows (parts fixed), m = 1..depth: a parent's code rows and the masks x,
+    ascending, for which rows + (x,) is a class and its own code.
 
-    ``keep_partial(rows)`` may reject a row prefix, which is then never
-    extended; ``degrees_left(rows)`` narrows the next row to those degrees;
-    ``accept(rows)`` filters the last level before its code test.
-    ``counter`` counts the candidates and records where growth is.
+    ``keep_partial(rows)`` may reject a partial matrix (filters that hold
+    for every row prefix of a member, e.g. edge budgets); rejected partials
+    are never extended.  ``degrees_left(rows)`` narrows the next row to
+    those degrees.  ``accept(rows)`` is a class-invariant filter run before
+    the code test at the last level only.  ``counter`` counts every
+    candidate examined and records where growth is.  Each level is in
+    ascending code order, since parents come in that order and their masks
+    ascend; only the parents of the level being grown are held.
     """
     if n > MAX_CODE_SIDE or depth > MAX_CODE_SIDE:
         raise ValueError("canonical codes support at most %d rows/columns"
@@ -349,16 +398,25 @@ def _covers(rows, full):
     return cover == full
 
 
-def enumerate_class(spec: ClassSpec) -> dict:
+def enumerate_class(spec: ClassSpec, check=None, jobs: int = 1):
     """{canonical code: representative graph}, one entry per isomorphism
-    class, in ascending code order; no class holds an isolated vertex."""
+    class, in ascending code order.
+
+    Every class kind excludes isolated vertices.  At most
+    ``CANDIDATE_GUARD`` candidates are examined.
+
+    The connected classes can be checked as they grow instead, with no map
+    of them built: ``check(g)``, run on ``jobs`` worker processes, returns
+    a value to keep for the class g, or None.  The result is then the class
+    count and {code: value} of the classes kept, in code order.
+    """
     counter = _Counter(CANDIDATE_GUARD)
     if spec.kind == "kpqe":
         return _enumerate_kpqe(spec, counter)
     if spec.kind == "degree_class":
         return _enumerate_degree_class(spec, counter)
     if spec.kind == "all_connected_bipartite":
-        return _enumerate_connected(spec, counter)
+        return _enumerate_connected(spec, counter, check, jobs)
     raise ValueError("unknown class kind %r" % spec.kind)
 
 
@@ -399,38 +457,46 @@ def _enumerate_degree_class(spec, counter):
             if ny == m:
                 # the transpose is a member iff its row degrees are D too
                 if sorted(g.degrees_v(), reverse=True) != degs:
-                    code = canonical_code(g)
+                    code = canonical_code(g, counter)
                 elif not _keeps_orientation(rows, m, counter):
                     continue
             found.append((code, g))
     return dict(sorted(found, key=lambda item: item[0]))
 
 
-def _connected_families(max_vertices, counter):
-    """The nonempty ``_grow`` families (n, rows, masks) of the connected
-    classes on at most ``max_vertices`` vertices, rows no more than
-    columns, n ascending; a square class keeps its smaller orientation."""
+def _connected_classes(max_vertices, counter):
+    """The connected classes on at most ``max_vertices`` vertices, rows no
+    more than columns, as graphs, n ascending, then m; a square class keeps
+    its smaller orientation."""
     for n in range(1, max_vertices):
         full = (1 << n) - 1
         depth = min(n, max_vertices - n)
         for rows, masks in _grow(n, depth, counter,
                                  accept=lambda rows: _rows_connected(rows, full)):
-            if len(rows) + 1 < depth:
-                # parents of the next level need not be connected
-                masks = [x for x in masks if _rows_connected(rows + (x,), full)]
-            elif depth == n:
-                masks = [x for x in masks if _keeps_orientation(rows + (x,), n, counter)]
-            if masks:
-                yield n, rows, masks
+            m = len(rows) + 1
+            for x in masks:
+                g = BipartiteGraph(m, n, rows + (x,))
+                if m < depth:
+                    # shallower levels are all kept as parents anyway; their
+                    # graph-level test is what the traced benchmark counts
+                    if g.is_connected():
+                        yield g
+                elif m < n or _keeps_orientation(g.rows, n, counter):
+                    yield g
 
 
-def _enumerate_connected(spec, counter):
-    found = []
-    for n, rows, masks in _connected_families(spec.max_vertices, counter):
-        for x in masks:
-            g = BipartiteGraph(len(rows) + 1, n, rows + (x,))
-            found.append((_serialize(g.m, n, g.rows), g))
-    return dict(sorted(found))
+def _enumerate_connected(spec, counter, check, jobs):
+    graphs = _connected_classes(spec.max_vertices, counter)
+    if check is None:
+        return dict(sorted((_serialize(g.m, g.n, g.rows), g) for g in graphs))
+    # ``_pmap`` reads the classes a batch ahead; ``keys`` holds only those
+    graphs, keys = itertools.tee(graphs)
+    examined, found = 0, []
+    for g, value in zip(keys, _pmap(check, graphs, jobs)):
+        examined += 1
+        if value is not None:
+            found.append((_serialize(g.m, g.n, g.rows), value))
+    return examined, dict(sorted(found))
 
 
 class SearchReport(namedtuple("SearchReport", "spec examined elapsed checked_property"
@@ -464,6 +530,14 @@ def _admit_columns(columns: int, what: str):
                              % (what % columns, MAX_CODE_SIDE))
 
 
+def _ferrers_check_one(g: BipartiteGraph):
+    """None when tau*m*n is below the product of all degrees, and else
+    whether it exceeds it (a counterexample), from
+    ``trees._degree_product``."""
+    _, lhs, rhs = _degree_product(g)
+    return lhs > rhs if lhs >= rhs else None
+
+
 def _maximizers(classes, jobs):
     """The top spectral radius of the {code: graph} map ``classes`` (None if
     it is empty), and the map of those within ``TOL`` of it."""
@@ -476,30 +550,31 @@ def _maximizers(classes, jobs):
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                          budget: int | None = None) -> SearchReport:
     """Check tau <= degree-product invariant over every connected bipartite
-    isomorphism class with at most ``max_vertices`` vertices: the extremal
-    graphs attain equality, and a counterexample (none expected) exceeds
-    it; equality cases that are not staircases are listed in the details."""
+    isomorphism class with at most ``max_vertices`` vertices.
+
+    Counterexamples (expected none) are graphs with tau strictly larger;
+    extremal graphs attain equality.  Equality cases that fail the
+    staircase recognition are surfaced separately in the details.
+    """
     admit(max_vertices, DEFAULT_SCAN_VERTICES, budget, "scan of %d vertices")
     _admit_columns(max_vertices - 1, "scan columns range up to max_vertices-1=%d")
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
-    families = _connected_families(max_vertices, _Counter(CANDIDATE_GUARD))
-    examined, equal, counterexamples = 0, {}, {}
-    for count, found in _pmap(_family_degree_product, families, jobs):
-        examined += count
-        for g, failing in found:
-            (counterexamples if failing else equal)[_serialize(g.m, g.n, g.rows)] = g
-    equal = dict(sorted(equal.items()))
+    examined, found = enumerate_class(spec, _ferrers_check_one, jobs)
+    equal = {code: graph_from_code(code) for code, failing in found.items() if not failing}
     others = [code.hex() for code, g in equal.items() if not is_ferrers(g)]
     return SearchReport(
         spec=spec,
         examined=examined,
         elapsed=time.monotonic() - start,
         checked_property="tree_count_le_degree_product",
-        details={"equality_ferrers": len(equal) - len(others),
-                 "equality_non_ferrers": others},
+        details={
+            "equality_ferrers": len(equal) - len(others),
+            "equality_non_ferrers": others,
+        },
         extremal=equal,
-        counterexamples=dict(sorted(counterexamples.items())),
+        counterexamples={code: graph_from_code(code) for code, failing in found.items()
+                         if failing},
     )
 
 
@@ -522,11 +597,16 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
                     budget: int | None = None) -> SearchReport:
     """Maximize the adjacency spectral radius over the (p, q, e) class.
 
-    Reports every maximizer within 1e-9 of the optimum, checked to be a
-    staircase (failures become counterexamples, with their connectivity:
-    for some (p, q, e) only a disjoint union of complete bipartite blocks
-    attains it) and classified for the one-vertex-extension-of-complete-
-    bipartite shape.  A class whose e cannot cover every vertex is empty.
+    Reports every maximizer within 1e-9 of the optimum.  Each maximizer is
+    checked to be a staircase graph (failures become counterexamples) and
+    classified for the one-vertex-extension-of-complete-bipartite shape.
+
+    The class admits disconnected members, and for some (p, q, e) the
+    optimum is attained only by a disjoint union of complete bipartite
+    blocks, which is not a staircase; such maximizers are reported as
+    counterexamples together with their connectivity, not suppressed.
+    Classes with e too small to cover every vertex are empty and yield an
+    empty report.
     """
     spec = ClassSpec.kpqe(p, q, e)
     admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")

@@ -2,13 +2,15 @@
 
 Eigenvalues come from one cyclic Jacobi rotation kernel, ``_jacobi``
 (dimensions here stay around twenty, where Jacobi is simple,
-dependency-free and accurate).  It builds eigenvectors only for the
-residual of ``spectrum_report`` (``jacobi_eigh``); the same floats come
-without them, a third of every rotation faster.  The adjacency spectral
-radius comes from the m x m Gram matrix B B' of the biadjacency matrix,
-which halves the dimension and keeps the computed square nonnegative.
-Verdicts that can be exact (density comparisons) use rationals;
-everything floating carries an explicit tolerance.
+dependency-free and accurate).  It builds eigenvectors only when asked:
+``jacobi_eigh`` asks, for the residual of ``spectrum_report`` (the one
+reader of the normalized Laplacian), while the spectral radius and the
+Laplacian spectrum read eigenvalues only and skip a third of every
+rotation.  Both routes give the same floats.
+Adjacency spectral radius is computed through the m x m Gram matrix B B'
+of the biadjacency matrix, halving the dimension and keeping the computed
+square nonnegative.  Verdicts that can be exact (density comparisons) use
+rationals; everything floating carries an explicit tolerance.
 
 ``BoundReport`` is the one bound-comparison record of the package: the
 checks here return it with mode "tolerance", and ``conjectures`` returns it

@@ -7,26 +7,30 @@ degrees d_v, P the lcm of the d_v and ' dropping the last row vertex,
 
     tau = prod(d_v) * det(P D_U' - B' diag(P / d_v) B'^T) / P^(m-1),
 
-an integer (m-1)-square determinant in place of an (m+n-1)-square one,
-whose division must be exact or ``InternalCheckError`` is raised.  One
-builder, ``_block``, makes that block for any Laplacian minor, summing the
-column weights by degree class with popcounts.  One count,
-``_schur_family``, takes graphs that share all rows but the last, as the
-scan of ``search`` hands them out, and finds the shared rows'
-intersections and column degrees once; a single graph is a family of one.
-``_degree_product`` recounts the trees on every equality case and
-counterexample of the degree-product bound, by the product formula of
-Ehrenborg and van Willigenburg on a staircase and by the Laplacian
-cofactor otherwise, for the scan and the ``trees`` and ``check`` commands.
+an integer (m-1)-square determinant in place of an (m+n-1)-square one.
+The division must be exact, or ``InternalCheckError`` is raised.  One
+builder, ``_schur_block``, makes that integer block for any Laplacian
+minor: a grounded row leaves the block and a grounded column is masked
+out of the rows.  The tree count is its case of one grounded row; the
+bipartite resistance of ``resistance`` grounds one vertex to solve and
+two for the minor of its second route.
+``_degree_product`` takes the degree product from the degrees this pass
+already has, and recounts the trees on every equality case and
+counterexample of the degree-product bound: by the product formula of
+Ehrenborg and van Willigenburg on a staircase, read off its partition and
+the conjugate, and by the Laplacian cofactor otherwise; the scan of
+``search``, the ``eq3`` bound of ``conjectures`` and so the ``trees`` and
+``check`` commands all decide that bound through it.
 
 Enumeration is a deletion/contraction backtrack over the sorted edge
 list, guarded by a budget.  An edge is included when it joins two
 components of the chosen forest (one vertex mask per component), and
 skipped only while those masks and the remaining edges, as bit rows,
-still connect the graph.  The weighted polynomial assigns each spanning
-tree the monomial prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}, as a
-{exponent tuple: coefficient} dict, by brute force for any graph and in
-product form for staircase graphs.
+still connect the graph: the bit-row reach of ``graphs``.  The weighted
+polynomial assigns each spanning tree the monomial
+prod x_i^{deg_T(u_i)} * prod y_j^{deg_T(v_j)}; it is a plain
+{exponent tuple: coefficient} dict, computed brute-force for any graph and
+in product form for staircase graphs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 
 from .budget import DEFAULT_TREE_BUDGET, BudgetExceeded
 from .exactla import InternalCheckError, det_int, tree_count
-from .graphs import BipartiteGraph, _rows_connected, _transpose_rows, is_ferrers, laplacian
+from .graphs import BipartiteGraph, _rows_connected, is_ferrers, laplacian
 from .partitions import Partition, conjugate
 
 
@@ -52,81 +56,58 @@ def tau(G) -> int:
     return tree_count(laplacian(G))
 
 
-def _by_degree(degrees, skip=0):
-    """(degree, column mask) pairs: the columns not in ``skip`` by degree."""
-    classes = {}
-    for c, d in enumerate(degrees):
-        if not skip >> c & 1:
-            classes[d] = classes.get(d, 0) | 1 << c
-    return list(classes.items())
-
-
-def _meets(rows):
-    """rows[i] & rows[k] for k = i, i+1, ..., row by row."""
-    return [[r & s for s in rows[i:]] for i, r in enumerate(rows)]
-
-
 def _schur_block(rows, du, dv, cols=0):
-    """The ``_block`` of the bipartite Laplacian minor that keeps the row
-    vertices with bit rows ``rows`` and degrees ``du`` and grounds the
-    columns in the mask ``cols``; ``dv`` holds all column degrees."""
-    return _block(_meets(rows), du, _by_degree(dv, cols))
+    """The Schur complement of the column block of a bipartite Laplacian
+    minor, scaled to integers.
 
-
-def _block(meets, du, classes):
-    """(P, block, scale) of a bipartite Laplacian minor: with ' the vertices
-    it keeps and P the lcm of their column degrees, the integer k-square
-    block = P (D_U' - B' diag(1/d_v) B'^T) and scale = prod(d_v'), so that
-    the minor is scale * det(block) / P^k.  ``meets`` are the ``_meets`` of
-    the kept rows, ``du`` their degrees and ``classes`` the kept columns as
-    (degree, mask) pairs, all degrees nonzero."""
-    p = math.lcm(*[d for d, _ in classes])
-    weights = [(p // d, mask) for d, mask in classes]
-    a = [[0] * len(meets) for _ in meets]
-    for i, row in enumerate(meets):
+    The minor grounds some vertices, dropping their Laplacian rows and
+    columns.  ``rows`` are the bit rows of the row vertices it keeps and
+    ``du[i]`` is the degree of ``rows[i]``; ``dv`` holds the column
+    degrees, all nonzero, and ``cols`` masks the columns it grounds.  With
+    ' the kept vertices and P the lcm of the kept column degrees, returns
+    (P, block, scale): block = P (D_U' - B' diag(1/d_v) B'^T), an integer
+    k-square matrix with k = len(rows), and scale the product of the kept
+    column degrees, so that the minor is scale * det(block) / P^k.  The
+    tree count grounds one row and no column; a bipartite resistance
+    grounds one or two vertices of either part.
+    """
+    kept = dv
+    if cols:
+        kept = [d for c, d in enumerate(dv) if not cols >> c & 1]
+        rows = [r & ~cols for r in rows]
+    p = math.lcm(*kept)
+    # a grounded column's weight is never read: no masked row has its bit
+    weight = [p // d for d in dv]
+    size = len(rows)
+    a = [[0] * size for _ in rows]
+    for i, r in enumerate(rows):
         ai = a[i]
-        for k, shared in enumerate(row, i):
-            x = 0
-            for w, mask in weights:
-                if shared & mask:
-                    x -= w * (shared & mask).bit_count()
+        for k in range(i, size):
+            shared, x = r & rows[k], 0
+            while shared:
+                low = shared & -shared
+                x -= weight[low.bit_length() - 1]
+                shared ^= low
             ai[k] = a[k][i] = x
         ai[i] += p * du[i]
-    return p, a, math.prod([d ** mask.bit_count() for d, mask in classes])
-
-
-def _schur_family(rows, n, masks):
-    """[(tau, product of all degrees)] of the graphs rows + (x,) over n
-    columns, x in ``masks``, each with no more rows than columns and no
-    vertex without an edge: the minor that grounds row x keeps ``rows``,
-    and a column of degree d in them has d + 1 where x has it."""
-    du = [r.bit_count() for r in rows]
-    meets = _meets(rows)
-    parent = _by_degree([col.bit_count() for col in _transpose_rows(rows, n)])
-    rows_product = math.prod(du)
-    out = []
-    for x in masks:
-        classes = [(d + 1, mask & x) for d, mask in parent if mask & x]
-        classes += [(d, mask & ~x) for d, mask in parent if mask & ~x]
-        p, a, scale = _block(meets, du, classes)
-        out.append((_schur_count(p, a, scale), rows_product * x.bit_count() * scale))
-    return out
+    return p, a, math.prod(kept)
 
 
 def _schur_tau(G: BipartiteGraph):
     """(tau, row degrees, column degrees) of a bipartite graph, the smaller
-    part as rows: ``_schur_family`` on the family of its last row."""
+    part as rows: the Laplacian minor grounding the last row, from its
+    ``_schur_block``."""
     if G.m > G.n:
         G = G.transpose()
     du, dv = G.degrees_u(), G.degrees_v()
     if 0 in du or 0 in dv:
         return 0, du, dv
-    return _schur_family(G.rows[:-1], G.n, G.rows[-1:])[0][0], du, dv
+    return _schur_count(*_schur_block(G.rows[:-1], du, dv)), du, dv
 
 
 def _schur_count(p, a, scale) -> int:
-    """scale * det(a) / p^k, the tree count of the ``_block`` of a minor
-    that grounds one vertex; the division must be exact."""
+    """The tree count scale * det(a) / p^k of the ``_schur_block`` of a
+    minor that grounds one vertex; the division must be exact."""
     t, rem = divmod(scale * det_int(a), p ** len(a))
     if rem:
         raise InternalCheckError("Schur-complement tree count is not an integer:"
@@ -135,11 +116,12 @@ def _schur_count(p, a, scale) -> int:
 
 
 def _degree_product(G: BipartiteGraph, t: int | None = None):
-    """(tau, tau*m*n, product of all degrees) of a bipartite graph, ``t``
-    the Schur-complement tau if the caller holds it.  Where tau*m*n reaches
-    the product, tau is recounted, by ``_staircase_tau`` on a staircase and
-    the Laplacian cofactor otherwise; a disagreement raises
-    ``InternalCheckError``."""
+    """(tau, tau*m*n, product of all degrees) of a bipartite graph: the
+    degree-product bound in integers.  ``t`` is the Schur-complement tau
+    when the caller holds it already.  Where tau*m*n reaches the product,
+    an equality case or a counterexample, that tau is recounted, by
+    ``_staircase_tau`` on a staircase and by the Laplacian cofactor on any
+    other graph, and a disagreement raises ``InternalCheckError``."""
     if t is None:
         t, du, dv = _schur_tau(G)
     else:
@@ -156,22 +138,6 @@ def _degree_product(G: BipartiteGraph, t: int | None = None):
     return t, lhs, rhs
 
 
-def _family_degree_product(family):
-    """The class count of a family (n, rows, masks) of ``_schur_family``,
-    and (graph, failing) for each graph of it whose tau*m*n reaches the
-    product of the degrees; ``_degree_product`` recounts both."""
-    n, rows, masks = family
-    m = len(rows) + 1
-    found = []
-    for x, (t, product) in zip(masks, _schur_family(rows, n, masks)):
-        if t * m * n >= product:
-            g = BipartiteGraph(m, n, rows + (x,))
-            if _degree_product(g, t)[1:] != (t * m * n, product):
-                raise InternalCheckError("degree product of %r: family %d" % (g, product))
-            found.append((g, t * m * n > product))
-    return len(masks), found
-
-
 def _staircase_tau(G: BipartiteGraph) -> int:
     """Tree count of a staircase graph by Ehrenborg and van Willigenburg:
     prod(lambda) * prod(lambda') / (lambda_1 * lambda'_1), with lambda the
@@ -182,10 +148,13 @@ def _staircase_tau(G: BipartiteGraph) -> int:
 
 
 def enumerate_spanning_trees(G, budget: int | None = None) -> list:
-    """All spanning trees as sorted edge tuples, each exactly once: ``[]``
-    with none, and refused up front when the tree count exceeds ``budget``.
-    The walk over the sorted edge list prunes branches that cannot stay
-    spanning or would close a cycle."""
+    """All spanning trees as sorted edge tuples, each exactly once.
+
+    Walks the sorted edge list deciding include/contract versus
+    delete/skip, pruning branches that cannot stay spanning or would close
+    a cycle; with no spanning tree (tau = 0) no skip is allowed and the
+    result is ``[]``.  Refuses up front when the tree count exceeds ``budget``.
+    """
     if isinstance(G, BipartiteGraph):
         G = G.to_graph()
     if budget is None:
@@ -246,16 +215,19 @@ def sigma_bruteforce(G: BipartiteGraph, budget: int | None = None) -> dict:
 
 
 def sigma_formula(lmbda: Partition) -> dict:
-    """Weighted tree polynomial of a staircase graph, in closed form: with
-    row degrees lambda and column degrees lambda' (its conjugate),
+    """Weighted tree polynomial of a staircase graph, in closed form.
+
+    With row degrees lambda and column degrees lambda' (its conjugate), the
+    polynomial factors as
 
         (x_1...x_m)(y_1...y_n)
         * prod_{p=2..m} (y_1 + ... + y_{lambda_p})
         * prod_{q=2..n} (x_1 + ... + x_{lambda'_q}),
 
-    expanded into the term dict of ``sigma_bruteforce``, against which it
-    is verified coefficient for coefficient.  Any nonempty lambda gives a
-    connected graph."""
+    expanded here into the term dict of ``sigma_bruteforce``, against which
+    it is verified coefficient for coefficient.  Any nonempty lambda gives
+    a connected graph: lambda_1 = len(lambda') and lambda'_1 = len(lambda).
+    """
     if not len(lmbda):
         raise ValueError("partition does not describe a connected staircase graph")
     lmbda_dual = conjugate(lmbda)

@@ -24,7 +24,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ferrers_lab"
 
 UNCALLED = {
     "RatMatrix",  # item 1: the benchmark's tracer binds it by name
-    "graph_from_code",  # item 16: a --code input beside --graph
     "pendant_add",  # item 12: the pendant-vertex closure check
     "sigma_formula",  # item 15: ferrers-scan
     "ferrers_edge_invariance",  # item 15: ferrers-scan

@@ -541,7 +541,7 @@ def test_verify_ferrers_bound_command_counterexample(tmp_path, capsys,
     # counterexample: exit 1, and its graph file is emitted; the scan keys
     # classes with no more rows than columns
     target = search.canonical_code(example_staircase().transpose())
-    monkeypatch.setattr(search, "_family_degree_product", inflate_tau_of(target))
+    monkeypatch.setattr(search, "_ferrers_check_one", inflate_tau_of(target))
     outdir = tmp_path / "graphs"
     code, out, _ = run_cli(
         ["verify-ferrers-bound", "--max-vertices", "7",
@@ -816,16 +816,21 @@ def test_exit_code_budget_stops_a_runaway_canonizer_search(capsys):
     # D = 1^12 is admitted (m*d1 = 12, twelve columns at most), but its
     # permutation matrices make the canonizer search every labeling of
     # their rows; the node guard stops it within seconds, with its progress
-    start = time.monotonic()
+    # (about 8 s of CPU time: two searches of 623,529 nodes, which D = 1^9
+    # needs, finish before the third trips the guard)
+    start = time.process_time()
     code, out, err = run_cli(["degree-class", "--D", ",".join(["1"] * 12)], capsys)
-    assert time.monotonic() - start < 10
+    assert time.process_time() - start < 10
     assert code == 3 and out == "" and err.count("\n") == 1
     head, _, tail = err.partition(" (progress: ")
     assert head == ("ferrers-lab: budget exceeded: a canonizer search visited"
                     " more than %d nodes" % budget.NODE_GUARD)
     progress = json.loads(tail[:-2])
     assert list(progress) == ["candidates", "classes", "columns", "nodes", "rows_done"]
+    # the search is charged to the enumeration's counter, which knows
+    # where growth stopped
     assert progress["nodes"] > budget.NODE_GUARD
+    assert progress["columns"] >= 1 and progress["candidates"] >= 1
 
 
 def test_exit_code_general_graph_where_bipartite_needed(tmp_path, capsys):
@@ -915,29 +920,13 @@ def _schur_fake_equality(orig):
     return broken
 
 
-def _family_overcount(orig):
-    def broken(rows, n, masks):
-        return [(t + 1, product) for t, product in orig(rows, n, masks)]
-    return broken
-
-
-def _family_fake_equality(orig):
-    # the family form of _schur_fake_equality
-    def broken(rows, n, masks):
-        mn = (len(rows) + 1) * n
-        return [(t if product % mn else product // mn, product)
-                for t, product in orig(rows, n, masks)]
-    return broken
-
-
-@pytest.mark.parametrize("breaker", [_family_overcount, _family_fake_equality],
+@pytest.mark.parametrize("breaker", [_schur_overcount, _schur_fake_equality],
                          ids=["overcount", "fake-equality"])
 def test_exit_code_internal_check_schur_tau(capsys, monkeypatch, breaker):
     # a wrong Schur-complement tau that makes an equality case or a
-    # counterexample is caught by the scan's recount and reported as a
-    # defect (exit 4), never as a counterexample (exit 1); the scan counts
-    # trees family by family
-    monkeypatch.setattr(trees, "_schur_family", breaker(trees._schur_family))
+    # counterexample is caught by the scan's cofactor cross-check and
+    # reported as a defect (exit 4), never as a counterexample (exit 1)
+    monkeypatch.setattr(trees, "_schur_tau", breaker(trees._schur_tau))
     code, out, err = run_cli(["verify-ferrers-bound", "--max-vertices", "6"], capsys)
     assert code == 4 and out == ""
     assert err.startswith("ferrers-lab: internal check failed: ")

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -64,19 +65,18 @@ def test_schur_tau_matches_cofactor_every_class():
                     assert tau(h) == _cofactor_tau(h), h
 
 
-def test_schur_family_matches_cofactor_every_connected_class():
-    # the scan's route, every class counted with its siblings, on each
-    # family of the connected classes with at most 9 vertices (A005142
-    # summed): tau against the Laplacian cofactor, and tau*m*n and the
-    # degree product against the per-graph route, a family of one
+def test_scan_check_matches_cofactor_every_connected_class():
+    # the scan's check on each connected class with at most 9 vertices
+    # (A005142 summed), as growth streams them, against an independent
+    # route: the Laplacian cofactor's tau and the product of the degrees
     classes = 0
-    for n, rows, masks in search._connected_families(9, _Counter(10 ** 6)):
-        m = len(rows) + 1
-        for x, (t, product) in zip(masks, trees._schur_family(rows, n, masks)):
-            g = BipartiteGraph(m, n, rows + (x,))
-            assert t == _cofactor_tau(g), g
-            assert (t * m * n, product) == trees._degree_product(g)[1:], g
-            classes += 1
+    for g in search._connected_classes(9, _Counter()):
+        t = _cofactor_tau(g)
+        lhs = t * g.m * g.n
+        rhs = math.prod(g.degrees_u()) * math.prod(g.degrees_v())
+        assert trees._degree_product(g) == (t, lhs, rhs), g
+        assert search._ferrers_check_one(g) == (lhs > rhs if lhs >= rhs else None), g
+        classes += 1
     assert classes == 983
 
 
