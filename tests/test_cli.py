@@ -816,8 +816,8 @@ def test_exit_code_budget_stops_a_runaway_canonizer_search(capsys):
     # D = 1^12 is admitted (m*d1 = 12, twelve columns at most), but its
     # permutation matrices make the canonizer search every labeling of
     # their rows; the node guard stops it within seconds, with its progress
-    # (about 8 s of CPU time: two searches of 623,529 nodes, which D = 1^9
-    # needs, finish before the third trips the guard)
+    # (about 6.5-7.5 s of CPU time: two searches of 623,529 nodes, which
+    # D = 1^9 needs, finish before the third trips the guard)
     start = time.process_time()
     code, out, err = run_cli(["degree-class", "--D", ",".join(["1"] * 12)], capsys)
     assert time.process_time() - start < 10
