@@ -59,7 +59,6 @@ from .search import (
     canonical_code,
     degree_class_max,
     enumerate_class,
-    graph_from_code,
     spectral_search,
     verify_ferrers_bound,
 )

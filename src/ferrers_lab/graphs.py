@@ -7,7 +7,8 @@ check and normalize their fields, ``_make`` and ``_replace`` included, so
 two graphs built from the same edges are equal and hash alike.  Bipartite
 graphs convert to general ones with the U-part first (u_1..u_m become
 1..m, v_1..v_n become m+1..m+n), so the Laplacian shows the biadjacency
-block structure directly.
+block structure directly.  A graph equals only a graph of its own type,
+never a plain tuple, and graphs are not ordered.
 
 Connectivity of both graph types is one bit-row routine, ``_reach``: a
 bipartite graph's biadjacency rows, or a general graph's closed
@@ -27,7 +28,27 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph files; carries the offending line number."""
 
 
-class BipartiteGraph(namedtuple("BipartiteGraph", "m n rows")):
+class _Value:
+    """Equal only to a value of its own type, hashed by value, unordered:
+    a graph is not the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError("%s values are not ordered" % type(self).__name__)
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class BipartiteGraph(_Value, namedtuple("BipartiteGraph", "m n rows")):
     """Simple bipartite graph on parts U (rows) and V (columns)."""
 
     __slots__ = ()
@@ -97,7 +118,7 @@ class BipartiteGraph(namedtuple("BipartiteGraph", "m n rows")):
         return _rows_connected(self.rows, (1 << self.n) - 1)
 
 
-class Graph(namedtuple("Graph", "vcount edges")):
+class Graph(_Value, namedtuple("Graph", "vcount edges")):
     """Simple undirected graph with vertices 1..vcount."""
 
     __slots__ = ()

@@ -39,14 +39,19 @@ the row degrees only: it holds a square member's transpose exactly when
 the member's column degrees, sorted, equal its own, and a member whose
 transpose it does not hold is kept and keyed by ``canonical_code``, its
 one call on a search's path.  Every level is in ascending code order;
-each class is handed out keyed by its code, and search reports carry it.
+each class is keyed by its code, and search reports carry it.
 
-Searches shard their per-graph checks over a process pool when asked;
-results stream back in enumeration order, so reports are byte-identical
-regardless of worker count.  The pool never has more workers than CPUs
-or items, and reads a stream a batch at a time.  The degree-product scan
-builds no class map: ``enumerate_class`` checks each connected class as
-growth hands it out, and the scan keeps only the class count, the tight
+Each class kind is one generator over ``_grow`` that hands out each
+class's graph as growth finds it, with a code only where its rows are
+not the code (that degree-class member).  Every search runs one loop,
+``enumerate_class`` with a check: each class is checked as growth hands
+it out, over a process pool when asked, and only the classes the check
+keeps are kept, with their values, and get a code.  Results stream back
+in enumeration order, so reports are byte-identical regardless of worker
+count.  The pool never has more workers than CPUs or items, and reads a
+stream a batch at a time, so enumeration overlaps the checks.  The
+spectral searches keep every class with its spectral radius.  The
+degree-product scan keeps no class map, only the class count, the tight
 classes and the failing ones.  It compares tau*m*n with the product of
 the degrees, both integers, through ``trees._degree_product``, which
 takes the degrees from the Schur-complement pass and recomputes its tree
@@ -256,24 +261,6 @@ def canonical_code(G: BipartiteGraph, counter=None) -> bytes:
     return _serialize(G.m, G.n, rows)
 
 
-def graph_from_code(code: bytes) -> BipartiteGraph:
-    """The graph whose biadjacency rows a canonical code lists.  A code
-    whose length is not 2 + 2m for its m rows, or whose part sizes are
-    outside 1..12, raises ``ValueError``."""
-    if len(code) < 2 or not (1 <= code[0] <= MAX_CODE_SIDE
-                             and 1 <= code[1] <= MAX_CODE_SIDE):
-        raise ValueError("code %r: part sizes must be 1..%d"
-                         % (code.hex(), MAX_CODE_SIDE))
-    m, n = code[0], code[1]
-    if len(code) != 2 + 2 * m:
-        raise ValueError("code %r: %d bytes, %d rows need %d"
-                         % (code.hex(), len(code), m, 2 + 2 * m))
-    rows = [
-        int.from_bytes(code[2 + 2 * i: 4 + 2 * i], "big") for i in range(m)
-    ]
-    return BipartiteGraph(m, n, rows)
-
-
 class ClassSpec(namedtuple("ClassSpec", "kind p q e degrees max_vertices",
                            defaults=(0, 0, 0, (), 0))):
     """A family of bipartite graphs to enumerate up to isomorphism."""
@@ -383,13 +370,6 @@ def _grow(n, depth, counter, keep_partial=None, degrees_left=None,
         level = nxt
 
 
-def _classes_mn(m, n, counter, **filters):
-    """The m x n classes of ``_grow``: {parts-fixed code: code rows}."""
-    return {_serialize(m, n, rows + (x,)): rows + (x,)
-            for rows, masks in _grow(n, m, counter, **filters) if len(rows) == m - 1
-            for x in masks}
-
-
 def _covers(rows, full):
     """True iff no column of the bit rows is empty."""
     cover = 0
@@ -405,22 +385,36 @@ def enumerate_class(spec: ClassSpec, check=None, jobs: int = 1):
     Every class kind excludes isolated vertices.  At most
     ``CANDIDATE_GUARD`` candidates are examined.
 
-    The connected classes can be checked as they grow instead, with no map
-    of them built: ``check(g)``, run on ``jobs`` worker processes, returns
-    a value to keep for the class g, or None.  The result is then the class
-    count and {code: value} of the classes kept, in code order.
+    The classes can be checked as they grow instead, with no map of them
+    built: ``check(g)``, run on ``jobs`` worker processes, returns a value
+    to keep for the class g, or None.  The result is then the class count
+    and {code: (graph, value)} of the classes kept, in code order; a code
+    is built only for a class kept.
     """
     counter = _Counter(CANDIDATE_GUARD)
     if spec.kind == "kpqe":
-        return _enumerate_kpqe(spec, counter)
-    if spec.kind == "degree_class":
-        return _enumerate_degree_class(spec, counter)
-    if spec.kind == "all_connected_bipartite":
-        return _enumerate_connected(spec, counter, check, jobs)
-    raise ValueError("unknown class kind %r" % spec.kind)
+        classes = _kpqe_classes(spec, counter)
+    elif spec.kind == "degree_class":
+        classes = _degree_classes(spec, counter)
+    elif spec.kind == "all_connected_bipartite":
+        classes = _connected_classes(spec.max_vertices, counter)
+    else:
+        raise ValueError("unknown class kind %r" % spec.kind)
+    if check is None:
+        return dict(sorted((code or _serialize(g.m, g.n, g.rows), g)
+                           for g, code in classes))
+    # ``_pmap`` reads the classes a batch ahead; ``keys`` holds only those
+    classes, keys = itertools.tee(classes)
+    examined, found = 0, []
+    for (g, code), value in zip(keys, _pmap(check, (g for g, _ in classes), jobs)):
+        examined += 1
+        if value is not None:
+            found.append((code or _serialize(g.m, g.n, g.rows), (g, value)))
+    return examined, dict(sorted(found))
 
 
-def _enumerate_kpqe(spec, counter):
+def _kpqe_classes(spec, counter):
+    """The (p, q, e) classes as (graph, None), in code order."""
     p, q, e = spec.p, spec.q, spec.e
     full = (1 << q) - 1
 
@@ -432,12 +426,16 @@ def _enumerate_kpqe(spec, counter):
     def accept(rows):
         return sum(r.bit_count() for r in rows) == e and _covers(rows, full)
 
-    level = _classes_mn(p, q, counter, keep_partial=keep, accept=accept)
-    return {code: BipartiteGraph(p, q, rows) for code, rows in level.items()
-            if p < q or _keeps_orientation(rows, q, counter)}
+    for rows, masks in _grow(q, p, counter, keep_partial=keep, accept=accept):
+        for x in masks if len(rows) == p - 1 else ():
+            if p < q or _keeps_orientation(rows + (x,), q, counter):
+                yield BipartiteGraph(p, q, rows + (x,)), None
 
 
-def _enumerate_degree_class(spec, counter):
+def _degree_classes(spec, counter):
+    """The classes with row degrees D as (graph, code or None), column
+    count ascending; a square member whose transpose the class does not
+    hold comes with its ``canonical_code``, out of code order."""
     degs = sorted(spec.degrees, reverse=True)
     m, total = len(degs), sum(degs)
 
@@ -447,27 +445,25 @@ def _enumerate_degree_class(spec, counter):
             remaining.remove(r.bit_count())
         return set(remaining)
 
-    found = []
     for ny in range(degs[0], total + 1):
         full = (1 << ny) - 1
-        level = _classes_mn(m, ny, counter, degrees_left=degrees_left,
-                            accept=lambda rows: _covers(rows, full))
-        for code, rows in level.items():
-            g = BipartiteGraph(m, ny, rows)
-            if ny == m:
-                # the transpose is a member iff its row degrees are D too
-                if sorted(g.degrees_v(), reverse=True) != degs:
-                    code = canonical_code(g, counter)
-                elif not _keeps_orientation(rows, m, counter):
-                    continue
-            found.append((code, g))
-    return dict(sorted(found, key=lambda item: item[0]))
+        for rows, masks in _grow(ny, m, counter, degrees_left=degrees_left,
+                                 accept=lambda rows: _covers(rows, full)):
+            for x in masks if len(rows) == m - 1 else ():
+                g, code = BipartiteGraph(m, ny, rows + (x,)), None
+                if ny == m:
+                    # the transpose is a member iff its row degrees are D too
+                    if sorted(g.degrees_v(), reverse=True) != degs:
+                        code = canonical_code(g, counter)
+                    elif not _keeps_orientation(g.rows, m, counter):
+                        continue
+                yield g, code
 
 
 def _connected_classes(max_vertices, counter):
     """The connected classes on at most ``max_vertices`` vertices, rows no
-    more than columns, as graphs, n ascending, then m; a square class keeps
-    its smaller orientation."""
+    more than columns, as (graph, None), n ascending, then m; a square
+    class keeps its smaller orientation."""
     for n in range(1, max_vertices):
         full = (1 << n) - 1
         depth = min(n, max_vertices - n)
@@ -480,23 +476,9 @@ def _connected_classes(max_vertices, counter):
                     # shallower levels are all kept as parents anyway; their
                     # graph-level test is what the traced benchmark counts
                     if g.is_connected():
-                        yield g
+                        yield g, None
                 elif m < n or _keeps_orientation(g.rows, n, counter):
-                    yield g
-
-
-def _enumerate_connected(spec, counter, check, jobs):
-    graphs = _connected_classes(spec.max_vertices, counter)
-    if check is None:
-        return dict(sorted((_serialize(g.m, g.n, g.rows), g) for g in graphs))
-    # ``_pmap`` reads the classes a batch ahead; ``keys`` holds only those
-    graphs, keys = itertools.tee(graphs)
-    examined, found = 0, []
-    for g, value in zip(keys, _pmap(check, graphs, jobs)):
-        examined += 1
-        if value is not None:
-            found.append((_serialize(g.m, g.n, g.rows), value))
-    return examined, dict(sorted(found))
+                    yield g, None
 
 
 class SearchReport(namedtuple("SearchReport", "spec examined elapsed checked_property"
@@ -538,15 +520,6 @@ def _ferrers_check_one(g: BipartiteGraph):
     return lhs > rhs if lhs >= rhs else None
 
 
-def _maximizers(classes, jobs):
-    """The top spectral radius of the {code: graph} map ``classes`` (None if
-    it is empty), and the map of those within ``TOL`` of it."""
-    values = list(_pmap(spectral_radius, classes.values(), jobs))
-    top = max(values, default=None)
-    return top, {code: g for (code, g), v in zip(classes.items(), values)
-                 if v >= top - TOL}
-
-
 def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
                          budget: int | None = None) -> SearchReport:
     """Check tau <= degree-product invariant over every connected bipartite
@@ -561,7 +534,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
     start = time.monotonic()
     spec = ClassSpec.all_connected_bipartite(max_vertices)
     examined, found = enumerate_class(spec, _ferrers_check_one, jobs)
-    equal = {code: graph_from_code(code) for code, failing in found.items() if not failing}
+    equal = {code: g for code, (g, failing) in found.items() if not failing}
     others = [code.hex() for code, g in equal.items() if not is_ferrers(g)]
     return SearchReport(
         spec=spec,
@@ -573,8 +546,7 @@ def verify_ferrers_bound(max_vertices: int, jobs: int = 1,
             "equality_non_ferrers": others,
         },
         extremal=equal,
-        counterexamples={code: graph_from_code(code) for code, failing in found.items()
-                         if failing},
+        counterexamples={code: g for code, (g, failing) in found.items() if failing},
     )
 
 
@@ -612,11 +584,12 @@ def spectral_search(p: int, q: int, e: int, jobs: int = 1,
     admit(p * q, DEFAULT_SPECTRAL_PQ, budget, "spectral search over p*q=%d")
     _admit_columns(q, "spectral search needs q=%d columns")
     start = time.monotonic()
-    classes = enumerate_class(spec)
-    top, maxima = _maximizers(classes, jobs)
+    examined, radii = enumerate_class(spec, spectral_radius, jobs)
+    top = max((v for _, v in radii.values()), default=None)
+    maxima = {code: g for code, (g, v) in radii.items() if v >= top - TOL}
     return SearchReport(
         spec=spec,
-        examined=len(classes),
+        examined=examined,
         elapsed=time.monotonic() - start,
         checked_property="spectral_radius_maximizer_is_staircase",
         details={
@@ -645,16 +618,17 @@ def degree_class_max(degrees: Partition, jobs: int = 1,
           "degree class m*d1=%d")
     _admit_columns(sum(degrees), "degree class columns range up to sum(D)=%d")
     start = time.monotonic()
-    classes = enumerate_class(spec)
-    top, maxima = _maximizers(classes, jobs)
-    staircase = {code: g for code, g in classes.items() if is_ferrers(g)}
+    examined, radii = enumerate_class(spec, spectral_radius, jobs)
+    top = max((v for _, v in radii.values()), default=None)
+    maxima = {code: g for code, (g, v) in radii.items() if v >= top - TOL}
+    staircase = {code: g for code, (g, _) in radii.items() if is_ferrers(g)}
     if len(staircase) != 1:
         raise InternalCheckError("degree class %s has %d staircase members, not 1"
                                  % (degrees, len(staircase)))
     attains = staircase.keys() <= maxima.keys()
     return SearchReport(
         spec=spec,
-        examined=len(classes),
+        examined=examined,
         elapsed=time.monotonic() - start,
         checked_property="staircase_attains_spectral_max",
         details={"lambda_max": top, "staircase_attains_max": attains},

@@ -601,7 +601,10 @@ def test_cli_determinism_across_jobs(capsys):
     for argv in (["verify-ferrers-bound", "--max-vertices", "6"],
                  ["thm71-scan", "--max-n", "5"],
                  ["spectral-search", "--p", "4", "--q", "4", "--e", "9"],
-                 ["degree-class", "--D", "3,3,2,1"]):
+                 ["degree-class", "--D", "3,3,2,1"],
+                 # 290 and 568 classes: the pool reads more than one batch
+                 ["spectral-search", "--p", "4", "--q", "6", "--e", "14"],
+                 ["degree-class", "--D", "3,3,2,2,1"]):
         _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(argv + ["--jobs", "2"], capsys)
         assert _report_digest(first) == _report_digest(second), argv

@@ -320,6 +320,27 @@ def test_value_type_contract(value, same, text):
     assert repr(value) == text
 
 
+@pytest.mark.parametrize("value, fields", [
+    (BipartiteGraph(2, 2, [3, 1]), (2, 2, (3, 1))),
+    (Graph(3, [(1, 2)]), (3, frozenset({(1, 2)}))),
+], ids=["BipartiteGraph", "Graph"])
+def test_graphs_equal_only_their_own_type(value, fields):
+    # a graph is not the tuple of its fields, and graphs are not ordered;
+    # equality and hashing by value survive a pickle round trip
+    assert tuple(value) == fields
+    assert value != fields and fields != value and not value == fields
+    assert value == type(value)(*fields) and hash(value) == hash(type(value)(*fields))
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and not copy != value and hash(copy) == hash(value)
+    assert len({value, copy, fields}) == 2
+    for a, b in ((value, copy), (value, fields), (fields, value)):
+        for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
+            with pytest.raises(TypeError, match="not ordered"):
+                compare()
+    with pytest.raises(TypeError):
+        sorted([value, copy])
+
+
 def test_make_and_replace_go_through_the_checks():
     # a named tuple's _make and _replace would build around __new__; the
     # graph types route both through it, so a bad field raises and a good

@@ -13,7 +13,6 @@ from ferrers_lab import (
     degree_class_max,
     enumerate_class,
     ferrers_from_partition,
-    graph_from_code,
     is_ferrers,
     spectral_radius,
     spectral_search,
@@ -24,10 +23,10 @@ from ferrers_lab import budget, search
 from ferrers_lab.graphs import _rows_connected, _transpose_rows
 from ferrers_lab.search import (
     ClassSpec,
-    _classes_mn,
     _code_masks,
     _code_rows,
     _Counter,
+    _grow,
     _is_code,
     _keeps_orientation,
     _twin_masks,
@@ -57,8 +56,6 @@ def test_canonical_code_random_graphs(rng):
         code = canonical_code(g)
         for _ in range(5):
             assert canonical_code(shuffle_bipartite(g, rng)) == code
-        rebuilt = graph_from_code(code)
-        assert canonical_code(rebuilt) == code
 
 
 def test_canonical_code_part_swap():
@@ -89,32 +86,6 @@ def test_canonical_code_separates_same_degree_sequence():
 def test_canonical_code_size_limit():
     with pytest.raises(ValueError):
         canonical_code(BipartiteGraph(1, 13, [0]))
-
-
-@pytest.mark.parametrize("code, message", [
-    ("", "part sizes"),
-    ("03", "part sizes"),
-    ("0003", "part sizes"),
-    ("0300", "part sizes"),
-    ("0d01" + "0001" * 13, "part sizes"),
-    ("010d0001", "part sizes"),
-    ("0303", "2 bytes"),
-    ("030300010003", "6 bytes"),
-    ("0202000100030000", "8 bytes"),
-    ("02020001000f", "out of range"),
-])
-def test_graph_from_code_rejects_malformed_codes(code, message):
-    # a short code must not decode its missing rows as 0, nor a long one
-    # drop its trailing bytes
-    with pytest.raises(ValueError, match=message):
-        graph_from_code(bytes.fromhex(code))
-
-
-def test_graph_from_code_accepts_both_extreme_sizes():
-    side = search.MAX_CODE_SIDE
-    for g in (BipartiteGraph(1, 1, [1]),
-              BipartiteGraph(side, side, [(1 << side) - 1] * side)):
-        assert graph_from_code(canonical_code(g)) == g
 
 
 def _bruteforce_key(g, swap):
@@ -510,12 +481,32 @@ def test_carried_codes_are_canonical_codes(spec):
         == sorted(classes)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("spec", [
+    ClassSpec.kpqe(4, 6, 14),  # 290 classes: the pool reads a second batch
+    ClassSpec.degree_class(Partition((3, 3, 2, 2, 1))),  # some keyed by canonical_code
+    ClassSpec.all_connected_bipartite(9),
+], ids=_spec_id)
+def test_checked_classes_match_the_class_map(spec, jobs):
+    # the check loop hands every class of the map to the check, and keeps
+    # what it returns under the map's code, in the map's order
+    classes = enumerate_class(spec)
+    examined, kept = enumerate_class(spec, canonical_code, jobs)
+    assert examined == len(classes) > 128
+    assert list(kept) == list(classes)
+    assert [g for g, _ in kept.values()] == list(classes.values())
+    assert all(value == code for code, (_, value) in kept.items())
+    assert enumerate_class(spec, lambda g: None) == (len(classes), {})
+
+
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (3, 4), (4, 3), (2, 5)])
 def test_classes_mn_level_order_matches_reference(m, n):
     # the pruned growth keeps every zero-free class of the full growth, with
     # the same first-seen representative, in the same order
     ref = [rows for rows in _reference_level(m, n).values() if 0 not in rows]
-    assert list(_classes_mn(m, n, _Counter(10 ** 6)).values()) == ref
+    counter = _Counter(10 ** 6)
+    assert [rows + (x,) for rows, masks in _grow(n, m, counter) if len(rows) == m - 1
+            for x in masks] == ref
 
 
 @pytest.mark.parametrize("spec", [
@@ -821,7 +812,8 @@ def test_degree_class_max_reports_a_beaten_staircase(monkeypatch):
     assert report.details["staircase_attains_max"] is False
     assert staircase not in report.extremal
     assert list(report.counterexamples) == [staircase]
-    assert list(report.counterexamples.values()) == [graph_from_code(staircase)]
+    # the staircase of 3,3,2,1 under its code rows
+    assert list(report.counterexamples.values()) == [BipartiteGraph(4, 3, [1, 3, 7, 7])]
     assert list(report.extremal) == [canonical_code(g) for g in report.extremal.values()]
 
 

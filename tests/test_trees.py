@@ -18,7 +18,7 @@ from ferrers_lab import (
 )
 from ferrers_lab import search, trees
 from ferrers_lab.exactla import tree_count
-from ferrers_lab.search import _classes_mn, _Counter
+from ferrers_lab.search import _Counter, _grow
 
 from conftest import (
     complete_bipartite,
@@ -58,9 +58,10 @@ def test_schur_tau_matches_cofactor_every_class():
     # ones, disconnected ones and ones with isolated columns, both ways round
     counter = _Counter(10 ** 6)
     for n in range(1, 8):
-        for m in range(1, 9 - n):
-            for rows in _classes_mn(m, n, counter).values():
-                g = BipartiteGraph(m, n, rows)
+        # growth hands out every level m = 1..8-n
+        for rows, masks in _grow(n, 8 - n, counter):
+            for x in masks:
+                g = BipartiteGraph(len(rows) + 1, n, rows + (x,))
                 for h in (g, g.transpose()):
                     assert tau(h) == _cofactor_tau(h), h
 
@@ -70,7 +71,8 @@ def test_scan_check_matches_cofactor_every_connected_class():
     # (A005142 summed), as growth streams them, against an independent
     # route: the Laplacian cofactor's tau and the product of the degrees
     classes = 0
-    for g in search._connected_classes(9, _Counter()):
+    for g, code in search._connected_classes(9, _Counter()):
+        assert code is None
         t = _cofactor_tau(g)
         lhs = t * g.m * g.n
         rhs = math.prod(g.degrees_u()) * math.prod(g.degrees_v())
