@@ -10,7 +10,7 @@ a highly symmetric class stops in seconds; no flag touches either.
 ``_Counter`` enforces both.  Another, ``GRAPH_FILE_VERTICES``, bounds the
 vertex count a graph file may declare; it is checked on the header,
 before anything is built.  At 100 vertices the slowest per-graph command
-(``thm71``, then ``spectral``) takes about 7 s on a 2-core machine.
+(``thm71``, then ``spectral``) takes about 5 s on a 2-core machine.
 ``_pmap``, which runs the searches' per-graph checks, bounds their worker
 processes by the CPUs and the items, and reads a stream a batch at a time.
 """

@@ -1,27 +1,25 @@
 """Exact linear algebra on one fraction-free integer kernel.
 
 The kernel is one Bareiss elimination over Python integers (Bareiss 1968),
-``_bareiss``, which may carry a right-hand block B.  It has three public
-views: ``det_int`` carries none and eliminates below each pivot for the
-determinant; ``solve_int`` runs the Gauss-Jordan form on ``[A | B]`` for
-det(A) and adj(A) B, for example one adjugate column with B a unit column;
-and ``det_adj_int`` is the solve with B = I, the determinant and the
-adjugate together.  Every view refuses an entry that is not an integer
-value.  Both g-inverses of a connected-graph Laplacian L with tree count
-tau are integer matrices over one denominator:
+``_bareiss``, which may carry a right-hand block B.  Its two public views
+refuse an entry that is not an integer value: ``det_int`` carries no block
+and eliminates below each pivot for the determinant; ``solve_int`` runs the
+Gauss-Jordan form on ``[A | B]`` for det(A) and adj(A) B.
 
-* Moore-Penrose: n^2 tau L^+ = adj(L + J) - tau J, with J all ones;
-* bordered at vertex i: the inverse of L_i (row and column i removed) is
-  adj(L_i) / tau.
+Every g-inverse of a connected-graph Laplacian L on n vertices with tree
+count tau is read off one elimination, N = adj(L_n) with the last vertex
+grounded, embedded with a zero last row and column:
 
-Each build checks its input (integer, symmetric, zero row sums), checks the
-kernel's determinant against the cofactor tree count (the caller's, when it
-passes one), and certifies the
-result with an exact integer identity; a failed check raises
-``InternalCheckError``.  Every matrix the runtime computes with is a list
-of integer rows, and a rational result is integer rows over one
-denominator; ``RatMatrix`` is left for the tests and the benchmark
-tracer.  All matrices are sized for desk scale.
+* Moore-Penrose: n^2 tau L^+ = (n I - J) N (n I - J), with J all ones;
+* bordered at vertex i: L_i^{-1} = adj(L_i) / tau, where adj(L_i)_ab =
+  N_ab - N_ai - N_ib + N_ii, since all g-inverses G of L give the same
+  (e_a - e_i)^T G (e_b - e_i).
+
+The elimination checks its input (integer, symmetric, zero row sums) and
+det(L_n) against the tree count; each build certifies its result with an
+exact integer identity, and a failed check raises ``InternalCheckError``.
+A rational result is integer rows over one denominator; ``RatMatrix`` is
+left for the tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -154,17 +152,6 @@ def solve_int(rows, right):
     return d, out
 
 
-def det_adj_int(rows):
-    """Determinant and adjugate of a nonsingular integer matrix: the solve
-    view with the identity as right-hand block.
-
-    Returns ``(det, adj)`` with ``adj`` a list of integer rows; raises
-    ValueError for a singular matrix.
-    """
-    n = len(rows)
-    return solve_int(rows, [[int(i == j) for j in range(n)] for i in range(n)])
-
-
 def tree_count(lap) -> int:
     """Spanning-tree count of the graph with integer Laplacian rows ``lap``.
 
@@ -182,23 +169,6 @@ with ``i`` the 1-based pivot vertex.  The inverse is
 """
 
 
-def _integer_laplacian(rows) -> list:
-    """``rows`` as integer lists, checked Laplacian-shaped.
-
-    Square and nonempty, integer entries, symmetric, zero row sums; raises
-    ValueError otherwise.
-    """
-    n = len(rows)
-    if n == 0 or any(len(row) != n for row in rows):
-        raise ValueError("need a nonempty square matrix")
-    lap = _int_rows(rows)
-    if any(lap[i][j] != lap[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("Laplacian is not symmetric")
-    if any(sum(row) for row in lap):
-        raise ValueError("Laplacian row sums are not all zero")
-    return lap
-
-
 def _sparse_matmul(a, b) -> list:
     """``a @ b`` for integer rows, skipping the zero entries of ``a``."""
     out = []
@@ -211,31 +181,58 @@ def _sparse_matmul(a, b) -> list:
     return out
 
 
-def moore_penrose_laplacian(laplacian, tau: int | None = None) -> GInverse:
-    """Exact Moore-Penrose inverse of a connected-graph Laplacian.
-
-    ``laplacian`` is a sequence of rows with integer entries.
-    With J the all-ones matrix and tau the tree count, det(L + J) = n^2 tau
-    and M = adj(L + J) - tau J = n^2 tau L^+, an integer matrix.  The result
-    is certified exactly: L M = d I - n tau J with d = n^2 tau, M symmetric
-    and M 1 = 0, which with L symmetric and L 1 = 0 give all four Penrose
-    conditions for M / d.  A disconnected graph (tau = 0) raises ValueError.
-    A caller that holds tau already passes it, and it is checked against
-    det(L + J) all the same.
+def _grounded_adjugate(laplacian, tau: int | None = None):
+    """``(lap, tau, N)``, the one elimination behind every g-inverse of a
+    connected-graph Laplacian: ``lap`` its rows, checked integer, square,
+    symmetric and with zero row sums (else ValueError), tau its tree count,
+    and N = adj(L_n), with the last vertex grounded, embedded with a zero
+    last row and column; det(L_n) is checked against tau.
     """
-    lap = _integer_laplacian(laplacian)
-    n = len(lap)
+    n = len(laplacian)
+    if n == 0 or any(len(row) != n for row in laplacian):
+        raise ValueError("need a nonempty square matrix")
+    lap = _int_rows(laplacian)
+    if any(lap[i][j] != lap[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("Laplacian is not symmetric")
+    if any(sum(row) for row in lap):
+        raise ValueError("Laplacian row sums are not all zero")
     if tau is None:
         tau = tree_count(lap)
     if tau == 0:
-        raise ValueError("Laplacian of a disconnected graph has no Moore-Penrose"
-                         " inverse by the rank-correction identity")
-    d, adj = det_adj_int([[x + 1 for x in row] for row in lap])
-    if d != n * n * tau:
-        raise InternalCheckError("det(L + J) = %d, but n^2 tau = %d" % (d, n * n * tau))
-    m = [[x - tau for x in row] for row in adj]
-    ntau = n * tau
-    expected = [[(d if r == c else 0) - ntau for c in range(n)] for r in range(n)]
+        raise ValueError("Laplacian of a disconnected graph has no g-inverse"
+                         " over its tree count")
+    d, adj = solve_int([row[:-1] for row in lap[:-1]],
+                       [[int(r == c) for c in range(n - 1)] for r in range(n - 1)])
+    if d != tau:
+        raise InternalCheckError("det(L_%d) = %d, but tau = %d" % (n, d, tau))
+    for row in adj:
+        row.append(0)
+    adj.append([0] * n)
+    return lap, tau, adj
+
+
+def moore_penrose_laplacian(laplacian, tau: int | None = None, grounded=None) -> GInverse:
+    """Exact Moore-Penrose inverse of a connected-graph Laplacian.
+
+    ``laplacian`` is a sequence of rows with integer entries.  With N its
+    grounded adjugate and J all ones, M = (n I - J) N (n I - J) = n^2 tau
+    L^+, entry by entry n^2 N_ab - n (r_a + r_b) + s, with r the row sums
+    of N and s their total.  It is certified exactly: L M = d I - n tau J
+    with d = n^2 tau, M symmetric and M 1 = 0, which with L symmetric and
+    L 1 = 0 give all four Penrose conditions for M / d.  A disconnected
+    graph (tau = 0) raises ValueError.  A caller that holds the tree count
+    tau passes it, still checked against det(L_n); one that builds several
+    g-inverses of L passes ``_grounded_adjugate(L, tau)`` as ``grounded``.
+    """
+    lap, tau, adj = grounded or _grounded_adjugate(laplacian, tau)
+    n = len(lap)
+    sums = [sum(row) for row in adj]
+    total = sum(sums)
+    nn = n * n
+    m = [[nn * x - n * (ra + rb) + total for x, rb in zip(row, sums)]
+         for row, ra in zip(adj, sums)]
+    d = nn * tau
+    expected = [[(d if r == c else 0) - n * tau for c in range(n)] for r in range(n)]
     if (_sparse_matmul(lap, m) != expected or any(map(sum, m))
             or m != [list(col) for col in zip(*m)]):
         raise InternalCheckError("Moore-Penrose certificate failed:"
@@ -243,34 +240,31 @@ def moore_penrose_laplacian(laplacian, tau: int | None = None) -> GInverse:
     return GInverse(tuple(map(tuple, m)), d, "moore_penrose")
 
 
-def bordered_ginverse(laplacian, i: int, tau: int | None = None) -> GInverse:
+def bordered_ginverse(laplacian, i: int, tau: int | None = None, grounded=None) -> GInverse:
     """G-inverse of a connected-graph Laplacian with row/column ``i`` zeroed.
 
-    ``laplacian`` is a sequence of rows with integer entries.
-    The principal submatrix L_i with vertex ``i`` (1-based) removed has
-    determinant tau and inverse adj(L_i) / tau, embedded back with zeros;
-    the result H satisfies L @ H @ L == L.  It is certified exactly by
-    L_i adj(L_i) = tau I.  A caller that holds tau already passes it, and it
-    is checked against det(L_i) all the same.
+    ``laplacian`` is a sequence of rows with integer entries.  L_i, with
+    vertex ``i`` (1-based) removed, has inverse adj(L_i) / tau, embedded
+    back with zeros as H, and L @ H @ L == L.  All g-inverses G of L give
+    the same (e_a - e_i)^T G (e_b - e_i), so adj(L_i)_ab = N_ab - N_ai -
+    N_ib + N_ii with N the grounded adjugate, certified by L_i adj(L_i) =
+    tau I.  ``tau`` and ``grounded`` are as for ``moore_penrose_laplacian``.
     """
-    lap = _integer_laplacian(laplacian)
+    lap, tau, adj = grounded or _grounded_adjugate(laplacian, tau)
     n = len(lap)
     if not 1 <= i <= n:
         raise ValueError("pivot vertex out of range")
     k = i - 1
-    if tau is None:
-        tau = tree_count(lap)
-    if tau == 0:
-        raise ValueError("principal submatrix is singular (graph disconnected?)")
-    sub = [row[:k] + row[i:] for r, row in enumerate(lap) if r != k]
-    d, adj = det_adj_int(sub)
-    if d != tau:
-        raise InternalCheckError("det(L_%d) = %d, but tau = %d" % (i, d, tau))
-    if _sparse_matmul(sub, adj) != [
-        [tau if r == c else 0 for c in range(n - 1)] for r in range(n - 1)
+    pivot = adj[k]
+    rows = []
+    for row in adj[:k] + adj[i:]:
+        c = row[k] - pivot[k]
+        rows.append([x - y - c for x, y in zip(row, pivot)])
+    # with L_i nonsingular, this also certifies the zero column i
+    sub = [row[:k] + row[i:] for row in lap[:k] + lap[i:]]
+    if _sparse_matmul(sub, rows) != [
+        [tau if r == c else 0 for c in range(n)] for r in range(n) if r != k
     ]:
         raise InternalCheckError("bordered certificate failed: L_%d adj != tau I" % i)
-    rows = [row[:k] + [0] + row[k:] for row in adj]
     rows.insert(k, [0] * n)
     return GInverse(tuple(map(tuple, rows)), tau, "bordered(%d)" % i)
-

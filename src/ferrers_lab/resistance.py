@@ -22,9 +22,9 @@ another vertex, and both minors of its ratio come from the same builder.
 ``edge_deletion_equivalence`` evaluates, in exact rational arithmetic, the
 eleven equivalent statements characterizing when deleting one edge leaves
 the resistance across another edge unchanged.  The "for any g-inverse"
-statements are certified with two structurally different g-inverses (the
-Moore-Penrose one and a bordered one); equality for one g-inverse carries
-to all of them.
+statements are certified with two structurally different g-inverses, the
+Moore-Penrose one and a bordered one, each read off one grounded adjugate
+per graph and certified; equality for one carries to all of them.
 
 The module also verifies the two identities driving the staircase-graph
 tree-count formula: an explicit certificate vector w with L w equal to an
@@ -42,6 +42,7 @@ from .budget import DEFAULT_THM71_VERTICES, admit
 from .exactla import (
     GInverse,
     InternalCheckError,
+    _grounded_adjugate,
     _sparse_matmul,
     bordered_ginverse,
     det_int,
@@ -78,12 +79,17 @@ class _GraphCtx:
         return laplacian(self.graph)
 
     @functools.cached_property
+    def grounded(self):
+        return _grounded_adjugate(self.lap_int, self.tau)
+
+    @functools.cached_property
     def mp(self) -> GInverse:
-        return moore_penrose_laplacian(self.lap_int, self.tau)
+        return moore_penrose_laplacian(self.lap_int, grounded=self.grounded)
 
     def bordered(self, pivot: int) -> GInverse:
         if pivot not in self._bordered:
-            self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot, self.tau)
+            self._bordered[pivot] = bordered_ginverse(self.lap_int, pivot,
+                                                      grounded=self.grounded)
         return self._bordered[pivot]
 
     @functools.cached_property

@@ -850,16 +850,10 @@ def _double_schur_minors(orig):
     return lambda rows: 2 * orig(rows)
 
 
-def _corrupt_adjugate(orig):
-    def broken(rows):
-        d, adj = orig(rows)
-        adj[0][0] += 1
-        return d, adj
-    return broken
-
-
 def _corrupt_solve(orig):
-    # the grounded column of a one-off resistance, caught by its residual
+    # the grounded column of a one-off resistance, caught by its residual,
+    # or the grounded adjugate of thm71, caught by the Moore-Penrose
+    # certificate
     def broken(rows, right):
         d, y = orig(rows, right)
         y[0][0] += 1
@@ -876,7 +870,7 @@ def _inflate_lambda_max(orig):
     (["resistance", "--pair", "4,7"], resistance_module, "det_int",
      _double_schur_minors),
     (["resistance", "--pair", "4,7"], resistance_module, "solve_int", _corrupt_solve),
-    (["thm71", "--e", "1,5", "--f", "2,6"], exactla, "det_adj_int", _corrupt_adjugate),
+    (["thm71", "--e", "1,5", "--f", "2,6"], exactla, "solve_int", _corrupt_solve),
     (["trees", "--enumerate"], trees, "tau", lambda orig: lambda g: orig(g) + 1),
     (["spectral"], cli, "spectrum_report", _inflate_lambda_max),
 ], ids=["resistance-routes", "kernel-certificate", "thm71-kernel-certificate",
@@ -902,6 +896,7 @@ def test_resistance_command_builds_no_ginverse(staircase_file, capsys, monkeypat
     for target in (resistance_module, exactla):
         monkeypatch.setattr(target, "moore_penrose_laplacian", refuse)
         monkeypatch.setattr(target, "bordered_ginverse", refuse)
+        monkeypatch.setattr(target, "_grounded_adjugate", refuse)
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert json.loads(out)["resistance"] == json.loads(usual)["resistance"]

@@ -1,15 +1,21 @@
+import importlib
+import pathlib
 import random
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ferrers_lab import (
     Graph,
     InternalCheckError,
     bordered_ginverse,
+    cli,
+    connected_graphs,
     det_int,
     exactla,
+    format_graph,
     laplacian,
     moore_penrose_laplacian,
     resistance,
@@ -20,6 +26,7 @@ from conftest import (
     EXAMPLE_LAPLACIAN,
     as_matrix,
     det,
+    example_staircase,
     identity,
     is_symmetric,
     random_connected_graph,
@@ -200,12 +207,23 @@ def bordered_oracle(lap, i):
     return RatMatrix(rows)
 
 
+def _every_small_graph(test):
+    """``test`` with the Laplacian of every connected graph on 2..6
+    vertices as an explicit example: 142 graphs, 809 pivots."""
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            test = example(laplacian(g))(test)
+    return test
+
+
+@_every_small_graph
 @settings(max_examples=25, deadline=None)
 @given(connected_laplacians())
 def test_moore_penrose_matches_solve_oracle(lap):
     assert as_matrix(moore_penrose_laplacian(lap)) == moore_penrose_oracle(lap)
 
 
+@_every_small_graph
 @settings(max_examples=8, deadline=None)
 @given(connected_laplacians())
 def test_bordered_matches_solve_oracle_every_pivot(lap):
@@ -213,7 +231,11 @@ def test_bordered_matches_solve_oracle_every_pivot(lap):
         assert as_matrix(bordered_ginverse(lap, i)) == bordered_oracle(lap, i)
 
 
-def test_det_adj_int_identity():
+def _identity_rows(n):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def test_solve_int_identity_block_gives_adjugate():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randint(1, 6)
@@ -221,9 +243,9 @@ def test_det_adj_int_identity():
         d = det_int(rows)
         if d == 0:
             with pytest.raises(ValueError):
-                exactla.det_adj_int(rows)
+                exactla.solve_int(rows, _identity_rows(n))
             continue
-        got, adj = exactla.det_adj_int(rows)
+        got, adj = exactla.solve_int(rows, _identity_rows(n))
         assert got == d
         assert RatMatrix(rows) @ RatMatrix(adj) == identity(n, d)
 
@@ -265,9 +287,9 @@ def test_kernels_on_sparse_matrices_with_row_swaps():
         if d == 0:
             singular += 1
             with pytest.raises(ValueError, match="^matrix is singular$"):
-                exactla.det_adj_int(rows)
+                exactla.solve_int(rows, _identity_rows(len(rows)))
             continue
-        got, adj = exactla.det_adj_int(rows)
+        got, adj = exactla.solve_int(rows, _identity_rows(len(rows)))
         assert got == d
         assert RatMatrix(rows) @ RatMatrix(adj) == identity(len(rows), d)
     assert 0 < singular < len(cases)
@@ -277,19 +299,62 @@ def test_kernels_on_sparse_matrices_with_row_swaps():
                                    lambda lap: bordered_ginverse(lap, 3)])
 @pytest.mark.parametrize("corrupt", ["adjugate", "determinant"])
 def test_corrupted_kernel_fails_certificate(monkeypatch, build, corrupt):
-    kernel = exactla.det_adj_int
+    kernel = exactla.solve_int
 
-    def broken(rows):
-        d, adj = kernel(rows)
+    def broken(rows, right):
+        d, adj = kernel(rows, right)
         if corrupt == "determinant":
             return d + 1, adj
         adj[1][2] += 1
         return d, adj
 
     build(EXAMPLE_LAPLACIAN)
-    monkeypatch.setattr(exactla, "det_adj_int", broken)
+    monkeypatch.setattr(exactla, "solve_int", broken)
     with pytest.raises(InternalCheckError):
         build(EXAMPLE_LAPLACIAN)
+
+
+def _mutant(snippet, replacement):
+    """``exactla`` with ``snippet`` of its source, found exactly once,
+    replaced; its checks raise the package's own ``InternalCheckError``."""
+    source = pathlib.Path(exactla.__file__).read_text()
+    assert source.count(snippet) == 1, snippet
+    module = types.ModuleType("mutant_exactla")
+    exec(compile(source.replace(snippet, replacement), exactla.__file__, "exec"),
+         module.__dict__)
+    module.InternalCheckError = InternalCheckError
+    return module
+
+
+@pytest.mark.parametrize("snippet, replacement, build, message", [
+    # the s J term of the projection (n I - J) N (n I - J)
+    ("nn * x - n * (ra + rb) + total", "nn * x - n * (ra + rb)",
+     "moore_penrose_laplacian", "Moore-Penrose certificate failed"),
+    # the N_ii term of the rebase adj(L_i)_ab = N_ab - N_ai - N_ib + N_ii
+    ("c = row[k] - pivot[k]", "c = row[k]",
+     "bordered_ginverse", "bordered certificate failed"),
+    # det(L_n), shifted by one
+    ("if d != tau:", "if d + 1 != tau:", "moore_penrose_laplacian", "but tau"),
+], ids=["projection", "rebase", "determinant"])
+def test_mutated_identity_fails_certificate(tmp_path, capsys, monkeypatch,
+                                            snippet, replacement, build, message):
+    # each identity that reads a g-inverse off the grounded adjugate has its
+    # own certificate, and a defect there exits 4 from the command line
+    mutant = _mutant(snippet, replacement)
+    args = (EXAMPLE_LAPLACIAN, 3) if build == "bordered_ginverse" else (EXAMPLE_LAPLACIAN,)
+    getattr(exactla, build)(*args)
+    with pytest.raises(InternalCheckError, match=message):
+        getattr(mutant, build)(*args)
+    path = tmp_path / "ex.graph"
+    path.write_text(format_graph(example_staircase()))
+    argv = ["thm71", "--graph", str(path), "--e", "1,5", "--f", "2,6"]
+    assert cli.main(argv) == 0
+    module = importlib.import_module("ferrers_lab.resistance")
+    for name in ("_grounded_adjugate", "moore_penrose_laplacian", "bordered_ginverse"):
+        monkeypatch.setattr(module, name, getattr(mutant, name))
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows", [
@@ -337,7 +402,7 @@ def test_solve_int_rejects_mismatched_block():
 @pytest.mark.parametrize("call", [
     lambda: det_int([[Fraction(1, 2)]]),
     lambda: det_int([[2.7, 0], [0, 1]]),
-    lambda: exactla.det_adj_int([[1.9]]),
+    lambda: exactla.solve_int([[1.9]], [[1]]),
     lambda: exactla.solve_int([[1, 0], [0, 1]], [[Fraction(1, 3)], [0]]),
 ], ids=["det-fraction", "det-float", "adjugate-float", "solve-right-block"])
 def test_kernel_refuses_non_integer_entries(call):
@@ -349,7 +414,7 @@ def test_kernel_refuses_non_integer_entries(call):
 def test_kernel_accepts_integral_values():
     assert det_int([[2.0, 0], [0, Fraction(3, 1)]]) == 6
     assert det_int([[True]]) == 1
-    assert exactla.det_adj_int([[2.0]]) == (2, [[1]])
+    assert exactla.solve_int([[2.0]], [[1]]) == (2, [[1]])
     assert exactla.solve_int([[2, 0], [0, 1]], [[1.0], [Fraction(4, 2)]]) == (2, [[1], [4]])
 
 
@@ -359,9 +424,8 @@ def test_every_view_runs_the_one_elimination(monkeypatch):
     monkeypatch.setattr(exactla, "_bareiss",
                         lambda *args: calls.append(len(args)) or kernel(*args))
     det_int([[2, 1], [1, 1]])
-    exactla.det_adj_int([[2, 1], [1, 1]])
     exactla.solve_int([[2, 1], [1, 1]], [[1], [0]])
-    assert calls == [1, 2, 2]
+    assert calls == [1, 2]
 
 
 @pytest.mark.parametrize("build", [moore_penrose_laplacian,

@@ -225,7 +225,27 @@ def test_one_off_resistance_builds_no_ginverse(monkeypatch):
     for target in (module, exactla):
         monkeypatch.setattr(target, "moore_penrose_laplacian", refuse)
         monkeypatch.setattr(target, "bordered_ginverse", refuse)
+        monkeypatch.setattr(target, "_grounded_adjugate", refuse)
     assert [call() for call in calls] == usual
+
+
+def test_equivalence_eliminates_once_per_graph(monkeypatch):
+    # every g-inverse of a graph is read off one grounded adjugate, so the
+    # checks on K4 invert one grounded Laplacian each of G, G - f and G - e,
+    # in the order the conditions first read them
+    inverted = []
+    orig = exactla._bareiss
+
+    def spy(rows, right=None):
+        if right and len(right[0]) > 1:
+            inverted.append(rows)
+        return orig(rows, right)
+
+    monkeypatch.setattr(exactla, "_bareiss", spy)
+    assert edge_deletion_equivalence(K4, (1, 2), (3, 4)).all_agree
+    assert inverted == [[[3, -1, -1], [-1, 3, -1], [-1, -1, 3]],
+                        [[3, -1, -1], [-1, 3, -1], [-1, -1, 2]],
+                        [[2, 0, -1], [0, 2, -1], [-1, -1, 3]]]
 
 
 def test_grounded_route_certificates(monkeypatch):
